@@ -11,7 +11,9 @@ cheapest-joule respects the SLO and capacity headroom, spillover
 stays home until saturated, storms reroute dark regions).
 """
 
+import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +79,85 @@ class TestZeroDrift:
         assert geo.batches == len(mono.batches)
         assert geo.net_delay_s == 0.0
         assert geo.remote_frac == 0.0
+
+
+#: Recorded multi-region outcomes (see :func:`_record_golden`).
+GOLDEN_PATH = Path(__file__).parent / "data" / "geo_multi_region_golden.json"
+GOLDEN_N = 600
+STORM_CELLS = {
+    "calm": {},
+    "storms": {"storms": 2},
+    "retry": {"storms": 2,
+              "resilience": "retry:timeout_us=30000,budget=1"},
+}
+GOLDEN_CELLS = [
+    "/".join(cell) for cell in itertools.product(
+        ("diurnal", "failure-storm"), sorted(GEO_POLICIES),
+        ("ring", "tree"), STORM_CELLS)
+]
+#: One worker-process cell with the cold path (no prewarm snapshot).
+PROCESS_CELL = "diurnal/follow_sun/ring/retry"
+
+
+def _golden_outcome(cell, **router):
+    """The pinned summary of one golden cell: per-region integer
+    ledgers, per-region and fleet float aggregates."""
+    scenario, geo, topology, storms = cell.split("/")
+    router.setdefault("mode", "inline")
+    result = GeoRouter(4, geo=geo, topology=topology, slo_us=4000.0,
+                       detail=True, **STORM_CELLS[storms], **router) \
+        .run_scenario(scenario, GOLDEN_N, seed=SEED)
+    return {
+        "ledgers": [[r.offered, r.remote, r.rerouted, r.retried,
+                     r.outcome.requests, r.outcome.batches,
+                     r.outcome.slo_hits] for r in result.regions],
+        "region_floats": [[r.outcome.energy, r.delay_s]
+                          for r in result.regions],
+        "floats": [result.energy, result.net_delay_s,
+                   result.latency_percentile(50),
+                   result.latency_percentile(95)],
+    }
+
+
+def _record_golden() -> dict:
+    """Re-record the golden file.  Only for a deliberate re-baseline
+    (a change to the sampled traces): the point of the file is that
+    routing refactors leave it untouched."""
+    golden = {cell: _golden_outcome(cell) for cell in GOLDEN_CELLS}
+    golden["process-cold/" + PROCESS_CELL] = _golden_outcome(
+        PROCESS_CELL, mode="process", prewarm=False)
+    return golden
+
+
+class TestMultiRegionGolden:
+    """Multi-region routing pinned to recorded outcomes: 4 geo policies
+    x {ring, tree} x {calm, storms, storms + retry} on diurnal and
+    failure-storm, 4 regions.  Integer ledgers match exactly, float
+    aggregates to 1e-12 relative, so a drift in routing, interconnect
+    charges or delivery order cannot pass unseen."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN_PATH.read_text())
+
+    def _check(self, got, want):
+        assert got["ledgers"] == want["ledgers"]
+        assert got["region_floats"] == [
+            pytest.approx(row, rel=1e-12) for row in want["region_floats"]]
+        assert got["floats"] == pytest.approx(want["floats"], rel=1e-12)
+
+    def test_covers_every_cell(self, golden):
+        assert set(golden) == set(GOLDEN_CELLS) | {
+            "process-cold/" + PROCESS_CELL}
+
+    @pytest.mark.parametrize("cell", GOLDEN_CELLS)
+    def test_inline_cell(self, cell, golden):
+        self._check(_golden_outcome(cell), golden[cell])
+
+    def test_process_cold_cell(self, golden):
+        self._check(_golden_outcome(PROCESS_CELL, mode="process",
+                                    prewarm=False),
+                    golden["process-cold/" + PROCESS_CELL])
 
 
 class TestInterconnect:
@@ -270,3 +351,10 @@ class TestCli:
         code = main(["serve-sim", "steady", *args])
         assert code == 2
         assert fragment in capsys.readouterr().out
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_serving_geo.py  (one cell a line)
+    GOLDEN_PATH.write_text("{\n" + ",\n".join(
+        f"{json.dumps(cell)}: {json.dumps(outcome)}"
+        for cell, outcome in _record_golden().items()) + "\n}\n")
