@@ -1,9 +1,11 @@
 """Serving-path performance smoke: event-engine throughput trajectory.
 
-Not a paper figure.  Each run appends one trajectory point per matrix
-cell (simulated requests per wall-second through the discrete-event
-engine) to ``BENCH_serving.json`` at the repo root, so future PRs can
-see when a change slows the serving hot path down.  The CI
+Not a paper figure.  With ``REPRO_BENCH_RECORD=1`` each run appends
+one trajectory point per matrix cell (simulated requests per
+wall-second through the discrete-event engine) to
+``BENCH_serving.json`` at the repo root, so future PRs can see when a
+change slows the serving hot path down; without it the cells run and
+assert but write nothing.  The CI
 figure-smoke job feeds the fresh points to ``tools/bench_guard.py``,
 which warns (non-blocking) on a >20% throughput drop against the last
 committed point of the same cell.
@@ -66,6 +68,11 @@ MATRIX = [
 
 
 def append_point(point: dict) -> None:
+    """Append ``point`` to the trajectory file, only when
+    ``REPRO_BENCH_RECORD=1`` (CI's figure-smoke job sets it): a plain
+    test run leaves the working tree clean."""
+    if os.environ.get("REPRO_BENCH_RECORD") != "1":
+        return
     history = []
     if BENCH_PATH.exists():
         try:
@@ -226,10 +233,12 @@ def test_bench_persisted_memo_cold_start(tmp_path):
 def test_bench_serving_geo():
     """The geo cell: a four-region fleet (mixed SMART / SNN / AQFP
     backends) under follow-the-sun routing on the ring interconnect.
-    ``rps`` is aggregate simulated requests per wall-second through
-    the full geo path — routing scan, NETWORK delivery queue and
-    per-region engines — so a slowdown in any geo layer lands in the
-    ``geo/follow_sun`` cell without touching the plain cells."""
+    ``rps`` is aggregate simulated requests per wall-second of the
+    whole ``run_scenario`` call — calibration, the parent's single
+    routing scan through the NETWORK delivery queue, the per-region
+    engines (which replay no routing) and the merge — so a slowdown in
+    any geo layer lands in the ``geo/follow_sun`` cell without
+    touching the plain cells."""
     from repro.serving import GeoRouter
 
     n_requests = 100_000

@@ -19,14 +19,15 @@ and energy-cost rows.
 Why this is exact: routing is a pure function of the admission
 instant, the home region, and the static fleet plan (capacities,
 prices, diurnal phases, interconnect, outage windows) — never of live
-engine state — so every worker replays the identical global routing
-scan and filters out its own deliveries, exactly as
-:func:`~repro.serving.workload.shard_trace` replays the global trace.
-The NETWORK delivery queue (an :class:`~repro.serving.events.
-EventQueue`) re-sorts admissions into delivery order with bounded
-buffering: a delivery can pop as soon as the scan's current admission
-time passes it, because every future delivery lands no earlier than
-its own (future) admission.
+engine state — so the parent routes every request exactly once,
+before any region engine runs, and hands each worker only its own
+deliveries: compact columns (global request id, model, delivered
+arrival, home region) already in delivery order.  No worker generates
+a trace or replays the scan.  The NETWORK delivery queue (an
+:class:`~repro.serving.events.EventQueue`) re-sorts admissions into
+delivery order with bounded buffering: a delivery can pop as soon as
+the scan's current admission time passes it, because every future
+delivery lands no earlier than its own (future) admission.
 
 The zero-drift anchor: with one region and stock policies the
 regional stream *is* the global trace (same seed, same rate, zero
@@ -40,12 +41,12 @@ from __future__ import annotations
 
 import heapq
 import math
-import random as _random
+from array import array
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain
 from time import perf_counter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.runtime.executor import parallel_map, worker_payload
@@ -58,7 +59,11 @@ from repro.serving.events import (
 )
 from repro.serving.interconnect import REQUEST_BYTES, Interconnect
 from repro.serving.memo import CacheStats, LayerMemoCache, MemoSnapshot
-from repro.serving.policies import RegionFailurePlan, make_geo
+from repro.serving.policies import (
+    GeoDispatchPolicy,
+    RegionFailurePlan,
+    make_geo,
+)
 from repro.serving.sharding import (
     LatencyDigest,
     ShardOutcome,
@@ -72,6 +77,7 @@ from repro.serving.workload import (
     get_scenario,
     shard_seeds,
     stream_trace,
+    trace_span,
 )
 
 __all__ = [
@@ -215,14 +221,16 @@ class _RouterView:
     See :class:`~repro.serving.policies.GeoDispatchPolicy` for the
     contract.  Everything here derives from the run *plan* (specs,
     calibrated capacities, static estimates) — never from live engine
-    state — which is what keeps the routing scan replayable in every
-    worker process.
+    state — which is what lets the parent route the whole run in one
+    scan before any region engine starts.  Hop counts and delays are
+    read from tables built once per scan; pairs outside the fleet fall
+    through to the :class:`Interconnect`, which raises.
     """
 
     __slots__ = ("regions", "slo", "_capacities", "_prices",
                  "_energies", "_batch_lats", "_tz", "_icx", "_payload",
-                 "_amp", "_cycles", "_base_phase", "_duration",
-                 "_window", "_assigned")
+                 "_hops", "_delays", "_amp", "_cycles", "_base_phase",
+                 "_duration", "_window", "_assigned")
 
     def __init__(self, spec: dict, icx: Interconnect) -> None:
         regions = spec["regions"]
@@ -235,6 +243,11 @@ class _RouterView:
         self._tz = tuple(r[4] for r in regions)
         self._icx = icx
         self._payload = spec["payload_bytes"]
+        pairs = [(a, b) for a in range(self.regions)
+                 for b in range(self.regions)]
+        self._hops = {pair: icx.hops(*pair) for pair in pairs}
+        self._delays = {pair: icx.delay(*pair, self._payload)
+                        for pair in pairs}
         scenario = spec["scenario"]
         if scenario.shape == "diurnal":
             process = scenario.process(1.0)
@@ -263,10 +276,13 @@ class _RouterView:
         return self._batch_lats[i]
 
     def hops(self, src: int, dst: int) -> int:
-        return self._icx.hops(src, dst)
+        hops = self._hops.get((src, dst))
+        return self._icx.hops(src, dst) if hops is None else hops
 
     def delay(self, src: int, dst: int) -> float:
-        return self._icx.delay(src, dst, self._payload)
+        delay = self._delays.get((src, dst))
+        return (self._icx.delay(src, dst, self._payload)
+                if delay is None else delay)
 
     def wave(self, i: int, t: float) -> float:
         """Instantaneous diurnal load factor at region-local time."""
@@ -295,76 +311,57 @@ def _down(outages, region: int, t: float) -> bool:
                for o in outages)
 
 
-def _times_streams(spec: dict) -> list:
-    """Per-region ``(arrival, home)`` streams — the model-free scan."""
-    scenario = spec["scenario"]
-
-    def gen(i: int) -> Iterator[tuple[float, int]]:
-        regional = _region_scenario(scenario, spec["regions"][i][4])
-        process = regional.process(spec["rates"][i])
-        rng = _random.Random(spec["seeds"][i])
-        for t in process.times(spec["counts"][i], rng):
-            yield (t, i)
-
-    return [gen(i) for i in range(len(spec["regions"]))]
-
-
 def _request_streams(spec: dict) -> list:
-    """Per-region ``(arrival, home, Request)`` streams, globally
-    unique ascending ids (region id bases), home-region tagged."""
+    """Per-region ``(arrival, home, request id, model index)``
+    admission streams, with globally unique ascending ids (region id
+    bases)."""
     scenario = spec["scenario"]
+    index = {model: k for k, model in enumerate(scenario.mix.models())}
 
-    def gen(i: int) -> Iterator[tuple[float, int, Request]]:
-        name = spec["regions"][i][0]
+    def gen(i: int) -> Iterator[tuple[float, int, int, int]]:
         regional = _region_scenario(scenario, spec["regions"][i][4])
         base = spec["bases"][i]
         for r in stream_trace(regional, spec["rates"][i],
-                              spec["counts"][i], spec["seeds"][i],
-                              region=name):
-            yield (r.arrival, i,
-                   r if not base else replace(
-                       r, request_id=base + r.request_id))
+                              spec["counts"][i], spec["seeds"][i]):
+            yield (r.arrival, i, base + r.request_id, index[r.model])
 
     return [gen(i) for i in range(len(spec["regions"]))]
 
 
-def _merge_admission_key(item) -> tuple[float, int]:
-    return (item[0], item[1])
-
-
-def _route_scan(spec: dict, streams: Iterable, outages) -> Iterator:
+def _route_scan(spec: dict, geo: GeoDispatchPolicy,
+                outages) -> Iterator:
     """Route the merged admission stream into delivery order.
 
-    Yields ``(deliver, serve, home, rerouted, retried, delay, item)``
-    tuples in globally ascending delivery time.  The NETWORK
-    :class:`~repro.serving.events.EventQueue` is the re-sort buffer: a
-    queued delivery pops once the scan's admission clock passes it
-    (future deliveries can never land earlier than their own future
-    admissions), and the queue drains fully at stream end.
+    Yields ``(deliver, serve, home, rerouted, retried, delay, request
+    id, model index)`` tuples in globally ascending delivery time.  The
+    NETWORK :class:`~repro.serving.events.EventQueue` is the re-sort
+    buffer: a queued delivery pops once the scan's admission clock
+    passes it (future deliveries can never land earlier than their own
+    future admissions), and the queue drains fully at stream end.
+    Admissions merge in (arrival, home) order: ties across regions go
+    to the lower home index.
 
     With a resilience policy on, a storm reroute is modelled as a
     client *failover retry*: the request first travels to the dark
     region (the failed leg), times out, and is re-sent to the healthy
     one — both legs are charged through the NETWORK delay, and the
     tuple's ``retried`` flag marks the double charge.  Without
-    resilience the reroute is the pre-PR silent redirect (single leg).
+    resilience the reroute is a silent redirect (single leg).
     """
     regions = len(spec["regions"])
-    icx = Interconnect(regions=regions, topology=spec["topology"],
-                       bandwidth_gbps=spec["bandwidth_gbps"],
-                       base_latency_us=spec["base_latency_us"])
-    geo = make_geo(spec["geo"])
-    view = _RouterView(spec, icx)
+    view = _RouterView(spec, Interconnect(
+        regions=regions, topology=spec["topology"],
+        bandwidth_gbps=spec["bandwidth_gbps"],
+        base_latency_us=spec["base_latency_us"]))
+    hops, delays = view._hops, view._delays
     geo.reset(view)
-    payload_bytes = spec["payload_bytes"]
-    res_on = bool(spec.get("resilience")) \
-        and spec.get("resilience") != "none"
+    route, record = geo.route, view.record
+    res_on = bool(spec["resilience"]) and spec["resilience"] != "none"
     queue = EventQueue()
-    for item in heapq.merge(*streams, key=_merge_admission_key):
-        t, home = item[0], item[1]
+    for t, home, rid, model in heapq.merge(*_request_streams(spec)):
         while len(queue) and queue.next_time() <= t:
             yield queue.pop().payload
-        serve = geo.route(t, home, view)
+        serve = route(t, home, view)
         if not 0 <= serve < regions:
             raise ConfigError(
                 f"geo policy '{geo.name}' routed to region {serve} "
@@ -380,50 +377,60 @@ def _route_scan(spec: dict, streams: Iterable, outages) -> Iterator:
                 if res_on:
                     # the failed attempt's transfer is real: charge
                     # the leg to the dark region before the retry leg
-                    failed_leg = icx.delay(home, serve, payload_bytes)
+                    failed_leg = delays[home, serve]
                     retried = True
-                serve = min(live,
-                            key=lambda i: (icx.hops(home, i), i))
+                serve = min(live, key=lambda i: (hops[home, i], i))
                 rerouted = True
-        view.record(serve, t)
-        delay = failed_leg + icx.delay(home, serve, payload_bytes)
-        queue.push(t + delay, EventKind.NETWORK,
-                   payload=(t + delay, serve, home, rerouted, retried,
-                            delay, item))
+        record(serve, t)
+        delay = failed_leg + delays[home, serve]
+        deliver = t + delay
+        queue.push(deliver, EventKind.NETWORK,
+                   payload=(deliver, serve, home, rerouted, retried,
+                            delay, rid, model))
     while len(queue):
         yield queue.pop().payload
 
 
-def _arrival_span(spec: dict) -> tuple[float, float]:
-    """Global (first, last) admission instant over every region."""
-    first, last = math.inf, -math.inf
-    for stream in _times_streams(spec):
-        t0 = tN = next(stream)[0]
-        for tN, _ in stream:
-            pass
-        first = min(first, t0)
-        last = max(last, tN)
-    return first, last
+def _route_once(spec: dict, geo: GeoDispatchPolicy, outages):
+    """Route the whole run once, straight into per-region columns.
 
-
-def _delivery_span(spec: dict, outages) -> tuple[float, float]:
-    """Global (first, last) delivery instant after routing."""
-    first, last = math.inf, -math.inf
-    for deliver, *_ in _route_scan(spec, _times_streams(spec), outages):
-        if deliver < first:
-            first = deliver
-        if deliver > last:
-            last = deliver
-    return first, last
+    Returns ``(columns, ledgers, span)``: each region's deliveries as
+    ``(request ids, model indices, delivered arrivals, home indices)``
+    arrays in delivery order; each region's network ledger
+    ``[remote, rerouted, retried, delay]`` (the delay summed in
+    delivery order); and the global (first, last) delivery instant.
+    """
+    count = len(spec["regions"])
+    columns = [(array("q"), array("H"), array("d"), array("H"))
+               for _ in range(count)]
+    appends = [tuple(column.append for column in region)
+               for region in columns]
+    ledgers = [[0, 0, 0, 0.0] for _ in range(count)]
+    for deliver, serve, home, rerouted, retried, delay, rid, model \
+            in _route_scan(spec, geo, outages):
+        add_id, add_model, add_arrival, add_home = appends[serve]
+        add_id(rid)
+        add_model(model)
+        add_arrival(deliver)
+        add_home(home)
+        ledger = ledgers[serve]
+        ledger[0] += home != serve
+        ledger[1] += rerouted
+        ledger[2] += retried
+        ledger[3] += delay
+    delivered = [arrivals for _, _, arrivals, _ in columns if arrivals]
+    span = (min(a[0] for a in delivered), max(a[-1] for a in delivered))
+    return columns, ledgers, span
 
 
 @dataclass(frozen=True)
 class RegionOutcome:
-    """One region's worker summary: engine outcome + network ledger.
+    """One region's summary: worker outcome + network ledger.
 
-    ``outcome`` is the exact per-shard summary the sharded merge
-    understands (region == shard); the extra fields are the geo
-    tier's network accounting for the region.
+    ``outcome`` is the worker's exact per-shard summary the sharded
+    merge understands (region == shard); the extra fields are the geo
+    tier's network accounting for the region, tallied by the parent's
+    routing scan.
     """
 
     region: str
@@ -481,83 +488,40 @@ def _region_sim(spec: dict, me: int,
     )
 
 
-def _serve_geo_region(spec: dict) -> RegionOutcome:
+def _serve_geo_region(spec: dict) -> ShardOutcome:
     """Serve one region of a geo run (runs in a worker process).
 
-    Every worker replays the identical global routing scan (regional
-    streams -> geo policy -> interconnect delay -> delivery order) and
-    feeds its own region's deliveries to an independent cluster
-    engine, pinned to the *global* delivery span so all regions drain
-    at the same horizon.
+    The parent has already routed every request, so the spec carries
+    only this region's deliveries: columns in delivery order.  The
+    worker rebuilds its :class:`Request`\\ s from them (delivered
+    arrival, home-region tag) and streams them into an independent
+    cluster engine pinned to the *global* delivery span, so all
+    regions drain at the same horizon.  It generates no trace and
+    makes no routing decision.
     """
     t_start = perf_counter()
     me = spec["region"]
-    name, accelerator, replicas, price, _tz = spec["regions"][me]
+    name = spec["regions"][me][0]
     scenario = spec["scenario"]
     telemetry = (Telemetry(events=spec["trace_events"],
                            tick=spec["tick"] or None)
                  if spec["trace"] else None)
     sim = _region_sim(spec, me, telemetry)
-    # a warm parent resolves the outage windows and the global
-    # delivery span once and ships them in the spec — both are pure
-    # functions of the plan, so recomputing here (the cold path) gives
-    # the identical values, just at one O(n) routing scan per worker
-    if "outages" in spec:
-        outages = spec["outages"]
-    else:
-        outages = ()
-        if spec["storms"]:
-            first, last = _arrival_span(spec)
-            outages = RegionFailurePlan(
-                count=spec["storms"], seed=spec["seed"],
-            ).resolve(first, last, len(spec["regions"]))
-    span = spec.get("span")
-    if span is None:
-        span = _delivery_span(spec, outages)
     networks = {m: sim.network(m) for m in scenario.mix.models()}
     failures = (FailurePlan(count=scenario.faults,
                             seed=spec["seeds"][me])
                 if scenario.faults else None)
     engine = sim.make_engine(networks, failures=failures,
-                             prewarm=spec.get("warm_cells"))
-
-    net = {"offered": 0, "remote": 0, "rerouted": 0, "retried": 0,
-           "delay": 0.0}
-    arrivals: dict[int, float] = {}
-
-    def deliveries() -> Iterator[Request]:
-        scan = _route_scan(spec, _request_streams(spec), outages)
-        for deliver, serve, home, rerouted, retried, delay, item in scan:
-            if home == me:
-                net["offered"] += 1
-            if serve != me:
-                continue
-            request = item[2]
-            if delay:
-                request = replace(request, arrival=deliver)
-                net["delay"] += delay
-            if home != me:
-                net["remote"] += 1
-            if rerouted:
-                net["rerouted"] += 1
-            if retried:
-                net["retried"] += 1
-            yield request
-
-    def tee(stream: Iterator[Request]) -> Iterator[Request]:
-        for request in stream:
-            arrivals[request.request_id] = request.arrival
-            yield request
-
-    requests: list[Request] = []
-    stream: Iterator[Request] = deliveries()
+                             prewarm=spec["warm_cells"])
+    ids, model_ids, arrivals, homes = spec["deliveries"]
+    names = tuple(region[0] for region in spec["regions"])
+    stream = map(Request, ids, map(scenario.mix.models().__getitem__,
+                                   model_ids),
+                 arrivals, map(names.__getitem__, homes))
+    requests: tuple[Request, ...] = ()
     if spec["detail"]:
-        requests = list(stream)
-        for request in requests:
-            arrivals[request.request_id] = request.arrival
+        requests = tuple(stream)
         stream = iter(requests)
-    else:
-        stream = tee(stream)
 
     if telemetry is not None:
         telemetry.begin_run(
@@ -568,39 +532,28 @@ def _serve_geo_region(spec: dict) -> RegionOutcome:
             regions=len(spec["regions"]), geo=spec["geo"],
         )
 
-    def wrap(outcome: ShardOutcome) -> RegionOutcome:
-        return RegionOutcome(
-            region=name, index=me, accelerator=accelerator,
-            replicas=replicas, price=price,
-            capacity_rps=spec["capacities"][me],
-            rate_rps=spec["rates"][me], offered=net["offered"],
-            remote=net["remote"], rerouted=net["rerouted"],
-            delay_s=net["delay"], outcome=outcome,
-            retried=net["retried"],
-        )
-
-    first = next(stream, None)
-    if first is None:
+    if not ids:
         # a legal outcome: the geo policy drained this region dry —
         # its pool idles for the whole run (still reporting any
         # snapshot cells it was shipped)
         idle_stats = sim.cache.stats
-        return wrap(ShardOutcome(
+        return ShardOutcome(
             shard=me, requests=0, batches=0, energy=0.0, busy_s=0.0,
             first_arrival=math.inf, last_done=-math.inf,
             digest=LatencyDigest(), slo_hits=0,
             cache=CacheStats(seeded=idle_stats.seeded,
                              seed_hits=idle_stats.seed_hits),
             wall_s=perf_counter() - t_start,
-        ))
-    outcome = engine.run(chain((first,), stream), span=span)
+        )
+    outcome = engine.run(stream, span=spec["span"])
 
     slo_target = spec["slo_us"] * 1e-6
     digest = LatencyDigest()
     energy = 0.0
     slo_hits = 0
+    arrival_of = dict(zip(ids, arrivals))
     for request_id, (done, joules) in outcome.done.items():
-        latency = done - arrivals[request_id]
+        latency = done - arrival_of[request_id]
         digest.add(latency)
         energy += joules
         if slo_target and latency <= slo_target:
@@ -623,28 +576,27 @@ def _serve_geo_region(spec: dict) -> RegionOutcome:
 
     result = None
     if spec["detail"]:
-        ordered = tuple(requests)
         latencies = tuple(outcome.done[r.request_id][0] - r.arrival
-                          for r in ordered)
-        energies = tuple(outcome.done[r.request_id][1] for r in ordered)
+                          for r in requests)
+        energies = tuple(outcome.done[r.request_id][1] for r in requests)
         result = ServingResult(
             accelerator=sim.accelerator.name, replicas=sim.replicas,
             scenario=scenario.name, policy=sim.policy.name,
-            rate=spec["rates"][me], requests=ordered,
+            rate=spec["rates"][me], requests=requests,
             latencies=latencies, energy_per_request=energies,
             batches=outcome.batches, cache=cache,
             slo_target=slo_target,
             replica_trace=outcome.replica_trace,
         )
 
-    return wrap(ShardOutcome(
+    return ShardOutcome(
         shard=me, requests=len(outcome.done),
         batches=len(outcome.batches), energy=energy, busy_s=busy,
-        first_arrival=min(arrivals.values()), last_done=last_done,
+        first_arrival=min(arrivals), last_done=last_done,
         digest=digest, slo_hits=slo_hits, cache=cache,
         wall_s=perf_counter() - t_start, telemetry_rows=rows,
         counters=counters, result=result,
-    ))
+    )
 
 
 @dataclass
@@ -869,11 +821,11 @@ class GeoRouter:
         prewarm: warm-start the fleet (the default).  The parent
             resolves every region backend's layer cells once through
             a shared memo, snapshots the totals, and broadcasts the
-            snapshot to region workers through the pool initializer;
-            the outage windows and the global delivery span are
-            resolved once in the parent and shipped in the spec, so
-            no worker repeats the O(n) routing scans.  All of it is
-            exact — warm results are bit-identical to cold.
+            snapshot to region workers through the pool initializer,
+            so no worker simulates a layer.  It governs only the memo:
+            warm or cold, the parent resolves the outage windows and
+            routes every request once, and workers serve only their
+            own deliveries.  Warm results are bit-identical to cold.
         snapshot: a pre-built :class:`~repro.serving.memo.
             MemoSnapshot` installed into the parent's warm cache up
             front (e.g. the persisted memo pool).
@@ -918,7 +870,10 @@ class GeoRouter:
         self.bandwidth_gbps = bandwidth_gbps
         self.base_latency_us = base_latency_us
         self.payload_bytes = payload_bytes
-        self.geo = make_geo(geo).name
+        # route with the instance itself: a custom policy (or a
+        # subclass reusing a stock name) is what the scan must call
+        self._geo = make_geo(geo)
+        self.geo = self._geo.name
         self.storms = storms
         self.policy = policy
         self.batch_size = batch_size
@@ -938,7 +893,9 @@ class GeoRouter:
 
     def run_scenario(self, scenario: Scenario | str, n_requests: int,
                      seed: int = 0) -> GeoResult:
-        """Calibrate regions, fan the routing scan out, and merge."""
+        """Calibrate regions, route every request once, fan the
+        regions out, and merge.  ``wall_s`` times all of it."""
+        t_start = perf_counter()
         if isinstance(scenario, str):
             scenario = get_scenario(scenario)
         if n_requests < 1:
@@ -997,58 +954,60 @@ class GeoRouter:
             "bandwidth_gbps": self.bandwidth_gbps,
             "base_latency_us": self.base_latency_us,
             "payload_bytes": self.payload_bytes,
-            "geo": self.geo, "storms": self.storms,
-            "rates": rates, "counts": counts, "seeds": seeds,
-            "bases": bases, "capacities": capacities,
+            "geo": self.geo, "rates": rates, "counts": counts,
+            "seeds": seeds, "bases": bases, "capacities": capacities,
             "energies": energies, "batch_lats": batch_lats,
             # a ~100-request observation window for spillover's
             # assigned-rate estimate, scaled to the offered rate
             "window_s": 100.0 / max(total_rate, 1e-12),
             "policy": self.policy, "batch_size": self.batch_size,
             "dispatch": self.dispatch, "slo_us": self.slo_us,
-            "seed": seed, "detail": self.detail, "trace": self.trace,
+            "detail": self.detail, "trace": self.trace,
             "tick": self.tick, "trace_events": self.trace_events,
-            "resilience": self.resilience,
+            "resilience": self.resilience, "warm_cells": None,
         }
         snapshot: Optional[MemoSnapshot] = None
         if self.prewarm:
             # warm every region backend's layer cells through the
-            # shared memo, then resolve the plan-level scans — outage
-            # windows and the global delivery span — once instead of
-            # once per worker; all pure functions of the plan, so
-            # workers get the identical values they would recompute
+            # shared memo once, instead of once per worker
             for cal in calibrators:
                 cal.prewarm(scenario)
             snapshot = MemoSnapshot.from_cache(self._warm_cache)
-            outages: tuple = ()
-            if self.storms:
-                first, last = _arrival_span(spec)
-                outages = RegionFailurePlan(
-                    count=self.storms, seed=seed,
-                ).resolve(first, last, count)
-            spec["outages"] = outages
-            spec["span"] = _delivery_span(spec, outages)
             spec["warm_cells"] = tuple(
                 (model, b)
                 for model in sorted(scenario.mix.models())
-                for b in range(1, calibrators[0].policy.max_batch + 1)
+                for b in range(1, batch + 1)
             )
-        specs = [dict(spec, region=i) for i in range(count)]
-        t_start = perf_counter()
-        outcomes = parallel_map(_serve_geo_region,
-                                [(s,) for s in specs],
-                                mode=self.mode,
-                                max_workers=self.max_workers,
-                                payload=({"memo": snapshot}
-                                         if snapshot is not None
-                                         else None))
-        wall = perf_counter() - t_start
-        return self._reduce(scenario, total_rate,
-                            tuple(outcomes), wall)
+        outages: tuple = ()
+        if self.storms:
+            spans = [trace_span(_region_scenario(scenario, s.tz),
+                                rates[i], counts[i], seeds[i])
+                     for i, s in enumerate(fleet)]
+            outages = RegionFailurePlan(count=self.storms, seed=seed) \
+                .resolve(min(first for first, _ in spans),
+                         max(last for _, last in spans), count)
+        columns, ledgers, spec["span"] = _route_once(spec, self._geo,
+                                                     outages)
+        outcomes = parallel_map(
+            _serve_geo_region,
+            [(dict(spec, region=i, deliveries=columns[i]),)
+             for i in range(count)],
+            mode=self.mode, max_workers=self.max_workers,
+            payload={"memo": snapshot} if snapshot is not None else None)
+        regions = tuple(
+            RegionOutcome(
+                region=s.name, index=i, accelerator=s.accelerator,
+                replicas=s.replicas, price=s.price,
+                capacity_rps=capacities[i], rate_rps=rates[i],
+                offered=counts[i], remote=remote, rerouted=rerouted,
+                retried=retried, delay_s=delay, outcome=outcome)
+            for i, (s, (remote, rerouted, retried, delay), outcome)
+            in enumerate(zip(fleet, ledgers, outcomes)))
+        return self._reduce(scenario, total_rate, regions, t_start)
 
     def _reduce(self, scenario: Scenario, rate: float,
                 outcomes: tuple[RegionOutcome, ...],
-                wall: float) -> GeoResult:
+                t_start: float) -> GeoResult:
         """Exact merge of the per-region outcomes — the sharded
         merge (digests, counters, detail interleave), region == shard."""
         digest = LatencyDigest()
@@ -1085,6 +1044,6 @@ class GeoRouter:
             last_done=max(o.last_done for o in shard_outcomes),
             digest=digest, slo_target=slo_target,
             slo_hits=sum(o.slo_hits for o in shard_outcomes),
-            wall_s=wall, cache=cache, regions=outcomes, detail=detail,
-            resilience=self.resilience,
+            wall_s=perf_counter() - t_start, cache=cache,
+            regions=outcomes, detail=detail, resilience=self.resilience,
         )

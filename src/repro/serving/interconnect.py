@@ -9,8 +9,8 @@ regions is therefore
     ``hops(src, dst) * (base_latency + payload_bits / bandwidth)``
 
 — a pure function of the endpoints and payload size, with no queueing
-state, so every worker process computes the exact same delay for the
-same request and geo runs stay deterministic and mergeable.
+state, so the geo router can tabulate every pair's delay once per run
+and geo runs stay deterministic and mergeable.
 
 Three stock topologies cover the shapes real fleets deploy:
 

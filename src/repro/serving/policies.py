@@ -940,15 +940,16 @@ class GeoDispatchPolicy:
       (req/s over the router's sliding window);
     - ``router.slo`` — latency target (s), or ``None``.
 
-    Policies are pure functions of that view, so every worker process
-    replays the identical routing scan and geo runs merge exactly.
-    ``reset`` runs once per routing scan.
+    Policies are pure functions of that view, so the router routes a
+    whole run in one scan, in the parent process, before any region
+    engine starts, and geo runs merge exactly.  The router calls the
+    very instance it was given; ``reset`` runs once per run.
     """
 
     name = "?"
 
     def reset(self, router) -> None:
-        """Forget per-scan state; called once per routing scan."""
+        """Forget per-run state; called once per routing scan."""
 
     def route(self, time: float, home: int, router) -> int:
         """The region index that serves a request admitted at ``time``

@@ -13,14 +13,18 @@ stays home until saturated, storms reroute dark regions).
 
 import itertools
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+import repro.serving.geo as geo_module
 from repro.__main__ import main
 from repro.errors import ConfigError
 from repro.serving import (
     GEO_POLICIES,
+    FollowSunDispatch,
+    GeoDispatchPolicy,
     GeoRouter,
     Interconnect,
     POLICIES,
@@ -158,6 +162,84 @@ class TestMultiRegionGolden:
         self._check(_golden_outcome(PROCESS_CELL, mode="process",
                                     prewarm=False),
                     golden["process-cold/" + PROCESS_CELL])
+
+
+class _CountingFollowSun(FollowSunDispatch):
+    """A subclass keeping the stock name: the router must route with
+    this instance, not a fresh stock one looked up by name."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def route(self, time, home, router):
+        self.calls += 1
+        return super().route(time, home, router)
+
+
+class _EvenRegions(GeoDispatchPolicy):
+    """A custom policy under a name the registry does not know: odd
+    regions hand their traffic to the even region below them."""
+
+    name = "even_regions"
+
+    def __init__(self):
+        self.calls = 0
+
+    def route(self, time, home, router):
+        self.calls += 1
+        return home - home % 2
+
+
+class TestRouteOnce:
+    """The parent routes every request exactly once, with the policy
+    instance it was given, before any region worker runs."""
+
+    @pytest.mark.parametrize("mode", ["inline", "process"])
+    def test_custom_policy_instance_routes(self, mode):
+        policy = _EvenRegions()
+        result = GeoRouter(4, geo=policy, topology="ring", mode=mode) \
+            .run_scenario("steady", 400, seed=SEED)
+        assert policy.calls == 400
+        assert result.geo == "even_regions"
+        assert result.requests == 400
+        assert [r.outcome.requests for r in result.regions][1::2] == [0, 0]
+
+    @pytest.mark.parametrize("mode", ["inline", "process"])
+    def test_stock_named_subclass_is_called_once_per_request(self, mode):
+        policy = _CountingFollowSun()
+        router = GeoRouter(4, geo=policy, topology="ring", mode=mode)
+        for runs in (1, 2):
+            result = router.run_scenario("diurnal", 400, seed=SEED)
+            assert policy.calls == 400 * runs
+        stock = GeoRouter(4, geo="follow_sun", topology="ring",
+                          mode=mode).run_scenario("diurnal", 400, seed=SEED)
+        assert result.energy == stock.energy
+        assert result.net_delay_s == stock.net_delay_s
+
+    @pytest.mark.parametrize("probe", ["hops", "delay"])
+    @pytest.mark.parametrize("dst", [-1, 3])
+    def test_out_of_fleet_pair_raises(self, probe, dst):
+        class Probe(GeoDispatchPolicy):
+            name = "probe"
+
+            def route(self, time, home, router):
+                return getattr(router, probe)(home, dst)
+
+        with pytest.raises(ConfigError, match="outside"):
+            GeoRouter(3, geo=Probe(), mode="inline") \
+                .run_scenario("steady", 30, seed=SEED)
+
+    def test_wall_s_covers_the_routing_step(self, monkeypatch):
+        real = geo_module._route_once
+
+        def slow(*args):
+            time.sleep(0.2)
+            return real(*args)
+
+        monkeypatch.setattr(geo_module, "_route_once", slow)
+        result = GeoRouter(2, mode="inline") \
+            .run_scenario("steady", 100, seed=SEED)
+        assert result.wall_s >= 0.2
 
 
 class TestInterconnect:
