@@ -44,6 +44,7 @@ import ast
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Optional
@@ -603,6 +604,21 @@ def _cmd_serve_sim(args: list[str], opts: CliOptions) -> int:
     return 0
 
 
+def _merged_telemetry(results: list, summary_rows=lambda result: ()):
+    """One trace sink for a grid of fan-out runs: every worker's tagged
+    rows (then ``summary_rows(result)``) and the summed counters."""
+    from repro.serving import Telemetry
+
+    telemetry = Telemetry()
+    counters: Counter = Counter()
+    for result in results:
+        counters.update(result.counters)
+        telemetry.rows.extend(result.telemetry_rows)
+        telemetry.rows.extend(summary_rows(result))
+    telemetry.counters.update(counters)
+    return telemetry
+
+
 def _serve_sim_sharded(opts: CliOptions, *, scenarios: list[str],
                        policies: list[str], requests: int,
                        replicas: int, batch_size: int, seed: int,
@@ -617,7 +633,7 @@ def _serve_sim_sharded(opts: CliOptions, *, scenarios: list[str],
     ``--persist-memo`` loads the persisted totals pool into that memo
     up front (a fully warm fleet) and stores it back after the grid.
     """
-    from repro.serving import LayerMemoCache, SCENARIOS, Telemetry
+    from repro.serving import LayerMemoCache, SCENARIOS
     from repro.serving.memo import (load_persistent_memo,
                                     store_persistent_memo)
     from repro.serving.sharding import ShardedEngine
@@ -648,13 +664,7 @@ def _serve_sim_sharded(opts: CliOptions, *, scenarios: list[str],
               if persist_memo else 0)
     if trace:
         # merge the shard-tagged worker traces into one JSONL sink
-        telemetry = Telemetry()
-        for result in results:
-            for outcome in result.outcomes:
-                for key, count in outcome.counters:
-                    telemetry.counters[key] = (
-                        telemetry.counters.get(key, 0) + count)
-            telemetry.rows.extend(result.telemetry_rows)
+        telemetry = _merged_telemetry(results)
         telemetry.save(trace_path)
     if opts.as_json:
         print(report.to_json(rows))
@@ -697,8 +707,8 @@ def _serve_sim_geo(opts: CliOptions, *, scenarios: list[str],
     accumulates across cells; ``--persist-memo`` loads the persisted
     totals pool into it up front and stores it back after the grid.
     """
-    from repro.serving import LayerMemoCache, SCENARIOS, Telemetry
-    from repro.serving.geo import GeoRouter
+    from repro.serving import LayerMemoCache, SCENARIOS
+    from repro.serving.geo import GeoResult, GeoRouter
     from repro.serving.memo import (load_persistent_memo,
                                     store_persistent_memo)
 
@@ -732,10 +742,8 @@ def _serve_sim_geo(opts: CliOptions, *, scenarios: list[str],
     if trace:
         # one JSONL sink holding every region-tagged worker trace plus
         # the per-region summary rows the dashboard's geo table reads
-        telemetry = Telemetry()
-        for result in results:
-            telemetry.rows.extend(result.telemetry_rows)
-            telemetry.rows.extend(result.region_trace_rows())
+        telemetry = _merged_telemetry(results,
+                                      GeoResult.region_trace_rows)
         telemetry.save(trace_path)
     if opts.as_json:
         print(report.to_json(rows + region_rows))

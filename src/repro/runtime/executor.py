@@ -17,6 +17,10 @@ via :func:`worker_payload`) instead of once per submitted job.  Broken
 or timed-out pools are evicted from the registry and transparently
 replaced on the next call; every surviving pool is shut down by a
 single ``atexit`` hook (:func:`shutdown_pools`).
+
+Fan-outs nest safely: a forked child starts with an empty registry,
+and a process fan-out requested inside one of this executor's own
+process workers (a geo run inside a sweep job) runs inline there.
 """
 
 from __future__ import annotations
@@ -107,11 +111,25 @@ _POOLS: dict[tuple[str, int, str], object] = {}
 #: "worker" shares the caller's module globals, same semantics).
 _PAYLOAD: Any = None
 
+#: True only inside this executor's own process-pool workers.  A
+#: process fan-out requested there (a geo run inside a sweep job) runs
+#: inline instead: the outer pool already owns the CPUs, and a nested
+#: pool the worker never shuts down would hang its exit.
+_IN_POOL_WORKER = False
+
 
 def _init_worker(payload: Any) -> None:
     """Pool initializer: pin the broadcast payload in this worker."""
     global _PAYLOAD
     _PAYLOAD = payload
+
+
+def _init_process_worker(payload: Any) -> None:
+    """Process-pool initializer: :func:`_init_worker`, plus the mark
+    that keeps fan-outs from this worker inline."""
+    global _IN_POOL_WORKER
+    _IN_POOL_WORKER = True
+    _init_worker(payload)
 
 
 def worker_payload() -> Any:
@@ -164,7 +182,9 @@ def _get_pool(pool_cls, workers: int, payload: Any = None,
     # ``_PAYLOAD`` in its workers, since forked children inherit
     # whatever broadcast an earlier inline/thread call pinned in the
     # parent's module globals
-    pool = pool_cls(max_workers=workers, initializer=_init_worker,
+    initializer = (_init_process_worker
+                   if pool_cls is ProcessPoolExecutor else _init_worker)
+    pool = pool_cls(max_workers=workers, initializer=initializer,
                     initargs=(payload,))
     _POOLS[key] = pool
     return key, pool, False
@@ -190,6 +210,11 @@ def shutdown_pools() -> None:
 
 
 atexit.register(shutdown_pools)
+if hasattr(os, "register_at_fork"):
+    # a forked child must never touch the parent's pools: their locks
+    # may have been held mid-``submit`` at the fork, so evicting one
+    # would wait on a lock nobody in the child will ever release
+    os.register_at_fork(after_in_child=_POOLS.clear)
 
 
 def _execute_inline(jobs: Sequence[Job]) -> list[JobResult]:
@@ -275,7 +300,7 @@ def execute(jobs: Iterable[Job], mode: str = "auto",
     if timeout_s is not None and timeout_s <= 0:
         raise ConfigError("timeout_s must be positive")
     mode = resolve_mode(jobs, mode)
-    if mode == "inline":
+    if mode == "inline" or (mode == "process" and _IN_POOL_WORKER):
         return _execute_inline(jobs)
     if mode == "process":
         try:
@@ -314,7 +339,8 @@ def parallel_map(func: Callable[..., Any],
     items = list(argtuples)
     if stats is not None:
         stats.setdefault("retried", 0)
-    if mode == "inline" or len(items) <= 1:
+    if (mode == "inline" or len(items) <= 1
+            or (mode == "process" and _IN_POOL_WORKER)):
         # inline "workers" are the caller's process: pin (or clear)
         # the broadcast global so worker_payload() sees this call's
         # payload, never a stale one from an earlier map

@@ -9,12 +9,14 @@ as a NETWORK event — the request's effective arrival at its serving
 region is its admission instant plus the deterministic comm-time.
 Each region then runs as an independent
 :class:`~repro.serving.events.ClusterEngine` in its own worker
-process (region == shard: the fan-out rides the same
-:mod:`repro.runtime` pool and the same exact merge as
-:class:`~repro.serving.sharding.ShardedEngine`), and the parent
-reduces the per-region :class:`~repro.serving.sharding.ShardOutcome`
-summaries into one :class:`GeoResult` with per-region SLO attainment
-and energy-cost rows.
+process.  Region == shard, literally: the fan-out is the sharded core
+in :mod:`repro.serving.sharding` — the same partition worker body,
+the same crash-safe driver (a raising or killed region worker is
+re-run with capped backoff), and the same exact merge of
+:class:`~repro.serving.sharding.ShardOutcome` summaries.  A region's
+only own parts are its request source (its routed delivery columns),
+its replica-fault plan, and the network ledger and per-region SLO
+attainment and energy-cost rows that :class:`GeoResult` adds.
 
 Why this is exact: routing is a pure function of the admission
 instant, the home region, and the static fleet plan (capacities,
@@ -44,33 +46,29 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import chain
 from time import perf_counter
 from typing import Iterator, Optional, Sequence
 
 from repro.errors import ConfigError
-from repro.runtime.executor import parallel_map, worker_payload
 from repro.serving.batching import make_policy
-from repro.serving.events import (
-    EventKind,
-    EventQueue,
-    FailurePlan,
-    SloPolicy,
-)
+from repro.serving.events import EventKind, EventQueue, FailurePlan
 from repro.serving.interconnect import REQUEST_BYTES, Interconnect
-from repro.serving.memo import CacheStats, LayerMemoCache, MemoSnapshot
+from repro.serving.memo import LayerMemoCache, MemoSnapshot
 from repro.serving.policies import (
     GeoDispatchPolicy,
     RegionFailurePlan,
     make_geo,
+    make_resilience,
 )
 from repro.serving.sharding import (
-    LatencyDigest,
+    FanOutResult,
     ShardOutcome,
-    _merge_detail,
+    _fan_out,
+    _serve_partition,
+    _spec,
+    _warm_cells,
 )
-from repro.serving.simulator import ServingResult, ServingSimulator
-from repro.serving.telemetry import Telemetry
+from repro.serving.simulator import ServingSimulator
 from repro.serving.workload import (
     Request,
     Scenario,
@@ -356,7 +354,7 @@ def _route_scan(spec: dict, geo: GeoDispatchPolicy,
     hops, delays = view._hops, view._delays
     geo.reset(view)
     route, record = geo.route, view.record
-    res_on = bool(spec["resilience"]) and spec["resilience"] != "none"
+    res_on = bool(spec["resilience"])
     queue = EventQueue()
     for t, home, rid, model in heapq.merge(*_request_streams(spec)):
         while len(queue) and queue.next_time() <= t:
@@ -458,217 +456,49 @@ class RegionOutcome:
         return self.outcome.slo_hits / served if served else 1.0
 
 
-def _region_sim(spec: dict, me: int,
-                telemetry: Optional[Telemetry]) -> ServingSimulator:
-    """Rebuild one region's simulator from picklable primitives.
-
-    A warm run's :class:`MemoSnapshot` — holding every region
-    backend's layer totals, keyed structurally — arrives once per
-    worker via the pool initializer
-    (:func:`~repro.runtime.executor.worker_payload`) and is installed
-    into this region's fresh memo.
-    """
-    _name, accelerator, replicas, _price, _tz = spec["regions"][me]
-    slo = SloPolicy(target=spec["slo_us"] * 1e-6) \
-        if spec["slo_us"] else None
-    payload = worker_payload()
-    snapshot = (payload.get("memo")
-                if isinstance(payload, dict) else None)
-    return ServingSimulator(
-        accelerator=accelerator,
-        replicas=replicas,
-        policy=make_policy(spec["policy"],
-                           batch_size=spec["batch_size"]),
-        dispatch=spec["dispatch"],
-        cache=LayerMemoCache(),
-        slo=slo,
-        telemetry=telemetry,
-        resilience=spec.get("resilience") or None,
-        snapshot=snapshot,
-    )
-
-
 def _serve_geo_region(spec: dict) -> ShardOutcome:
     """Serve one region of a geo run (runs in a worker process).
 
     The parent has already routed every request, so the spec carries
     only this region's deliveries: columns in delivery order.  The
     worker rebuilds its :class:`Request`\\ s from them (delivered
-    arrival, home-region tag) and streams them into an independent
-    cluster engine pinned to the *global* delivery span, so all
-    regions drain at the same horizon.  It generates no trace and
-    makes no routing decision.
+    arrival, home-region tag) and serves them on the shared partition
+    body (:func:`~repro.serving.sharding._serve_partition`), pinned to
+    the *global* delivery span so all regions drain at the same
+    horizon.  It generates no trace and makes no routing decision.
     """
     t_start = perf_counter()
-    me = spec["region"]
-    name = spec["regions"][me][0]
+    me = spec["shard"]
     scenario = spec["scenario"]
-    telemetry = (Telemetry(events=spec["trace_events"],
-                           tick=spec["tick"] or None)
-                 if spec["trace"] else None)
-    sim = _region_sim(spec, me, telemetry)
-    networks = {m: sim.network(m) for m in scenario.mix.models()}
+    names = tuple(region[0] for region in spec["regions"])
+    ids, model_ids, arrivals, homes = spec["deliveries"]
+    requests = map(Request, ids, map(scenario.mix.models().__getitem__,
+                                     model_ids),
+                   arrivals, map(names.__getitem__, homes))
     failures = (FailurePlan(count=scenario.faults,
                             seed=spec["seeds"][me])
                 if scenario.faults else None)
-    engine = sim.make_engine(networks, failures=failures,
-                             prewarm=spec["warm_cells"])
-    ids, model_ids, arrivals, homes = spec["deliveries"]
-    names = tuple(region[0] for region in spec["regions"])
-    stream = map(Request, ids, map(scenario.mix.models().__getitem__,
-                                   model_ids),
-                 arrivals, map(names.__getitem__, homes))
-    requests: tuple[Request, ...] = ()
-    if spec["detail"]:
-        requests = tuple(stream)
-        stream = iter(requests)
-
-    if telemetry is not None:
-        telemetry.begin_run(
-            scenario=scenario.name, policy=sim.policy.name,
-            dispatch=sim.dispatch, replicas=sim.replicas,
-            accelerator=sim.accelerator.name,
-            rate_rps=spec["rates"][me], region=name,
-            regions=len(spec["regions"]), geo=spec["geo"],
-        )
-
-    if not ids:
-        # a legal outcome: the geo policy drained this region dry —
-        # its pool idles for the whole run (still reporting any
-        # snapshot cells it was shipped)
-        idle_stats = sim.cache.stats
-        return ShardOutcome(
-            shard=me, requests=0, batches=0, energy=0.0, busy_s=0.0,
-            first_arrival=math.inf, last_done=-math.inf,
-            digest=LatencyDigest(), slo_hits=0,
-            cache=CacheStats(seeded=idle_stats.seeded,
-                             seed_hits=idle_stats.seed_hits),
-            wall_s=perf_counter() - t_start,
-        )
-    outcome = engine.run(stream, span=spec["span"])
-
-    slo_target = spec["slo_us"] * 1e-6
-    digest = LatencyDigest()
-    energy = 0.0
-    slo_hits = 0
-    arrival_of = dict(zip(ids, arrivals))
-    for request_id, (done, joules) in outcome.done.items():
-        latency = done - arrival_of[request_id]
-        digest.add(latency)
-        energy += joules
-        if slo_target and latency <= slo_target:
-            slo_hits += 1
-    busy = sum(record.service for record in outcome.batches)
-    last_done = max(record.done for record in outcome.batches)
-    stats = sim.cache.stats
-    cache = CacheStats(hits=stats.hits, misses=stats.misses,
-                       energy_hits=stats.energy_hits,
-                       energy_misses=stats.energy_misses,
-                       seeded=stats.seeded, seed_hits=stats.seed_hits)
-
-    rows: tuple = ()
-    counters: tuple = ()
-    if telemetry is not None:
-        for row in telemetry.rows:
-            row["region"] = name
-        rows = tuple(telemetry.rows)
-        counters = tuple(sorted(telemetry.counters.items()))
-
-    result = None
-    if spec["detail"]:
-        latencies = tuple(outcome.done[r.request_id][0] - r.arrival
-                          for r in requests)
-        energies = tuple(outcome.done[r.request_id][1] for r in requests)
-        result = ServingResult(
-            accelerator=sim.accelerator.name, replicas=sim.replicas,
-            scenario=scenario.name, policy=sim.policy.name,
-            rate=spec["rates"][me], requests=requests,
-            latencies=latencies, energy_per_request=energies,
-            batches=outcome.batches, cache=cache,
-            slo_target=slo_target,
-            replica_trace=outcome.replica_trace,
-        )
-
-    return ShardOutcome(
-        shard=me, requests=len(outcome.done),
-        batches=len(outcome.batches), energy=energy, busy_s=busy,
-        first_arrival=min(arrivals), last_done=last_done,
-        digest=digest, slo_hits=slo_hits, cache=cache,
-        wall_s=perf_counter() - t_start, telemetry_rows=rows,
-        counters=counters, result=result,
-    )
+    return _serve_partition(
+        spec, requests, spec["span"],
+        {"region": names[me], "regions": len(names), "geo": spec["geo"]},
+        t_start, failures)
 
 
 @dataclass
-class GeoResult:
+class GeoResult(FanOutResult):
     """The merge-reduced outcome of one geo run.
 
-    Counters, energy, cost and SLO hits are exact sums over regions;
-    latency percentiles read off the merged
-    :class:`~repro.serving.sharding.LatencyDigest`.  ``detail`` holds
-    the bit-exact merged :class:`~repro.serving.simulator.
-    ServingResult` when the run kept per-request arrays.
+    The sharded merge (:class:`~repro.serving.sharding.FanOutResult`,
+    region == shard) plus what only the geo tier knows: the routing
+    plan and each region's network ledger and grid price.  Cost sums
+    exactly over regions.  ``replicas`` is the whole fleet's width and
+    ``accelerator`` the lone region's scheme, or ``geo[N]``.
     """
 
-    scenario: str
-    policy: str
-    dispatch: str
     geo: str
     topology: str
     storms: int
-    rate: float
-    requests: int
-    batches: int
-    energy: float
-    busy_s: float
-    first_arrival: float
-    last_done: float
-    digest: LatencyDigest
-    slo_target: float
-    slo_hits: int
-    wall_s: float
-    cache: CacheStats
-    regions: tuple[RegionOutcome, ...] = ()
-    detail: Optional[ServingResult] = None
-    resilience: str = ""
-
-    @property
-    def replicas(self) -> int:
-        """Fleet width: every region's pool summed."""
-        return sum(r.replicas for r in self.regions)
-
-    @property
-    def makespan(self) -> float:
-        """Global first delivery to global last completion (s)."""
-        if self.last_done <= self.first_arrival:
-            return 0.0
-        return self.last_done - self.first_arrival
-
-    @property
-    def throughput_rps(self) -> float:
-        """Simulated served requests per second of sim-time."""
-        return self.requests / self.makespan if self.makespan else 0.0
-
-    @property
-    def simulated_rps(self) -> float:
-        """Aggregate simulated requests per second of wall time."""
-        return self.requests / self.wall_s if self.wall_s else 0.0
-
-    @property
-    def mean_batch(self) -> float:
-        return self.requests / self.batches if self.batches else 0.0
-
-    @property
-    def utilization(self) -> float:
-        available = self.replicas * self.makespan
-        return self.busy_s / available if available else 0.0
-
-    @property
-    def slo_attainment(self) -> float:
-        """Fraction of all requests meeting the SLO (exact)."""
-        if not self.slo_target:
-            return 1.0
-        return self.slo_hits / self.requests if self.requests else 1.0
+    regions: tuple[RegionOutcome, ...]
 
     @property
     def cost_usd(self) -> float:
@@ -691,20 +521,6 @@ class GeoResult:
         """Cross-region failover retries (double-charged NETWORK legs
         under a resilience policy)."""
         return sum(r.retried for r in self.regions)
-
-    @property
-    def telemetry_rows(self) -> tuple:
-        """Every region's telemetry rows, region-tagged, concatenated
-        in (region, emission) order."""
-        return tuple(chain.from_iterable(r.outcome.telemetry_rows
-                                         for r in self.regions))
-
-    def latency_percentile(self, q: float) -> float:
-        """Latency percentile ``q`` (s): exact when the run kept
-        per-request detail, digest-resolution otherwise."""
-        if self.detail is not None:
-            return self.detail.latency_percentile(q)
-        return self.digest.percentile(q)
 
     def region_rows(self) -> list[dict]:
         """Per-region reporting rows: SLO attainment and $/J economics
@@ -735,7 +551,7 @@ class GeoResult:
                                 if served else 0.0),
                 "rerouted": region.rerouted,
             }
-            if self.resilience and self.resilience != "none":
+            if self.resilience:
                 row["retried"] = region.retried
             if self.slo_target:
                 row["slo_attain"] = region.slo_attainment
@@ -774,9 +590,11 @@ class GeoResult:
             "remote_frac": self.remote_frac,
             "cache_hit_rate": self.cache.hit_rate,
         }
-        if self.resilience and self.resilience != "none":
+        if self.resilience:
             row["resilience"] = self.resilience
             row["retried"] = self.retried
+        if self.shard_retries:
+            row["shard_retries"] = self.shard_retries
         if self.slo_target:
             row["slo_attain"] = self.slo_attainment
         if self.cache.seeded:
@@ -807,7 +625,11 @@ class GeoRouter:
             batching, replica dispatch and SLO — identical across
             regions so cells stay comparable.
         mode / max_workers: the :func:`~repro.runtime.executor.
-            parallel_map` pool (one worker per region).
+            parallel_map` pool (one worker per region).  A region
+            worker that raises or dies is re-run through the sharded
+            driver with its default budget (2 retries, capped
+            exponential backoff from 0.05 s); geo runs keep no
+            checkpoint.
         detail: keep per-request arrays and merge a full bit-exact
             :class:`~repro.serving.simulator.ServingResult` (the
             zero-drift proof path).
@@ -862,10 +684,9 @@ class GeoRouter:
                      base_latency_us=base_latency_us,
                      payload_bytes=payload_bytes, storms=storms)
         make_policy(policy, batch_size=batch_size)  # fail fast
-        if resilience:
-            from repro.serving.policies import make_resilience
-            make_resilience(resilience)  # fail fast on a bad spec
-        self.resilience = resilience
+        # fail fast on a bad spec; normalise "none"/"" to the empty spec
+        self.resilience = \
+            resilience if make_resilience(resilience) is not None else ""
         self.topology = topology
         self.bandwidth_gbps = bandwidth_gbps
         self.base_latency_us = base_latency_us
@@ -942,42 +763,30 @@ class GeoRouter:
             for i in range(count)
         )
         total_rate = sum(rates)
-        spec = {
-            # the Scenario object itself (frozen, picklable) so custom
-            # scenarios — phase-shifted, bespoke mixes — survive the
-            # trip to worker processes without a registry round-trip
-            "scenario": scenario,
-            "regions": tuple(
-                (s.name, s.accelerator, s.replicas, s.price, s.tz)
-                for s in fleet),
-            "topology": self.topology,
-            "bandwidth_gbps": self.bandwidth_gbps,
-            "base_latency_us": self.base_latency_us,
-            "payload_bytes": self.payload_bytes,
-            "geo": self.geo, "rates": rates, "counts": counts,
-            "seeds": seeds, "bases": bases, "capacities": capacities,
-            "energies": energies, "batch_lats": batch_lats,
-            # a ~100-request observation window for spillover's
-            # assigned-rate estimate, scaled to the offered rate
-            "window_s": 100.0 / max(total_rate, 1e-12),
-            "policy": self.policy, "batch_size": self.batch_size,
-            "dispatch": self.dispatch, "slo_us": self.slo_us,
-            "detail": self.detail, "trace": self.trace,
-            "tick": self.tick, "trace_events": self.trace_events,
-            "resilience": self.resilience, "warm_cells": None,
-        }
         snapshot: Optional[MemoSnapshot] = None
+        warm_cells: Optional[tuple] = None
         if self.prewarm:
             # warm every region backend's layer cells through the
             # shared memo once, instead of once per worker
             for cal in calibrators:
                 cal.prewarm(scenario)
             snapshot = MemoSnapshot.from_cache(self._warm_cache)
-            spec["warm_cells"] = tuple(
-                (model, b)
-                for model in sorted(scenario.mix.models())
-                for b in range(1, batch + 1)
-            )
+            warm_cells = _warm_cells(scenario, batch)
+        spec = _spec(
+            self, scenario,
+            regions=tuple((s.name, s.accelerator, s.replicas, s.price,
+                           s.tz) for s in fleet),
+            topology=self.topology, bandwidth_gbps=self.bandwidth_gbps,
+            base_latency_us=self.base_latency_us,
+            payload_bytes=self.payload_bytes,
+            geo=self.geo, rates=rates, counts=counts, seeds=seeds,
+            bases=bases, capacities=capacities, energies=energies,
+            batch_lats=batch_lats,
+            # a ~100-request observation window for spillover's
+            # assigned-rate estimate, scaled to the offered rate
+            window_s=100.0 / max(total_rate, 1e-12),
+            warm_cells=warm_cells,
+        )
         outages: tuple = ()
         if self.storms:
             spans = [trace_span(_region_scenario(scenario, s.tz),
@@ -988,12 +797,14 @@ class GeoRouter:
                          max(last for _, last in spans), count)
         columns, ledgers, spec["span"] = _route_once(spec, self._geo,
                                                      outages)
-        outcomes = parallel_map(
-            _serve_geo_region,
-            [(dict(spec, region=i, deliveries=columns[i]),)
-             for i in range(count)],
+        outcomes, reruns = _fan_out(
+            (__name__, "_serve_geo_region"),
+            [dict(spec, shard=i, accelerator=s.accelerator,
+                  replicas=s.replicas, rate=rates[i],
+                  deliveries=columns[i])
+             for i, s in enumerate(fleet)],
             mode=self.mode, max_workers=self.max_workers,
-            payload={"memo": snapshot} if snapshot is not None else None)
+            snapshot=snapshot)
         regions = tuple(
             RegionOutcome(
                 region=s.name, index=i, accelerator=s.accelerator,
@@ -1003,47 +814,13 @@ class GeoRouter:
                 retried=retried, delay_s=delay, outcome=outcome)
             for i, (s, (remote, rerouted, retried, delay), outcome)
             in enumerate(zip(fleet, ledgers, outcomes)))
-        return self._reduce(scenario, total_rate, regions, t_start)
-
-    def _reduce(self, scenario: Scenario, rate: float,
-                outcomes: tuple[RegionOutcome, ...],
-                t_start: float) -> GeoResult:
-        """Exact merge of the per-region outcomes — the sharded
-        merge (digests, counters, detail interleave), region == shard."""
-        digest = LatencyDigest()
-        cache = CacheStats()
-        for region in outcomes:
-            digest.merge(region.outcome.digest)
-            stats = region.outcome.cache
-            cache.hits += stats.hits
-            cache.misses += stats.misses
-            cache.energy_hits += stats.energy_hits
-            cache.energy_misses += stats.energy_misses
-            cache.seeded += stats.seeded
-            cache.seed_hits += stats.seed_hits
-        slo_target = self.slo_us * 1e-6
-        shard_outcomes = [region.outcome for region in outcomes]
-        detail = _merge_detail(
-            shard_outcomes, scenario=scenario.name, policy=self.policy,
-            rate=rate,
-            accelerator=(self.regions[0].accelerator
-                         if len(self.regions) == 1
-                         else f"geo[{len(self.regions)}]"),
-            replicas=sum(spec.replicas for spec in self.regions),
-            slo_target=slo_target, cache=cache,
-        ) if self.detail else None
-        return GeoResult(
+        return GeoResult.merge(
+            outcomes, t_start=t_start, retried=reruns,
             scenario=scenario.name, policy=self.policy,
-            dispatch=self.dispatch, geo=self.geo,
-            topology=self.topology, storms=self.storms, rate=rate,
-            requests=sum(o.requests for o in shard_outcomes),
-            batches=sum(o.batches for o in shard_outcomes),
-            energy=sum(o.energy for o in shard_outcomes),
-            busy_s=sum(o.busy_s for o in shard_outcomes),
-            first_arrival=min(o.first_arrival for o in shard_outcomes),
-            last_done=max(o.last_done for o in shard_outcomes),
-            digest=digest, slo_target=slo_target,
-            slo_hits=sum(o.slo_hits for o in shard_outcomes),
-            wall_s=perf_counter() - t_start, cache=cache,
-            regions=outcomes, detail=detail, resilience=self.resilience,
-        )
+            dispatch=self.dispatch,
+            accelerator=(fleet[0].accelerator if count == 1
+                         else f"geo[{count}]"),
+            replicas=sum(s.replicas for s in fleet), rate=total_rate,
+            slo_target=self.slo_us * 1e-6, resilience=self.resilience,
+            geo=self.geo, topology=self.topology, storms=self.storms,
+            regions=regions)

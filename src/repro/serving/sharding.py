@@ -34,15 +34,19 @@ shard-stable (their backoff jitter is a pure hash of seed, request id
 and attempt, and retried singletons re-dispatch to the model's home
 replica), so ``resilience="retry"`` shards exactly.
 
-The engine itself is fault tolerant: a worker shard that crashes is
-re-run with capped exponential backoff (``shard_retries``), and long
-runs can checkpoint completed :class:`ShardOutcome` pickles to disk
-(``checkpoint=``) so an interrupted run resumes with only the missing
-shards.
+This is also the fan-out core the geo tier runs on (region == shard):
+one partition worker body (:func:`_serve_partition`) fed by a shard's
+trace slice or a geo region's routed deliveries; one crash-safe driver
+(:func:`_fan_out`) that re-runs crashed workers with capped backoff
+and can checkpoint completed outcomes, so an interrupted run resumes
+with only the missing partitions; and one exact merge into
+:class:`FanOutResult`, the base of :class:`ShardedResult` and
+:class:`~repro.serving.geo.GeoResult`.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 import os
 import pickle
@@ -50,13 +54,13 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 from time import perf_counter
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.runtime.executor import parallel_map, worker_payload
 from repro.serving.batching import make_policy
 from repro.serving.policies import make_resilience
-from repro.serving.events import SloPolicy
+from repro.serving.events import FailurePlan, SloPolicy
 from repro.serving.memo import CacheStats, LayerMemoCache, MemoSnapshot
 from repro.serving.simulator import ServingResult, ServingSimulator
 from repro.serving.telemetry import Telemetry
@@ -69,6 +73,7 @@ from repro.serving.workload import (
 )
 
 __all__ = [
+    "FanOutResult",
     "LatencyDigest",
     "ShardOutcome",
     "ShardedEngine",
@@ -86,6 +91,11 @@ SHARD_STABLE_DISPATCH = ("shard",)
 #: re-dispatch to the model's home replica, so they replay identically
 #: inside a single shard.
 SHARD_STABLE_RESILIENCE = ("retry",)
+
+#: Worker-crash retry budget and base backoff (s) of every fan-out;
+#: :class:`ShardedEngine` lets callers override them.
+_SHARD_RETRIES = 2
+_RETRY_BACKOFF_S = 0.05
 
 #: Worker-crash retry backoff never sleeps longer than this (s).
 _BACKOFF_CAP_S = 2.0
@@ -246,13 +256,15 @@ class LatencyDigest:
 
 @dataclass(frozen=True)
 class ShardOutcome:
-    """One worker shard's summary, shipped back to the parent.
+    """One worker partition's summary (a shard or a geo region),
+    shipped back to the parent.
 
     Counters, energies and busy time are exact; latency percentiles
     travel in the mergeable ``digest``.  ``result`` carries the full
     per-request :class:`ServingResult` only when the run asked for
     ``detail`` (the equivalence-test path); ``telemetry_rows`` are the
-    shard's trace rows, each already tagged with ``shard``.
+    partition's trace rows, each already tagged with its ``shard`` (or
+    ``region``).
     """
 
     shard: int
@@ -271,53 +283,62 @@ class ShardOutcome:
     result: Optional[ServingResult] = None
 
 
-def _shard_simulator(spec: dict,
-                     telemetry: Optional[Telemetry]) -> ServingSimulator:
-    """Rebuild the per-shard simulator from picklable primitives.
+def _spec(engine, scenario: Scenario, **extra) -> dict:
+    """The partition spec both fan-out engines share, plus ``extra``:
+    the :class:`Scenario` object itself (a custom one needs no registry
+    round-trip in the worker) and ``engine``'s batching, SLO,
+    resilience and detail/telemetry switches."""
+    return {"scenario": scenario, "policy": engine.policy,
+            "batch_size": engine.batch_size, "dispatch": engine.dispatch,
+            "slo_us": engine.slo_us, "resilience": engine.resilience,
+            "detail": engine.detail, "trace": engine.trace,
+            "tick": engine.tick, "trace_events": engine.trace_events,
+            **extra}
 
-    A warm run's :class:`MemoSnapshot` arrives via the pool
-    initializer (:func:`~repro.runtime.executor.worker_payload`) —
-    shipped once per worker, not pickled into every shard spec — and
-    is installed into the shard's fresh memo so its first request
-    already hits warm layer totals.
+
+def _warm_cells(scenario: Scenario, max_batch: int) -> tuple:
+    """Every (model, batch) cell a warm worker resolves at run start."""
+    return tuple((model, batch)
+                 for model in sorted(scenario.mix.models())
+                 for batch in range(1, max_batch + 1))
+
+
+def _serve_partition(spec: dict, requests: Iterable[Request],
+                     span: Optional[tuple[float, float]], tags: dict,
+                     t_start: float,
+                     failures: Optional[FailurePlan] = None
+                     ) -> ShardOutcome:
+    """The one partition worker body, shared by shards and geo regions.
+
+    Rebuilds the simulator from ``spec``, streams the time-ordered
+    ``requests`` into an engine pinned to the *global* ``span`` (so all
+    partitions drain at the same horizon), and folds the run into a
+    :class:`ShardOutcome`.  ``tags`` label the telemetry run header;
+    the first also stamps every row.  ``wall_s`` counts from the
+    worker's ``t_start``.  A warm run's :class:`MemoSnapshot` arrives
+    once per worker via the pool initializer (:func:`~repro.runtime.
+    executor.worker_payload`) and is installed into the fresh memo.
     """
-    slo = SloPolicy(target=spec["slo_us"] * 1e-6) \
-        if spec["slo_us"] else None
+    scenario = spec["scenario"]
+    slo_target = spec["slo_us"] * 1e-6
+    telemetry = (Telemetry(events=spec["trace_events"],
+                           tick=spec["tick"] or None)
+                 if spec["trace"] else None)
     payload = worker_payload()
-    snapshot = (payload.get("memo")
-                if isinstance(payload, dict) else None)
-    return ServingSimulator(
+    sim = ServingSimulator(
         accelerator=spec["accelerator"],
         replicas=spec["replicas"],
         policy=make_policy(spec["policy"], batch_size=spec["batch_size"]),
         dispatch=spec["dispatch"],
         cache=LayerMemoCache(),
-        slo=slo,
+        slo=SloPolicy(target=slo_target) if slo_target else None,
         telemetry=telemetry,
-        resilience=spec.get("resilience") or None,
-        snapshot=snapshot,
+        resilience=spec["resilience"] or None,
+        snapshot=payload.get("memo") if isinstance(payload, dict) else None,
     )
-
-
-def _serve_shard(spec: dict) -> ShardOutcome:
-    """Serve one shard of the global trace (runs in a worker process).
-
-    Module-level and dict-parameterised so the process pool can pickle
-    the call; everything heavier (scenario, networks, memo cache,
-    engine) is rebuilt inside the worker.
-    """
-    t_start = perf_counter()
-    scenario = get_scenario(spec["scenario"])
-    telemetry = (Telemetry(events=spec["trace_events"],
-                           tick=spec["tick"] or None)
-                 if spec["trace"] else None)
-    sim = _shard_simulator(spec, telemetry)
-    shard = shard_trace(scenario, spec["rate"], spec["n"], spec["seed"],
-                        shards=spec["shards"], shard=spec["shard"],
-                        replicas=spec["replicas"],
-                        span=spec.get("span"))
     networks = {m: sim.network(m) for m in scenario.mix.models()}
-    engine = sim.make_engine(networks, prewarm=spec.get("warm_cells"))
+    engine = sim.make_engine(networks, failures=failures,
+                             prewarm=spec["warm_cells"])
 
     arrivals: dict[int, float] = {}
 
@@ -326,29 +347,22 @@ def _serve_shard(spec: dict) -> ShardOutcome:
             arrivals[request.request_id] = request.arrival
             yield request
 
-    requests: list[Request] = []
-    stream = iter(shard)
-    if spec["detail"]:
-        requests = list(stream)
-        for request in requests:
-            arrivals[request.request_id] = request.arrival
-        stream = iter(requests)
-    else:
-        stream = tee(stream)
+    kept = tuple(requests) if spec["detail"] else ()
+    stream = tee(kept if spec["detail"] else requests)
 
     if telemetry is not None:
         telemetry.begin_run(
             scenario=scenario.name, policy=sim.policy.name,
             dispatch=sim.dispatch, replicas=sim.replicas,
             accelerator=sim.accelerator.name, rate_rps=spec["rate"],
-            shard=spec["shard"], shards=spec["shards"],
+            **tags,
         )
 
     first = next(stream, None)
     if first is None:
-        # a legal outcome: few models, unlucky hash fold — this
-        # shard's replicas simply idle for the whole run (still
-        # reporting any snapshot cells it was shipped)
+        # a legal outcome: an unlucky hash fold, or a geo policy that
+        # drained this region dry — the partition's pool idles for the
+        # whole run (still reporting any snapshot cells it was shipped)
         idle_stats = sim.cache.stats
         return ShardOutcome(
             shard=spec["shard"], requests=0, batches=0, energy=0.0,
@@ -358,9 +372,8 @@ def _serve_shard(spec: dict) -> ShardOutcome:
                              seed_hits=idle_stats.seed_hits),
             wall_s=perf_counter() - t_start,
         )
-    outcome = engine.run(chain((first,), stream), span=shard.span)
+    outcome = engine.run(chain((first,), stream), span=span)
 
-    slo_target = spec["slo_us"] * 1e-6
     digest = LatencyDigest()
     energy = 0.0
     slo_hits = 0
@@ -381,21 +394,21 @@ def _serve_shard(spec: dict) -> ShardOutcome:
     rows: tuple = ()
     counters: tuple = ()
     if telemetry is not None:
+        label, value = next(iter(tags.items()))
         for row in telemetry.rows:
-            row["shard"] = spec["shard"]
+            row[label] = value
         rows = tuple(telemetry.rows)
         counters = tuple(sorted(telemetry.counters.items()))
 
     result = None
     if spec["detail"]:
-        ordered = tuple(requests)
         latencies = tuple(outcome.done[r.request_id][0] - r.arrival
-                          for r in ordered)
-        energies = tuple(outcome.done[r.request_id][1] for r in ordered)
+                          for r in kept)
+        energies = tuple(outcome.done[r.request_id][1] for r in kept)
         result = ServingResult(
             accelerator=sim.accelerator.name, replicas=sim.replicas,
             scenario=scenario.name, policy=sim.policy.name,
-            rate=spec["rate"], requests=ordered, latencies=latencies,
+            rate=spec["rate"], requests=kept, latencies=latencies,
             energy_per_request=energies, batches=outcome.batches,
             cache=cache, slo_target=slo_target,
             replica_trace=outcome.replica_trace,
@@ -411,58 +424,156 @@ def _serve_shard(spec: dict) -> ShardOutcome:
     )
 
 
-def _spec_fingerprint(spec: dict) -> str:
-    """Stable identity of a sharded run's configuration.
-
-    All of a run's shard specs differ only in ``"shard"``; dropping it
-    yields the key a checkpoint is valid for.
-    """
-    return repr({k: spec[k] for k in sorted(spec) if k != "shard"})
+def _serve_shard(spec: dict) -> ShardOutcome:
+    """Serve one shard (runs in a worker process): its slice of the
+    seeded global trace, streamed by :func:`~repro.serving.workload.
+    shard_trace` — no process materialises the whole trace."""
+    t_start = perf_counter()
+    shard = shard_trace(spec["scenario"], spec["rate"], spec["n"],
+                        spec["seed"], shards=spec["shards"],
+                        shard=spec["shard"], replicas=spec["replicas"],
+                        span=spec["span"])
+    return _serve_partition(spec, shard, shard.span,
+                            {"shard": spec["shard"],
+                             "shards": spec["shards"]}, t_start)
 
 
 @dataclass(frozen=True)
 class _ShardFailure:
-    """A worker shard that raised instead of finishing."""
+    """A worker partition that raised instead of finishing."""
 
     shard: int
     error: str
 
 
-def _serve_shard_safe(spec: dict) -> ShardOutcome | _ShardFailure:
-    """Crash-isolating wrapper around :func:`_serve_shard`.
+def _serve_safe(worker: tuple[str, str],
+                spec: dict) -> ShardOutcome | _ShardFailure:
+    """Crash-isolating wrapper around one partition worker.
 
-    A raising shard comes back as a :class:`_ShardFailure` instead of
-    aborting the whole fan-out, so the parent keeps every completed
-    :class:`ShardOutcome` and re-runs only the failed shards.  (A
-    worker that dies outright — SIGKILL, ``os._exit`` — is caught one
-    layer down by :func:`~repro.runtime.executor.parallel_map`'s
-    incomplete-only re-run instead.)
+    ``worker`` names a module-level worker body as ``(module, name)``,
+    looked up at call time, so jobs pickle two strings and never a
+    function.  A raising partition comes back as a
+    :class:`_ShardFailure` instead of aborting the whole fan-out, so
+    the driver keeps every completed :class:`ShardOutcome` and re-runs
+    only the failed partitions.  (A worker that dies outright —
+    SIGKILL, ``os._exit`` — is caught one layer down by
+    :func:`~repro.runtime.executor.parallel_map`'s incomplete-only
+    re-run instead.)
     """
+    module, name = worker
     try:
-        return _serve_shard(spec)
-    except Exception as exc:  # noqa: BLE001 — shard faults are data
+        return getattr(importlib.import_module(module), name)(spec)
+    except Exception as exc:  # noqa: BLE001 — partition faults are data
         return _ShardFailure(spec["shard"],
                              f"{type(exc).__name__}: {exc}")
 
 
+def _spec_fingerprint(spec: dict) -> str:
+    """Stable identity of a sharded run's configuration.
+
+    All of a sharded run's specs differ only in ``"shard"``; dropping
+    it yields the key a checkpoint is valid for.
+    """
+    return repr({k: spec[k] for k in sorted(spec) if k != "shard"})
+
+
+def _load_checkpoint(path: Optional[str], fingerprint: str) -> dict:
+    """Completed partition outcomes from a matching prior run."""
+    if not path or not os.path.exists(path):
+        return {}
+    try:
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+    except Exception:
+        return {}  # corrupt/truncated checkpoint: start fresh
+    if payload.get("fingerprint") != fingerprint:
+        return {}  # different run configuration: start fresh
+    return dict(payload.get("outcomes", {}))
+
+
+def _save_checkpoint(path: Optional[str], fingerprint: str,
+                     done: dict) -> None:
+    if not path or not done:
+        return
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as handle:
+        pickle.dump({"fingerprint": fingerprint,
+                     "outcomes": dict(done)}, handle)
+    os.replace(tmp, path)
+
+
+def _fan_out(worker: tuple[str, str], specs: Sequence[dict], *,
+             mode: str, max_workers: Optional[int],
+             snapshot: Optional[MemoSnapshot],
+             retries: int = _SHARD_RETRIES,
+             backoff_s: float = _RETRY_BACKOFF_S,
+             checkpoint: Optional[str] = None,
+             ) -> tuple[tuple[ShardOutcome, ...], int]:
+    """The one crash-safe driver: serve every partition spec.
+
+    Failed partitions are re-run with capped exponential backoff, for
+    at most ``retries`` more rounds; with a ``checkpoint``, completed
+    outcomes land there after every round and a rerun of the same
+    configuration serves only the missing ones.  Returns the outcomes
+    in spec order and the number of partition re-runs.
+    """
+    # only a checkpoint needs the fingerprint: a geo spec carries its
+    # delivery columns, far too big to repr on every call
+    fingerprint = _spec_fingerprint(specs[0]) if checkpoint else ""
+    done = _load_checkpoint(checkpoint, fingerprint)
+    payload = {"memo": snapshot} if snapshot is not None else None
+    retried = 0
+    attempt = 0
+    while True:
+        pending = [s for s in specs if s["shard"] not in done]
+        if not pending:
+            break
+        if attempt:
+            time.sleep(min(backoff_s * 2 ** (attempt - 1),
+                           _BACKOFF_CAP_S))
+        stats: dict = {}
+        batch = parallel_map(_serve_safe, [(worker, s) for s in pending],
+                             mode=mode, max_workers=max_workers,
+                             stats=stats, payload=payload)
+        retried += stats.get("retried", 0)
+        failures = []
+        for item in batch:
+            if isinstance(item, ShardOutcome):
+                done[item.shard] = item
+            else:
+                failures.append(item)
+        _save_checkpoint(checkpoint, fingerprint, done)
+        if not failures:
+            break
+        attempt += 1
+        if attempt > retries:
+            raise RuntimeError(
+                f"shard {failures[0].shard} still failing after "
+                f"{retries} retries: {failures[0].error}")
+        retried += len(failures)
+    return tuple(done[s["shard"]] for s in specs), retried
+
+
 @dataclass
-class ShardedResult:
-    """The merge-reduced outcome of one sharded run.
+class FanOutResult:
+    """The merge-reduced outcome of one fan-out run, sharded or geo.
 
     Counters, energy, busy time and SLO hits are exact sums over the
-    shards; latency percentiles read off the merged
+    partitions; latency percentiles read off the merged
     :class:`LatencyDigest` (within its resolution).  ``detail`` holds
-    the bit-exact merged :class:`ServingResult` when the run was
-    started with ``detail=True``.
+    the bit-exact merged :class:`ServingResult` when the run kept
+    per-request arrays.  ``wall_s`` times the whole ``run_scenario``
+    call: calibration, prewarm, the parent's span or routing pass, the
+    fan-out and the merge.  ``shard_retries`` counts partition re-runs
+    after a crash.
     """
 
-    accelerator: str
-    replicas: int
     scenario: str
     policy: str
     dispatch: str
+    accelerator: str
+    replicas: int
     rate: float
-    shards: int
     requests: int
     batches: int
     energy: float
@@ -474,10 +585,73 @@ class ShardedResult:
     slo_hits: int
     wall_s: float
     cache: CacheStats
-    outcomes: tuple[ShardOutcome, ...] = ()
-    detail: Optional[ServingResult] = None
-    resilience: str = ""
-    shard_retries: int = 0
+    outcomes: tuple[ShardOutcome, ...]
+    detail: Optional[ServingResult]
+    resilience: str
+    shard_retries: int
+
+    @classmethod
+    def merge(cls, outcomes: tuple[ShardOutcome, ...], *, t_start: float,
+              retried: int, **run) -> "FanOutResult":
+        """Exact merge of the partition outcomes into one result.
+
+        ``run`` names the run — ``scenario``, ``policy``, ``dispatch``,
+        ``accelerator``, ``replicas``, ``rate``, ``slo_target``,
+        ``resilience`` — plus the subclass's own fields.  ``wall_s``
+        runs from ``t_start`` to the end of the merge.
+        """
+        digest = LatencyDigest()
+        cache = CacheStats()
+        for outcome in outcomes:
+            digest.merge(outcome.digest)
+            cache.hits += outcome.cache.hits
+            cache.misses += outcome.cache.misses
+            cache.energy_hits += outcome.cache.energy_hits
+            cache.energy_misses += outcome.cache.energy_misses
+            cache.seeded += outcome.cache.seeded
+            cache.seed_hits += outcome.cache.seed_hits
+        detail = None
+        parts = [o.result for o in outcomes if o.result is not None]
+        if parts:
+            # reassemble the monolithic ServingResult: requests (and
+            # their latencies/energies) interleave back into global
+            # request-id order — exactly the monolithic trace order, as
+            # ids are assigned in arrival order.  Batches from different
+            # partitions have no global dispatch order, so they are
+            # canonically sorted; the equivalence suite compares them
+            # as sets.
+            triplets = sorted(
+                chain.from_iterable(zip(r.requests, r.latencies,
+                                        r.energy_per_request)
+                                    for r in parts),
+                key=lambda triplet: triplet[0].request_id,
+            )
+            requests = tuple(t[0] for t in triplets)
+            batches = tuple(sorted(
+                chain.from_iterable(r.batches for r in parts),
+                key=lambda b: (b.flush, b.start, b.done, b.replica, b.model),
+            ))
+            detail = ServingResult(
+                accelerator=run["accelerator"], replicas=run["replicas"],
+                scenario=run["scenario"], policy=run["policy"],
+                rate=run["rate"], requests=requests,
+                latencies=tuple(t[1] for t in triplets),
+                energy_per_request=tuple(t[2] for t in triplets),
+                batches=batches, cache=cache, slo_target=run["slo_target"],
+                replica_trace=((requests[0].arrival, run["replicas"]),),
+            )
+        return cls(
+            requests=sum(o.requests for o in outcomes),
+            batches=sum(o.batches for o in outcomes),
+            energy=sum(o.energy for o in outcomes),
+            busy_s=sum(o.busy_s for o in outcomes),
+            first_arrival=min(o.first_arrival for o in outcomes),
+            last_done=max(o.last_done for o in outcomes),
+            digest=digest, slo_hits=sum(o.slo_hits for o in outcomes),
+            cache=cache, outcomes=outcomes, detail=detail,
+            shard_retries=retried, wall_s=perf_counter() - t_start,
+            **run,
+        )
 
     @property
     def makespan(self) -> float:
@@ -499,7 +673,7 @@ class ShardedResult:
 
     @property
     def mean_batch(self) -> float:
-        """Mean dispatched batch size across all shards."""
+        """Mean dispatched batch size across all partitions."""
         return self.requests / self.batches if self.batches else 0.0
 
     @property
@@ -517,10 +691,19 @@ class ShardedResult:
 
     @property
     def telemetry_rows(self) -> tuple:
-        """Every shard's telemetry rows, shard-tagged, concatenated
-        in (shard, emission) order."""
+        """Every partition's telemetry rows, tagged, concatenated in
+        (partition, emission) order."""
         return tuple(chain.from_iterable(o.telemetry_rows
                                          for o in self.outcomes))
+
+    @property
+    def counters(self) -> dict[str, int]:
+        """Every partition's telemetry counters, summed."""
+        merged: dict[str, int] = {}
+        for outcome in self.outcomes:
+            for key, count in outcome.counters:
+                merged[key] = merged.get(key, 0) + count
+        return merged
 
     def latency_percentile(self, q: float) -> float:
         """Latency percentile ``q`` (s): exact when the run kept
@@ -528,6 +711,13 @@ class ShardedResult:
         if self.detail is not None:
             return self.detail.latency_percentile(q)
         return self.digest.percentile(q)
+
+
+@dataclass
+class ShardedResult(FanOutResult):
+    """The merge-reduced outcome of one sharded run."""
+
+    shards: int
 
     def to_row(self) -> dict:
         """The reporting row ``repro serve-sim --shards N`` prints."""
@@ -562,41 +752,6 @@ class ShardedResult:
         return row
 
 
-def _merge_detail(outcomes: Sequence[ShardOutcome], *, scenario: str,
-                  policy: str, rate: float, accelerator: str,
-                  replicas: int, slo_target: float,
-                  cache: CacheStats) -> Optional[ServingResult]:
-    """Reassemble per-shard ServingResults into the monolithic one.
-
-    Requests (and their latencies/energies) interleave back into
-    global request-id order — exactly the monolithic trace order, as
-    ids are assigned in arrival order.  Batches from different shards
-    have no global dispatch order, so they are canonically sorted; the
-    equivalence suite compares them as sets.
-    """
-    shards = [o.result for o in outcomes if o.result is not None]
-    if not shards:
-        return None
-    triplets = sorted(
-        chain.from_iterable(zip(r.requests, r.latencies,
-                                r.energy_per_request) for r in shards),
-        key=lambda triplet: triplet[0].request_id,
-    )
-    requests = tuple(t[0] for t in triplets)
-    batches = tuple(sorted(
-        chain.from_iterable(r.batches for r in shards),
-        key=lambda b: (b.flush, b.start, b.done, b.replica, b.model),
-    ))
-    return ServingResult(
-        accelerator=accelerator, replicas=replicas, scenario=scenario,
-        policy=policy, rate=rate, requests=requests,
-        latencies=tuple(t[1] for t in triplets),
-        energy_per_request=tuple(t[2] for t in triplets),
-        batches=batches, cache=cache, slo_target=slo_target,
-        replica_trace=((requests[0].arrival, replicas),),
-    )
-
-
 class ShardedEngine:
     """Fan one logical serving run out across worker processes.
 
@@ -626,7 +781,8 @@ class ShardedEngine:
             policies (:data:`SHARD_STABLE_RESILIENCE`) are accepted.
         shard_retries: how many times a crashed/raising worker shard
             is re-run (with capped exponential backoff) before the
-            run gives up.
+            run gives up.  :class:`~repro.serving.geo.GeoRouter`
+            re-runs crashed regions with the same defaults.
         retry_backoff_s: base sleep before the first shard re-run;
             doubles per attempt, capped at ``_BACKOFF_CAP_S``.
         checkpoint: optional path; completed :class:`ShardOutcome`
@@ -666,8 +822,8 @@ class ShardedEngine:
                  tick: float = 200e-6,
                  trace_events: bool = False,
                  resilience: str = "",
-                 shard_retries: int = 2,
-                 retry_backoff_s: float = 0.05,
+                 shard_retries: int = _SHARD_RETRIES,
+                 retry_backoff_s: float = _RETRY_BACKOFF_S,
                  checkpoint: Optional[str] = None,
                  prewarm: bool = True,
                  snapshot: Optional[MemoSnapshot] = None,
@@ -706,7 +862,9 @@ class ShardedEngine:
 
     def run_scenario(self, scenario: Scenario | str, n_requests: int,
                      seed: int = 0) -> ShardedResult:
-        """Calibrate, shard, fan out, and merge one scenario run."""
+        """Calibrate, shard, fan out, and merge one scenario run.
+        ``wall_s`` times all of it."""
+        t_start = perf_counter()
         if isinstance(scenario, str):
             scenario = get_scenario(scenario)
         validate_sharding(self.shards, replicas=self.replicas,
@@ -735,124 +893,21 @@ class ShardedEngine:
             # exact, so nothing downstream changes bit-wise
             snapshot = calibrator.prewarm(scenario)
             span = trace_span(scenario, rate, n_requests, seed)
-            warm_cells = tuple(
-                (model, batch)
-                for model in sorted(scenario.mix.models())
-                for batch in range(1, calibrator.policy.max_batch + 1)
-            )
-        specs = [
-            {
-                "scenario": scenario.name, "rate": rate,
-                "n": n_requests, "seed": seed, "shards": self.shards,
-                "shard": shard, "replicas": self.replicas,
-                "accelerator": self.accelerator, "policy": self.policy,
-                "batch_size": self.batch_size,
-                "dispatch": self.dispatch, "slo_us": self.slo_us,
-                "detail": self.detail, "trace": self.trace,
-                "tick": self.tick, "trace_events": self.trace_events,
-                "resilience": self.resilience,
-                "span": span, "warm_cells": warm_cells,
-            }
-            for shard in range(self.shards)
-        ]
-        t_start = perf_counter()
-        fingerprint = _spec_fingerprint(specs[0])
-        done = self._load_checkpoint(fingerprint)
-        retried = 0
-        attempt = 0
-        while True:
-            pending = [s for s in specs if s["shard"] not in done]
-            if not pending:
-                break
-            if attempt:
-                time.sleep(min(
-                    self.retry_backoff_s * 2 ** (attempt - 1),
-                    _BACKOFF_CAP_S))
-            stats: dict = {}
-            batch = parallel_map(_serve_shard_safe,
-                                 [(s,) for s in pending],
-                                 mode=self.mode,
-                                 max_workers=self.max_workers,
-                                 stats=stats,
-                                 payload=({"memo": snapshot}
-                                          if snapshot is not None
-                                          else None))
-            retried += stats.get("retried", 0)
-            failures = []
-            for item in batch:
-                if isinstance(item, ShardOutcome):
-                    done[item.shard] = item
-                else:
-                    failures.append(item)
-            self._save_checkpoint(fingerprint, done)
-            if not failures:
-                break
-            attempt += 1
-            if attempt > self.shard_retries:
-                raise RuntimeError(
-                    f"shard {failures[0].shard} still failing after "
-                    f"{self.shard_retries} retries: "
-                    f"{failures[0].error}")
-            retried += len(failures)
-        wall = perf_counter() - t_start
-        outcomes = tuple(done[shard] for shard in range(self.shards))
-        return self._reduce(scenario, rate, outcomes, wall, retried)
-
-    # -- crash recovery --------------------------------------------------
-    def _load_checkpoint(self, fingerprint: str) -> dict:
-        """Completed shard outcomes from a matching prior run."""
-        if not self.checkpoint or not os.path.exists(self.checkpoint):
-            return {}
-        try:
-            with open(self.checkpoint, "rb") as handle:
-                payload = pickle.load(handle)
-        except Exception:
-            return {}  # corrupt/truncated checkpoint: start fresh
-        if payload.get("fingerprint") != fingerprint:
-            return {}  # different run configuration: start fresh
-        return dict(payload.get("outcomes", {}))
-
-    def _save_checkpoint(self, fingerprint: str, done: dict) -> None:
-        if not self.checkpoint or not done:
-            return
-        tmp = f"{self.checkpoint}.tmp"
-        with open(tmp, "wb") as handle:
-            pickle.dump({"fingerprint": fingerprint,
-                         "outcomes": dict(done)}, handle)
-        os.replace(tmp, self.checkpoint)
-
-    def _reduce(self, scenario: Scenario, rate: float,
-                outcomes: tuple[ShardOutcome, ...],
-                wall: float, retried: int = 0) -> ShardedResult:
-        """Exact merge of the per-shard outcomes."""
-        digest = LatencyDigest()
-        cache = CacheStats()
-        for outcome in outcomes:
-            digest.merge(outcome.digest)
-            cache.hits += outcome.cache.hits
-            cache.misses += outcome.cache.misses
-            cache.energy_hits += outcome.cache.energy_hits
-            cache.energy_misses += outcome.cache.energy_misses
-            cache.seeded += outcome.cache.seeded
-            cache.seed_hits += outcome.cache.seed_hits
-        slo_target = self.slo_us * 1e-6
-        detail = _merge_detail(
-            outcomes, scenario=scenario.name, policy=self.policy,
-            rate=rate, accelerator=self.accelerator,
-            replicas=self.replicas, slo_target=slo_target, cache=cache,
-        ) if self.detail else None
-        return ShardedResult(
-            accelerator=self.accelerator, replicas=self.replicas,
+            warm_cells = _warm_cells(scenario, calibrator.policy.max_batch)
+        spec = _spec(self, scenario, rate=rate, n=n_requests, seed=seed,
+                     shards=self.shards, replicas=self.replicas,
+                     accelerator=self.accelerator, span=span,
+                     warm_cells=warm_cells)
+        outcomes, retried = _fan_out(
+            (__name__, "_serve_shard"),
+            [dict(spec, shard=shard) for shard in range(self.shards)],
+            mode=self.mode, max_workers=self.max_workers,
+            snapshot=snapshot, retries=self.shard_retries,
+            backoff_s=self.retry_backoff_s, checkpoint=self.checkpoint)
+        return ShardedResult.merge(
+            outcomes, t_start=t_start, retried=retried,
             scenario=scenario.name, policy=self.policy,
-            dispatch=self.dispatch, rate=rate, shards=self.shards,
-            requests=sum(o.requests for o in outcomes),
-            batches=sum(o.batches for o in outcomes),
-            energy=sum(o.energy for o in outcomes),
-            busy_s=sum(o.busy_s for o in outcomes),
-            first_arrival=min(o.first_arrival for o in outcomes),
-            last_done=max(o.last_done for o in outcomes),
-            digest=digest, slo_target=slo_target,
-            slo_hits=sum(o.slo_hits for o in outcomes),
-            wall_s=wall, cache=cache, outcomes=outcomes, detail=detail,
-            resilience=self.resilience, shard_retries=retried,
-        )
+            dispatch=self.dispatch,
+            accelerator=self.accelerator, replicas=self.replicas,
+            rate=rate, slo_target=self.slo_us * 1e-6,
+            resilience=self.resilience, shards=self.shards)

@@ -2,7 +2,11 @@
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -267,3 +271,33 @@ class TestBrokenPool:
         total = sum((tmp_path / f"{k}.log").read_text().count("run")
                     for k in range(4))
         assert 4 + 1 <= total <= 4 + stats["retried"]
+
+
+class TestNestedFanOut:
+    def test_geo_sweep_over_a_process_pool_exits(self, tmp_path):
+        """Each sweep job runs a process-mode GeoRouter inside a
+        process-pool worker.  The nested fan-out must neither wait on
+        the parent's inherited pools nor hang the worker's exit."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))),
+                   REPRO_CACHE_DIR=str(tmp_path / "cache"),
+                   REPRO_RUN_STORE=str(tmp_path / "runs.jsonl"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "--workers", "2",
+             "--no-cache", "sweep", "serving_geo",
+             "--param", "geo=home,follow_sun",
+             "--param", "requests=500", "--param", "regions=2"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True, start_new_session=True)
+        try:
+            out, _ = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            # take the hung pool workers down with the sweep
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("nested geo sweep hung")
+        assert proc.returncode == 0, out
+        assert "=== serving_geo[geo=home," in out
+        assert "=== serving_geo[geo=follow_sun," in out

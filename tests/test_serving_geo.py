@@ -13,6 +13,8 @@ stays home until saturated, storms reroute dark regions).
 
 import itertools
 import json
+import multiprocessing
+import os
 import time
 from pathlib import Path
 
@@ -21,6 +23,7 @@ import pytest
 import repro.serving.geo as geo_module
 from repro.__main__ import main
 from repro.errors import ConfigError
+from repro.runtime import executor as executor_module
 from repro.serving import (
     GEO_POLICIES,
     FollowSunDispatch,
@@ -36,6 +39,7 @@ from repro.serving import (
     STOCK_REGIONS,
     ServingSimulator,
     default_regions,
+    load_trace,
     make_geo,
     make_policy,
     validate_geo,
@@ -242,6 +246,80 @@ class TestRouteOnce:
         assert result.wall_s >= 0.2
 
 
+def _geo_multi(mode):
+    """A 3-region follow-the-sun run: every region serves traffic."""
+    return GeoRouter(3, topology="ring", geo="follow_sun", detail=True,
+                     mode=mode).run_scenario("diurnal", N, seed=SEED)
+
+
+class TestGeoFaultTolerance:
+    """A raising or killed region worker is re-run, not fatal: geo runs
+    share the sharded driver's crash retry (region == shard)."""
+
+    def test_raising_region_is_retried_with_exact_result(self,
+                                                         monkeypatch,
+                                                         tmp_path):
+        clean = _geo_multi("thread")
+        real = geo_module._serve_geo_region
+        sentinel = tmp_path / "crashed-once"
+
+        def flaky(spec):
+            if spec["shard"] == 1 and not sentinel.exists():
+                sentinel.write_text("x")
+                raise RuntimeError("injected region fault")
+            return real(spec)
+
+        monkeypatch.setattr(geo_module, "_serve_geo_region", flaky)
+        result = _geo_multi("thread")
+        assert result.shard_retries == 1
+        assert result.to_row()["shard_retries"] == 1
+        assert result.detail.latencies == clean.detail.latencies
+        assert result.detail.energy_per_request == \
+            clean.detail.energy_per_request
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="worker-kill chaos needs fork inheritance")
+    def test_process_worker_killed_mid_run(self, monkeypatch, tmp_path):
+        """A region worker process dies outright (``os._exit``); the
+        run still completes with the clean run's exact answer."""
+        clean = _geo_multi("inline")
+        real = geo_module._serve_geo_region
+        sentinel = tmp_path / "killed-once"
+
+        def killer(spec):
+            if spec["shard"] == 1 and not sentinel.exists():
+                sentinel.write_text("x")
+                os._exit(13)
+            return real(spec)
+
+        monkeypatch.setattr(geo_module, "_serve_geo_region", killer)
+        # pooled process workers snapshot the parent at pool creation;
+        # drain any pools forked before the monkeypatch so the killer
+        # is actually inherited
+        executor_module.shutdown_pools()
+        result = _geo_multi("process")
+        assert sentinel.exists()  # the kill genuinely happened
+        assert result.shard_retries >= 1
+        assert result.detail.latencies == clean.detail.latencies
+        assert result.detail.energy_per_request == \
+            clean.detail.energy_per_request
+
+    def test_permanent_failure_raises_after_budget(self, monkeypatch):
+        real = geo_module._serve_geo_region
+
+        def always(spec):
+            if spec["shard"] == 1:
+                raise RuntimeError("permanent region fault")
+            return real(spec)
+
+        monkeypatch.setattr(geo_module, "_serve_geo_region", always)
+        router = GeoRouter(2, mode="thread")
+        with pytest.raises(RuntimeError,
+                           match="still failing after 2 retries"):
+            router.run_scenario("steady", 200, seed=SEED)
+
+
 class TestInterconnect:
     def test_same_region_is_free(self):
         for topology in ("ring", "mesh", "tree"):
@@ -417,6 +495,20 @@ class TestCli:
         rows = json.loads(capsys.readouterr().out)
         assert any(r.get("region") == "us-east" for r in rows)
         assert any(r.get("geo") == "home" for r in rows)
+
+    @pytest.mark.parametrize("fan_out", [
+        ["--geo", "2"], ["--shards", "2", "--replicas", "2"],
+    ], ids=["geo", "sharded"])
+    def test_trace_header_sums_worker_counters(self, fan_out, tmp_path,
+                                               capsys):
+        trace = tmp_path / "trace.jsonl"
+        assert main(["serve-sim", "steady", *fan_out, "--requests",
+                     "200", "--policy", "timeout",
+                     "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        counters = load_trace(trace)[0]["counters"]
+        assert counters["runs"] == 2  # one per worker partition
+        assert counters["arrivals"] == counters["requests_done"] == 200
 
     @pytest.mark.parametrize("args,fragment", [
         (["--geo", "3", "--shards", "2"], "--shards"),

@@ -12,6 +12,8 @@ import math
 import multiprocessing
 import os
 import random
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.serving import (
     ServingSimulator,
     ShardedEngine,
     generate_trace,
+    ModelMix,
     get_scenario,
     make_policy,
     shard_key,
@@ -218,6 +221,22 @@ class TestShardedEquivalence:
         assert procs.energy == inline.energy
 
 
+class TestCustomScenario:
+    """Workers receive the Scenario object itself, never a registry
+    name, so a custom mix or a renamed scenario shards exactly."""
+
+    @pytest.mark.parametrize("change", [
+        {"mix": ModelMix((("AlexNet", 3.0), ("FasterRCNN", 1.0)))},
+        {"name": "steady-renamed"},
+    ], ids=["custom-mix", "renamed"])
+    def test_sharded_matches_monolithic(self, change):
+        scenario = replace(get_scenario("steady"), **change)
+        mono = _monolithic(scenario, 400)
+        merged = _sharded(scenario, 400).detail
+        assert merged.latencies == mono.latencies
+        assert merged.energy_per_request == mono.energy_per_request
+
+
 class TestValidateSharding:
     def test_accepts_a_shard_stable_cell(self):
         validate_sharding(2, replicas=4)
@@ -316,6 +335,16 @@ class TestShardedEngineApi:
         assert row["agg_rps"] > 0
         assert row["p50_us"] <= row["p95_us"] <= row["p99_us"]
         assert "slo_attain" not in row
+
+    def test_wall_s_times_the_whole_call(self, monkeypatch):
+        real = sharding_module.trace_span
+
+        def slow_span(*args, **kwargs):
+            time.sleep(0.2)  # parent-side work before the fan-out
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sharding_module, "trace_span", slow_span)
+        assert _sharded("steady", 200, detail=False).wall_s >= 0.2
 
     def test_telemetry_rows_are_shard_tagged(self):
         engine = ShardedEngine(2, replicas=2, mode="inline",
