@@ -235,10 +235,10 @@ def test_bench_serving_geo():
     backends) under follow-the-sun routing on the ring interconnect.
     ``rps`` is aggregate simulated requests per wall-second of the
     whole ``run_scenario`` call — calibration, the parent's single
-    routing scan through the NETWORK delivery queue, the per-region
-    engines (which replay no routing) and the merge — so a slowdown in
-    any geo layer lands in the ``geo/follow_sun`` cell without
-    touching the plain cells."""
+    routing scan (regional admission columns, the route calls and the
+    delivery re-sort heap), the per-region engines (which replay no
+    routing) and the merge — so a slowdown in any geo layer lands in
+    the ``geo/follow_sun`` cell without touching the plain cells."""
     from repro.serving import GeoRouter
 
     n_requests = 100_000

@@ -481,6 +481,12 @@ def _cmd_serve_sim(args: list[str], opts: CliOptions) -> int:
                                     for n in geo_raw.split(","))
             validate_geo(geo_regions, geo=geo_policy,
                          topology=topology, storms=storms)
+            if requests < len(geo_regions):
+                raise ConfigError(
+                    f"geo runs need at least one request per region "
+                    f"({requests} requests over {len(geo_regions)} "
+                    f"regions)"
+                )
             if shards > 1:
                 raise ConfigError(
                     "cannot combine --geo with --shards: regions "

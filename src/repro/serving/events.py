@@ -110,13 +110,14 @@ class EventKind(IntEnum):
     that arrival is enqueued; completions and control actions follow
     arrivals; the end-of-trace drain runs after the last arrival.
 
-    NETWORK is the geo tier's delivery event: a request in flight on
-    the interconnect, scheduled for the instant it lands in its
-    serving region.  The :class:`~repro.serving.geo.GeoRouter` charges
-    interconnect delay by pushing NETWORK events into its own
-    :class:`EventQueue` and re-sorting the stream into delivery order;
-    the cluster engine's heap never sees the kind, so single-region
-    zero-delay runs stay bit-identical to the plain engine.
+    NETWORK names a request in flight on the geo interconnect, but no
+    queue pushes it: the :class:`~repro.serving.geo.GeoRouter` re-sorts
+    its routed requests into delivery order on a plain heap of tuples,
+    and the cluster engine's heap never sees the kind.  The member
+    stays because its value is load-bearing:
+    ``ClusterEngine._handlers`` is indexed by kind value, and
+    TIMEOUT / HEDGE / CANCEL must keep sorting after every
+    pre-resilience kind.
 
     TIMEOUT / HEDGE / CANCEL are the resilience tier's kinds: a
     deadline check (and the backoff-delayed retry it may launch), the
@@ -756,7 +757,7 @@ class ClusterEngine:
             self._on_recover,     # RECOVER
             self._on_control,     # CONTROL
             self._on_drain,       # DRAIN
-            None,                 # NETWORK (geo-router-local, never here)
+            None,                 # NETWORK (never heaped anywhere)
             self._on_timeout,     # TIMEOUT
             self._on_hedge,       # HEDGE
             self._on_cancel,      # CANCEL

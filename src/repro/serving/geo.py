@@ -5,7 +5,7 @@ region admits its own seeded request stream (with its local-time
 diurnal crest), a :class:`~repro.serving.policies.GeoDispatchPolicy`
 decides which region *serves* each request, and the interconnect
 (:mod:`repro.serving.interconnect`) charges the cross-region transfer
-as a NETWORK event — the request's effective arrival at its serving
+as a delivery delay — the request's effective arrival at its serving
 region is its admission instant plus the deterministic comm-time.
 Each region then runs as an independent
 :class:`~repro.serving.events.ClusterEngine` in its own worker
@@ -25,11 +25,13 @@ engine state — so the parent routes every request exactly once,
 before any region engine runs, and hands each worker only its own
 deliveries: compact columns (global request id, model, delivered
 arrival, home region) already in delivery order.  No worker generates
-a trace or replays the scan.  The NETWORK delivery queue (an
-:class:`~repro.serving.events.EventQueue`) re-sorts admissions into
-delivery order with bounded buffering: a delivery can pop as soon as
-the scan's current admission time passes it, because every future
-delivery lands no earlier than its own (future) admission.
+a trace or replays the scan.  The parent draws each region's
+admissions as arrival and model columns, merges them, and re-sorts
+the routed requests into delivery order through a plain heap of
+``(deliver, admission sequence, ...)`` tuples with bounded buffering:
+a delivery can pop as soon as the scan's current admission time
+passes it, because every future delivery lands no earlier than its
+own (future) admission.
 
 The zero-drift anchor: with one region and stock policies the
 regional stream *is* the global trace (same seed, same rate, zero
@@ -43,15 +45,17 @@ from __future__ import annotations
 
 import heapq
 import math
+import random
 from array import array
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import repeat
 from time import perf_counter
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.serving.batching import make_policy
-from repro.serving.events import EventKind, EventQueue, FailurePlan
+from repro.serving.events import FailurePlan
 from repro.serving.interconnect import REQUEST_BYTES, Interconnect
 from repro.serving.memo import LayerMemoCache, MemoSnapshot
 from repro.serving.policies import (
@@ -74,8 +78,6 @@ from repro.serving.workload import (
     Scenario,
     get_scenario,
     shard_seeds,
-    stream_trace,
-    trace_span,
 )
 
 __all__ = [
@@ -309,42 +311,57 @@ def _down(outages, region: int, t: float) -> bool:
                for o in outages)
 
 
-def _request_streams(spec: dict) -> list:
-    """Per-region ``(arrival, home, request id, model index)``
-    admission streams, with globally unique ascending ids (region id
-    bases)."""
+def _admissions(spec: dict) -> list:
+    """Each region's admissions as ``(arrival times, model indices)``
+    columns.
+
+    Drawn the way :func:`~repro.serving.workload.generate_trace` draws
+    a trace: one RNG per region (its seed), every arrival time first,
+    then every model sample.  The columns cost 10 bytes a request, and
+    the storm windows read the run's first and last admission off them.
+    """
     scenario = spec["scenario"]
     index = {model: k for k, model in enumerate(scenario.mix.models())}
+    sample = scenario.mix.sampler()
+    admissions = []
+    for region, rate, n, seed in zip(spec["regions"], spec["rates"],
+                                     spec["counts"], spec["seeds"]):
+        rng = random.Random(seed)
+        process = _region_scenario(scenario, region[4]).process(rate)
+        arrivals = array("d", process.times(n, rng))
+        models = array("H", map(index.__getitem__,
+                                map(sample, repeat(rng, n))))
+        admissions.append((arrivals, models))
+    return admissions
 
-    def gen(i: int) -> Iterator[tuple[float, int, int, int]]:
-        regional = _region_scenario(scenario, spec["regions"][i][4])
-        base = spec["bases"][i]
-        for r in stream_trace(regional, spec["rates"][i],
-                              spec["counts"][i], spec["seeds"][i]):
-            yield (r.arrival, i, base + r.request_id, index[r.model])
 
-    return [gen(i) for i in range(len(spec["regions"]))]
+def _route_once(spec: dict, geo: GeoDispatchPolicy, outages,
+                admissions: list):
+    """Route the whole run once, straight into per-region columns.
 
-
-def _route_scan(spec: dict, geo: GeoDispatchPolicy,
-                outages) -> Iterator:
-    """Route the merged admission stream into delivery order.
-
-    Yields ``(deliver, serve, home, rerouted, retried, delay, request
-    id, model index)`` tuples in globally ascending delivery time.  The
-    NETWORK :class:`~repro.serving.events.EventQueue` is the re-sort
-    buffer: a queued delivery pops once the scan's admission clock
-    passes it (future deliveries can never land earlier than their own
-    future admissions), and the queue drains fully at stream end.
-    Admissions merge in (arrival, home) order: ties across regions go
-    to the lower home index.
+    The regions' ``admissions`` (:func:`_admissions`) merge in
+    (arrival, home, request id) order, with globally unique ids from
+    the region bases; ``geo.route`` and the view's ``record`` run in
+    that order.  Each routed request is pushed as a ``(deliver,
+    admission sequence, ...)`` tuple onto a plain heap, the re-sort
+    buffer: an entry pops once the admission clock passes its delivery
+    instant (a future delivery never lands before its own, future,
+    admission), and the heap drains at the end.  So it holds only the
+    deliveries still in flight, and they pop in (delivery time,
+    admission sequence) order.
 
     With a resilience policy on, a storm reroute is modelled as a
     client *failover retry*: the request first travels to the dark
     region (the failed leg), times out, and is re-sent to the healthy
-    one — both legs are charged through the NETWORK delay, and the
-    tuple's ``retried`` flag marks the double charge.  Without
-    resilience the reroute is a silent redirect (single leg).
+    one.  Both legs are charged as delay and the region's ``retried``
+    count marks the double charge.  Without resilience the reroute is
+    a silent redirect (single leg).
+
+    Returns ``(columns, ledgers, span)``: each region's deliveries as
+    ``(request ids, model indices, delivered arrivals, home indices)``
+    arrays in delivery order; each region's network ledger
+    ``[remote, rerouted, retried, delay]`` (the delay summed in
+    delivery order); and the global (first, last) delivery instant.
     """
     regions = len(spec["regions"])
     view = _RouterView(spec, Interconnect(
@@ -355,10 +372,34 @@ def _route_scan(spec: dict, geo: GeoDispatchPolicy,
     geo.reset(view)
     route, record = geo.route, view.record
     res_on = bool(spec["resilience"])
-    queue = EventQueue()
-    for t, home, rid, model in heapq.merge(*_request_streams(spec)):
-        while len(queue) and queue.next_time() <= t:
-            yield queue.pop().payload
+    columns = [(array("q"), array("H"), array("d"), array("H"))
+               for _ in range(regions)]
+    appends = [tuple(column.append for column in region)
+               for region in columns]
+    ledgers = [[0, 0, 0, 0.0] for _ in range(regions)]
+
+    def deliver(entry) -> None:
+        when, _, serve, home, rerouted, retried, delay, rid, model = entry
+        add_id, add_model, add_arrival, add_home = appends[serve]
+        add_id(rid)
+        add_model(model)
+        add_arrival(when)
+        add_home(home)
+        ledger = ledgers[serve]
+        ledger[0] += home != serve
+        ledger[1] += rerouted
+        ledger[2] += retried
+        ledger[3] += delay
+
+    streams = [zip(arrivals, repeat(home),
+                   range(base, base + len(arrivals)), models)
+               for home, ((arrivals, models), base)
+               in enumerate(zip(admissions, spec["bases"]))]
+    in_flight: list = []
+    push, pop = heapq.heappush, heapq.heappop
+    for seq, (t, home, rid, model) in enumerate(heapq.merge(*streams)):
+        while in_flight and in_flight[0][0] <= t:
+            deliver(pop(in_flight))
         serve = route(t, home, view)
         if not 0 <= serve < regions:
             raise ConfigError(
@@ -381,41 +422,10 @@ def _route_scan(spec: dict, geo: GeoDispatchPolicy,
                 rerouted = True
         record(serve, t)
         delay = failed_leg + delays[home, serve]
-        deliver = t + delay
-        queue.push(deliver, EventKind.NETWORK,
-                   payload=(deliver, serve, home, rerouted, retried,
-                            delay, rid, model))
-    while len(queue):
-        yield queue.pop().payload
-
-
-def _route_once(spec: dict, geo: GeoDispatchPolicy, outages):
-    """Route the whole run once, straight into per-region columns.
-
-    Returns ``(columns, ledgers, span)``: each region's deliveries as
-    ``(request ids, model indices, delivered arrivals, home indices)``
-    arrays in delivery order; each region's network ledger
-    ``[remote, rerouted, retried, delay]`` (the delay summed in
-    delivery order); and the global (first, last) delivery instant.
-    """
-    count = len(spec["regions"])
-    columns = [(array("q"), array("H"), array("d"), array("H"))
-               for _ in range(count)]
-    appends = [tuple(column.append for column in region)
-               for region in columns]
-    ledgers = [[0, 0, 0, 0.0] for _ in range(count)]
-    for deliver, serve, home, rerouted, retried, delay, rid, model \
-            in _route_scan(spec, geo, outages):
-        add_id, add_model, add_arrival, add_home = appends[serve]
-        add_id(rid)
-        add_model(model)
-        add_arrival(deliver)
-        add_home(home)
-        ledger = ledgers[serve]
-        ledger[0] += home != serve
-        ledger[1] += rerouted
-        ledger[2] += retried
-        ledger[3] += delay
+        push(in_flight, (t + delay, seq, serve, home, rerouted, retried,
+                         delay, rid, model))
+    while in_flight:
+        deliver(pop(in_flight))
     delivered = [arrivals for _, _, arrivals, _ in columns if arrivals]
     span = (min(a[0] for a in delivered), max(a[-1] for a in delivered))
     return columns, ledgers, span
@@ -518,7 +528,7 @@ class GeoResult(FanOutResult):
 
     @property
     def retried(self) -> int:
-        """Cross-region failover retries (double-charged NETWORK legs
+        """Cross-region failover retries (double-charged network legs
         under a resilience policy)."""
         return sum(r.retried for r in self.regions)
 
@@ -638,7 +648,7 @@ class GeoRouter:
         resilience: client resilience policy spec (``"retry"`` /
             ``"hedge"`` / ``"degrade"``, with ``name:key=value``
             options) applied inside every region engine; a storm
-            reroute then also charges the failed NETWORK leg as a
+            reroute then also charges the failed network leg as a
             cross-region failover retry.
         prewarm: warm-start the fleet (the default).  The parent
             resolves every region backend's layer cells once through
@@ -787,16 +797,15 @@ class GeoRouter:
             window_s=100.0 / max(total_rate, 1e-12),
             warm_cells=warm_cells,
         )
+        admissions = _admissions(spec)
         outages: tuple = ()
         if self.storms:
-            spans = [trace_span(_region_scenario(scenario, s.tz),
-                                rates[i], counts[i], seeds[i])
-                     for i, s in enumerate(fleet)]
             outages = RegionFailurePlan(count=self.storms, seed=seed) \
-                .resolve(min(first for first, _ in spans),
-                         max(last for _, last in spans), count)
-        columns, ledgers, spec["span"] = _route_once(spec, self._geo,
-                                                     outages)
+                .resolve(min(arrivals[0] for arrivals, _ in admissions),
+                         max(arrivals[-1] for arrivals, _ in admissions),
+                         count)
+        columns, ledgers, spec["span"] = _route_once(
+            spec, self._geo, outages, admissions)
         outcomes, reruns = _fan_out(
             (__name__, "_serve_geo_region"),
             [dict(spec, shard=i, accelerator=s.accelerator,

@@ -973,15 +973,21 @@ class FollowSunDispatch(GeoDispatchPolicy):
     Lower wave factor means local night — idle capacity — so traffic
     follows the sun around the ring.  Ties (every region flat on a
     non-diurnal scenario) break toward fewer hops from home, then the
-    lower region index, which degrades to home-region routing.
+    lower region index, which degrades to home-region routing.  Hops
+    are read only among exactly tied waves, so the usual unique minimum
+    costs one wave per region.
     """
 
     name = "follow_sun"
 
     def route(self, time, home, router):
-        return min(range(router.regions),
-                   key=lambda i: (router.wave(i, time),
-                                  router.hops(home, i), i))
+        wave = router.wave
+        waves = [wave(i, time) for i in range(router.regions)]
+        low = min(waves)
+        if waves.count(low) == 1:
+            return waves.index(low)
+        return min((i for i, w in enumerate(waves) if w == low),
+                   key=lambda i: (router.hops(home, i), i))
 
 
 class CheapestJouleDispatch(GeoDispatchPolicy):

@@ -19,6 +19,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.serving.geo as geo_module
 from repro.__main__ import main
@@ -39,6 +40,7 @@ from repro.serving import (
     STOCK_REGIONS,
     ServingSimulator,
     default_regions,
+    generate_trace,
     load_trace,
     make_geo,
     make_policy,
@@ -245,6 +247,98 @@ class TestRouteOnce:
             .run_scenario("steady", 100, seed=SEED)
         assert result.wall_s >= 0.2
 
+    @pytest.mark.parametrize("storms", ["calm", "retry"])
+    @pytest.mark.parametrize("topology", ["ring", "tree"])
+    @pytest.mark.parametrize(
+        "geo", ["follow_sun", "cheapest_joule", "spillover"])
+    def test_columns_match_a_sorted_reference(self, geo, topology, storms,
+                                              monkeypatch):
+        """The routed columns, ledgers and span equal the contract
+        computed directly: each region's ``generate_trace``, routed in
+        (arrival, home, id) order by a fresh policy, then stable-sorted
+        by delivery time."""
+        real = geo_module._route_once
+        seen = []
+
+        def spy(*args):
+            out = real(*args)
+            seen.append((args, out))
+            return out
+
+        monkeypatch.setattr(geo_module, "_route_once", spy)
+        GeoRouter(4, geo=geo, topology=topology, slo_us=4000.0,
+                  mode="inline", **STORM_CELLS[storms]) \
+            .run_scenario("diurnal", GOLDEN_N, seed=SEED)
+        (args, (columns, ledgers, span)), = seen
+        spec, outages = args[0], args[2]
+        want_outages, want = _reference_route(
+            spec, geo, STORM_CELLS[storms].get("storms", 0))
+        assert outages == want_outages
+        assert [tuple(map(list, region)) for region in columns] == \
+            want["columns"]
+        assert ledgers == want["ledgers"]
+        assert span == want["span"]
+
+
+def _reference_route(spec, geo, storms):
+    """Route one geo run the slow, obvious way (see
+    ``test_columns_match_a_sorted_reference``)."""
+    scenario = spec["scenario"]
+    regions = len(spec["regions"])
+    index = {model: k for k, model in enumerate(scenario.mix.models())}
+    admissions = []
+    for home, (region, rate, n, seed, base) in enumerate(zip(
+            spec["regions"], spec["rates"], spec["counts"],
+            spec["seeds"], spec["bases"])):
+        trace = generate_trace(
+            geo_module._region_scenario(scenario, region[4]), rate, n,
+            seed)
+        admissions += [(r.arrival, home, base + r.request_id,
+                        index[r.model]) for r in trace]
+    admissions.sort()
+    outages = ()
+    if storms:
+        outages = RegionFailurePlan(count=storms, seed=SEED).resolve(
+            admissions[0][0], admissions[-1][0], regions)
+    icx = Interconnect(regions, topology=spec["topology"],
+                       bandwidth_gbps=spec["bandwidth_gbps"],
+                       base_latency_us=spec["base_latency_us"])
+    policy = make_geo(geo)
+    view = geo_module._RouterView(spec, icx)
+    policy.reset(view)
+    routed = []
+    for t, home, rid, model in admissions:
+        serve = policy.route(t, home, view)
+        dark = {o.region for o in outages if o.down(t)}
+        rerouted = retried = False
+        delay = 0.0
+        if serve in dark and len(dark) < regions:
+            if spec["resilience"]:  # the failed leg is charged too
+                delay += icx.delay(home, serve, spec["payload_bytes"])
+                retried = True
+            serve = min(set(range(regions)) - dark,
+                        key=lambda i: (icx.hops(home, i), i))
+            rerouted = True
+        view.record(serve, t)
+        delay += icx.delay(home, serve, spec["payload_bytes"])
+        routed.append((t + delay, serve, home, rerouted, retried, delay,
+                       rid, model))
+    routed.sort(key=lambda entry: entry[0])  # stable: admission order
+    columns = [([], [], [], []) for _ in range(regions)]
+    ledgers = [[0, 0, 0, 0.0] for _ in range(regions)]
+    for deliver, serve, home, rerouted, retried, delay, rid, model \
+            in routed:
+        for column, value in zip(columns[serve],
+                                 (rid, model, deliver, home)):
+            column.append(value)
+        ledger = ledgers[serve]
+        ledger[0] += home != serve
+        ledger[1] += rerouted
+        ledger[2] += retried
+        ledger[3] += delay
+    return outages, {"columns": columns, "ledgers": ledgers,
+                     "span": (routed[0][0], routed[-1][0])}
+
 
 def _geo_multi(mode):
     """A 3-region follow-the-sun run: every region serves traffic."""
@@ -381,6 +475,36 @@ class TestGeoPolicies:
         router = GeoRouter(3, geo="follow_sun", mode="inline")
         result = router.run_scenario("steady", 600, seed=SEED)
         assert result.remote_frac == 0.0  # flat wave -> fewest hops
+
+    @given(st.integers(min_value=1, max_value=6).flatmap(
+        lambda regions: st.tuples(
+            st.lists(st.sampled_from((-0.0, 0.0, 0.4, 1.0, 1.6)),
+                     min_size=regions, max_size=regions),
+            st.lists(st.lists(st.integers(0, 3), min_size=regions,
+                              max_size=regions),
+                     min_size=regions, max_size=regions),
+            st.integers(0, regions - 1))),
+        st.floats(0.0, 10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_follow_sun_breaks_partial_ties_like_the_key(self, fleet, at):
+        """Waves drawn from a few repeated values tie a subset of the
+        regions; the route must equal the ``(wave, hops, index)`` key
+        minimum, hops read from a random table."""
+        waves, hops, home = fleet
+
+        class Router:
+            regions = len(waves)
+
+            def wave(self, i, t):
+                return waves[i]
+
+            def hops(self, src, dst):
+                return hops[src][dst]
+
+        router = Router()
+        assert FollowSunDispatch().route(at, home, router) == min(
+            range(router.regions),
+            key=lambda i: (router.wave(i, at), router.hops(home, i), i))
 
     def test_cheapest_joule_prefers_cheap_grids(self):
         home = GeoRouter(3, geo="home", mode="inline") \
@@ -520,6 +644,8 @@ class TestCli:
         (["--geo", "3", "--geo-policy", "teleport"], "geo policy"),
         (["--geo", "3", "--topology", "torus"], "topology"),
         (["--geo-policy", "follow_sun"], "need --geo"),
+        (["--geo", "3", "--requests", "2"],
+         "at least one request per region"),
     ])
     def test_usage_errors_exit_2(self, args, fragment, capsys):
         code = main(["serve-sim", "steady", *args])
