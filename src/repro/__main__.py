@@ -30,9 +30,10 @@ Usage::
 Flags (anywhere on the line)::
 
     --json         machine-readable rows instead of tables
-    --serial       run jobs inline instead of a worker pool
+    --serial       run jobs inline instead of a worker pool (also the
+                   serve-sim --shards/--geo fan-outs)
     --no-cache     bypass the content-addressed result cache
-    --workers N    worker-pool width
+    --workers N    worker-pool width (also the serve-sim fan-outs)
     --limit N      how many ledger rows ``runs`` shows (default 20)
     --job-timeout S  per-job wall-clock bound; a hung job becomes a
                      per-job error instead of wedging the batch
@@ -40,14 +41,13 @@ Flags (anywhere on the line)::
 
 from __future__ import annotations
 
+import argparse
 import ast
 import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from datetime import datetime
-from typing import Optional
 
 from repro.errors import ConfigError
 from repro.eval import report
@@ -65,73 +65,52 @@ def _figure_experiments() -> dict:
 EXPERIMENTS = _figure_experiments()
 
 
-@dataclass
-class CliOptions:
-    """Flags shared by every subcommand."""
+class _Parser(argparse.ArgumentParser):
+    """argparse with exact flag names and no ``-h``, whose usage errors
+    raise :class:`ConfigError` instead of exiting: each subcommand
+    prints them as ``error: ...`` and returns exit code 2."""
 
-    as_json: bool = False
-    serial: bool = False
-    no_cache: bool = False
-    workers: Optional[int] = None
-    limit: int = 20
-    job_timeout: Optional[float] = None
+    def __init__(self, prog: str) -> None:
+        super().__init__(prog=prog, add_help=False, allow_abbrev=False)
 
-
-def _parse_flags(argv: list[str]) -> tuple[CliOptions, list[str]]:
-    """Split flags out of ``argv``; raises ConfigError on bad usage."""
-    opts = CliOptions()
-    args: list[str] = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token == "--json":
-            opts.as_json = True
-        elif token == "--serial":
-            opts.serial = True
-        elif token == "--no-cache":
-            opts.no_cache = True
-        elif token.partition("=")[0] == "--job-timeout":
-            name, eq, value = token.partition("=")
-            if not eq:
-                i += 1
-                if i >= len(argv):
-                    raise ConfigError("--job-timeout needs seconds")
-                value = argv[i]
-            try:
-                seconds = float(value)
-            except ValueError:
-                raise ConfigError(
-                    f"--job-timeout needs seconds, got {value!r}"
-                ) from None
-            if seconds <= 0:
-                raise ConfigError("--job-timeout must be positive")
-            opts.job_timeout = seconds
-        elif token.partition("=")[0] in ("--workers", "--limit"):
-            name, eq, value = token.partition("=")
-            if eq and not value:
-                raise ConfigError(f"{name} needs a number")
-            if not eq:
-                i += 1
-                if i >= len(argv):
-                    raise ConfigError(f"{name} needs a number")
-                value = argv[i]
-            try:
-                number = int(value)
-            except ValueError:
-                raise ConfigError(f"{name} needs a number, got {value!r}")
-            if number < 1:
-                raise ConfigError(f"{name} must be >= 1")
-            if name == "--workers":
-                opts.workers = number
-            else:
-                opts.limit = number
-        else:
-            args.append(token)
-        i += 1
-    return opts, args
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
-def _make_runtime(opts: CliOptions) -> Runtime:
+def _number(cast, low, *, strict: bool = False):
+    """``type=`` for a numeric flag bounded below by ``low``."""
+    def number(text: str):
+        value = cast(text)
+        if value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}")
+        return value
+    return number
+
+
+def _checked(validate):
+    """``type=`` that runs a library validator and keeps the text; the
+    validator's ConfigError passes argparse untouched."""
+    def text(value: str) -> str:
+        validate(value)
+        return value
+    return text
+
+
+def _global_parser() -> _Parser:
+    """The flags every subcommand shares."""
+    parser = _Parser("repro")
+    parser.add_argument("--json", dest="as_json", action="store_true")
+    parser.add_argument("--serial", action="store_true")
+    parser.add_argument("--no-cache", action="store_true")
+    parser.add_argument("--workers", type=_number(int, 1))
+    parser.add_argument("--limit", type=_number(int, 1), default=20)
+    parser.add_argument("--job-timeout",
+                        type=_number(float, 0, strict=True))
+    return parser
+
+
+def _make_runtime(opts: argparse.Namespace) -> Runtime:
     return Runtime(mode="inline" if opts.serial else "auto",
                    max_workers=opts.workers,
                    use_cache=not opts.no_cache,
@@ -145,7 +124,7 @@ def run(name: str) -> None:
     print(report.render_rows(experiment.func()))
 
 
-def _print_results(results, opts: CliOptions) -> None:
+def _print_results(results, opts: argparse.Namespace) -> None:
     if opts.as_json:
         print(report.to_json([{
             "experiment": r.job.experiment,
@@ -190,7 +169,7 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_run(names: list[str], opts: CliOptions) -> int:
+def _cmd_run(names: list[str], opts: argparse.Namespace) -> int:
     if names == ["all"]:
         names = [e.name for e in registry.all_experiments() if e.figure]
     unknown = [n for n in names if n not in registry.names()]
@@ -236,26 +215,16 @@ def _parse_param(token: str) -> tuple[str, list]:
     return name, values
 
 
-def _cmd_sweep(args: list[str], opts: CliOptions) -> int:
-    if not args:
-        print("usage: python -m repro sweep <experiment> "
-              "--param name=v1,v2,... [--param ...]")
-        return 2
-    name, rest = args[0], args[1:]
-    grid = {}
-    i = 0
+def _cmd_sweep(argv: list[str], opts: argparse.Namespace) -> int:
+    parser = _Parser("repro sweep")
+    parser.add_argument("experiment")
+    parser.add_argument("--param", action="append", default=[],
+                        type=_parse_param)
     try:
-        while i < len(rest):
-            if rest[i] != "--param":
-                raise ConfigError(f"unexpected argument {rest[i]!r}")
-            if i + 1 >= len(rest):
-                raise ConfigError("--param needs name=v1,v2,...")
-            axis, values = _parse_param(rest[i + 1])
-            grid[axis] = values
-            i += 2
-        sweep = Sweep(name, grid=grid)
+        args = parser.parse_args(argv)
         runtime = _make_runtime(opts)
-        results = runtime.run_sweep(sweep)
+        results = runtime.run_sweep(Sweep(args.experiment,
+                                          grid=dict(args.param)))
     except ConfigError as exc:
         print(f"error: {exc}")
         return 2
@@ -265,601 +234,344 @@ def _cmd_sweep(args: list[str], opts: CliOptions) -> int:
     return 1 if any(r.error for r in results) else 0
 
 
-def _cmd_serve_sim(args: list[str], opts: CliOptions) -> int:
-    """Serve simulated request traffic and print percentile rows."""
+def _regions(text: str) -> tuple:
+    """``--geo``: a stock-region count or comma-separated stock names."""
+    from repro.serving.geo import STOCK_REGIONS, default_regions
+
+    try:
+        count = int(text)
+    except ValueError:
+        stock = {spec.name: spec for spec in STOCK_REGIONS}
+        unknown = [n for n in text.split(",") if n not in stock]
+        if unknown:
+            raise ConfigError(
+                f"unknown region(s) {', '.join(unknown)}; "
+                f"stock regions: {', '.join(stock)}"
+            ) from None
+        return tuple(stock[n] for n in text.split(","))
+    return default_regions(count)
+
+
+def _serve_sim_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``serve-sim`` flags and check them against each other.
+
+    Serves nothing.  The returned namespace is what the runner reads,
+    with ``replicas``, ``accelerator`` and ``dispatch`` filled in.
+
+    Raises:
+        ConfigError: on any usage error.
+    """
+    from repro.core import make_accelerator
     from repro.models import model_names
-    from repro.serving import (LayerMemoCache, POLICIES, Telemetry,
-                               get_scenario)
+    from repro.serving import POLICIES, get_scenario
     from repro.serving.experiments import (make_slo, parse_autoscale,
-                                           parse_priorities,
-                                           serving_grid)
-    from repro.serving.memo import (load_persistent_memo,
-                                    store_persistent_memo)
+                                           parse_priorities)
+    from repro.serving.geo import validate_geo
     from repro.serving.policies import (make_flush, make_resilience,
                                         make_scale)
     from repro.serving.sharding import validate_sharding
     from repro.serving.simulator import DISPATCH_STRATEGIES
 
-    scenarios: list[str] = []
-    policies = list(POLICIES)
-    requests, replicas, batch_size, seed = 2000, 2, 8, 7
-    accelerator, dispatch = "SMART", "round_robin"
-    slo_us, shed_depth, autoscale, faults = 0.0, 0, "", 0
-    flush, scale, steal, persist_memo = "fifo", "", False, False
-    resilience = ""
-    trace_path = ""
-    shards, dispatch_given = 1, False
-    replicas_given, accelerator_given = False, False
-    geo_raw, geo_policy, topology, storms = "", "home", "mesh", 0
-    priority_specs: list[str] = []
-    try:
-        i = 0
-        while i < len(args):
-            token = args[i]
-            if token in ("--requests", "--replicas", "--batch-size",
-                         "--seed", "--shed", "--fail", "--shards",
-                         "--geo-storms"):
-                if i + 1 >= len(args):
-                    raise ConfigError(f"{token} needs a value")
-                try:
-                    value = int(args[i + 1])
-                except ValueError:
-                    raise ConfigError(
-                        f"{token} needs a number, got {args[i + 1]!r}"
-                    ) from None
-                if (token not in ("--seed", "--fail", "--geo-storms")
-                        and value < 1):
-                    raise ConfigError(f"{token} must be >= 1")
-                if token in ("--fail", "--geo-storms") and value < 0:
-                    raise ConfigError(f"{token} must be >= 0")
-                if token == "--requests":
-                    requests = value
-                elif token == "--replicas":
-                    replicas = value
-                    replicas_given = True
-                elif token == "--batch-size":
-                    batch_size = value
-                elif token == "--shed":
-                    shed_depth = value
-                elif token == "--fail":
-                    faults = value
-                elif token == "--shards":
-                    shards = value
-                elif token == "--geo-storms":
-                    storms = value
-                else:
-                    seed = value
-                i += 2
-            elif token == "--slo":
-                if i + 1 >= len(args):
-                    raise ConfigError("--slo needs a value")
-                try:
-                    slo_us = float(args[i + 1])
-                except ValueError:
-                    raise ConfigError(
-                        f"--slo needs microseconds, got {args[i + 1]!r}"
-                    ) from None
-                if slo_us <= 0:
-                    raise ConfigError("--slo must be positive")
-                i += 2
-            elif token == "--autoscale":
-                if i + 1 >= len(args):
-                    raise ConfigError("--autoscale needs MIN:MAX")
-                autoscale = args[i + 1]
-                parse_autoscale(autoscale)  # validate the spec early
-                i += 2
-            elif token == "--flush":
-                if i + 1 >= len(args):
-                    raise ConfigError("--flush needs a policy name "
-                                      "(fifo or edf)")
-                flush = args[i + 1]
-                i += 2
-            elif token == "--scale":
-                if i + 1 >= len(args):
-                    raise ConfigError("--scale needs a policy name "
-                                      "(reactive, ewma or holt)")
-                scale = args[i + 1]
-                i += 2
-            elif token == "--priority":
-                if i + 1 >= len(args):
-                    raise ConfigError("--priority needs model=N")
-                priority_specs.append(args[i + 1])
-                i += 2
-            elif token == "--resilience":
-                if i + 1 >= len(args):
-                    raise ConfigError(
-                        "--resilience needs a policy spec (none, "
-                        "retry, hedge or degrade, with optional "
-                        "name:key=value,... options)")
-                resilience = args[i + 1]
-                make_resilience(resilience)  # fail fast on a bad spec
-                i += 2
-            elif token == "--trace":
-                if i + 1 >= len(args):
-                    raise ConfigError("--trace needs an output path")
-                trace_path = args[i + 1]
-                i += 2
-            elif token == "--geo":
-                if i + 1 >= len(args):
-                    raise ConfigError("--geo needs a region count or "
-                                      "comma-separated stock region "
-                                      "names")
-                geo_raw = args[i + 1]
-                i += 2
-            elif token == "--geo-policy":
-                if i + 1 >= len(args):
-                    from repro.serving.policies import GEO_POLICIES
-                    raise ConfigError(
-                        "--geo-policy needs a name; known: "
-                        f"{', '.join(GEO_POLICIES)}"
-                    )
-                geo_policy = args[i + 1]
-                i += 2
-            elif token == "--topology":
-                if i + 1 >= len(args):
-                    from repro.serving.interconnect import TOPOLOGIES
-                    raise ConfigError(
-                        "--topology needs a name; known: "
-                        f"{', '.join(TOPOLOGIES)}"
-                    )
-                topology = args[i + 1]
-                i += 2
-            elif token == "--steal":
-                steal = True
-                i += 1
-            elif token == "--persist-memo":
-                persist_memo = True
-                i += 1
-            elif token in ("--policy", "--accelerator", "--dispatch"):
-                if i + 1 >= len(args):
-                    raise ConfigError(f"{token} needs a value")
-                value = args[i + 1]
-                if token == "--policy":
-                    policies = value.split(",")
-                    for name in policies:
-                        if name not in POLICIES:
-                            raise ConfigError(
-                                f"unknown batching policy '{name}'; "
-                                f"known: {', '.join(POLICIES)}"
-                            )
-                elif token == "--dispatch":
-                    if value not in DISPATCH_STRATEGIES:
-                        raise ConfigError(
-                            f"unknown dispatch '{value}'; known: "
-                            f"{', '.join(DISPATCH_STRATEGIES)}"
-                        )
-                    dispatch = value
-                    dispatch_given = True
-                else:
-                    accelerator = value
-                    accelerator_given = True
-                i += 2
-            elif token.startswith("-"):
-                raise ConfigError(f"unknown serve-sim flag {token!r}")
-            else:
-                scenarios.append(token)
-                i += 1
-        from repro.core import make_accelerator
-        make_accelerator(accelerator)  # validate before the grid runs
-        res_policy = make_resilience(resilience)
-        if res_policy is not None:
-            # fail fast when the spec carries no deadline and there is
-            # no SLO target to inherit one from
-            res_policy.timeout_s(make_slo(slo_us, shed_depth))
-        else:
-            make_slo(slo_us, shed_depth)
-        priority = ",".join(priority_specs)
-        priorities = parse_priorities(priority)
-        for model in priorities:
-            if model not in model_names():
-                raise ConfigError(
-                    f"unknown model '{model}' in --priority; known: "
-                    f"{', '.join(model_names())}"
-                )
-        make_flush(flush, priorities or None)  # validate the pair
-        if scale:
-            make_scale(scale, parse_autoscale(autoscale))
-        for name in scenarios:
-            get_scenario(name)
-        geo_regions: tuple = ()
-        if geo_raw:
-            from repro.serving.geo import (STOCK_REGIONS,
-                                           default_regions,
-                                           validate_geo)
-            try:
-                geo_regions = default_regions(int(geo_raw))
-            except ValueError:
-                stock = {spec.name: spec for spec in STOCK_REGIONS}
-                unknown = [n for n in geo_raw.split(",")
-                           if n not in stock]
-                if unknown:
-                    raise ConfigError(
-                        f"unknown region(s) {', '.join(unknown)}; "
-                        f"stock regions: {', '.join(stock)}"
-                    ) from None
-                geo_regions = tuple(stock[n]
-                                    for n in geo_raw.split(","))
-            validate_geo(geo_regions, geo=geo_policy,
-                         topology=topology, storms=storms)
-            if requests < len(geo_regions):
-                raise ConfigError(
-                    f"geo runs need at least one request per region "
-                    f"({requests} requests over {len(geo_regions)} "
-                    f"regions)"
-                )
-            if shards > 1:
-                raise ConfigError(
-                    "cannot combine --geo with --shards: regions "
-                    "already fan across worker processes"
-                )
-            if replicas_given or accelerator_given:
-                raise ConfigError(
-                    "--geo regions carry their own accelerator and "
-                    "replica counts; drop --replicas/--accelerator"
-                )
-            if faults:
-                raise ConfigError(
-                    "--fail is not plumbed through --geo; use "
-                    "--geo-storms for region-granularity outages or a "
-                    "fault-carrying scenario (failure-storm)"
-                )
-            if (shed_depth or autoscale or scale or steal
-                    or flush != "fifo" or priority_specs):
-                raise ConfigError(
-                    "--geo supports --policy/--dispatch/--slo/"
-                    "--resilience/--trace/--persist-memo riders only; "
-                    "shed, autoscale, scale, steal, flush and "
-                    "priority are not plumbed through region engines"
-                )
-        elif geo_policy != "home" or topology != "mesh" or storms:
+    def policies(text: str) -> list[str]:
+        names = text.split(",")
+        for name in names:
+            if name not in POLICIES:
+                raise ConfigError(f"unknown batching policy '{name}'; "
+                                  f"known: {', '.join(POLICIES)}")
+        return names
+
+    count, natural = _number(int, 1), _number(int, 0)
+    parser = _Parser("repro serve-sim")
+    add = parser.add_argument
+    add("scenarios", nargs="*")
+    add("--policy", dest="policies", type=policies,
+        default=list(POLICIES))
+    add("--requests", type=count, default=2000)
+    add("--replicas", type=count)  # None: 2, or the regions' own
+    add("--batch-size", type=count, default=8)
+    add("--seed", type=int, default=7)
+    add("--accelerator", type=_checked(make_accelerator))
+    add("--dispatch", choices=DISPATCH_STRATEGIES)
+    add("--slo", type=_number(float, 0, strict=True), default=0.0)
+    add("--shed", type=count, default=0)
+    add("--autoscale", type=_checked(parse_autoscale), default="")
+    add("--scale", default="")
+    add("--fail", type=natural, default=0)
+    add("--flush", default="fifo")
+    add("--priority", action="append", default=[])
+    add("--steal", action="store_true")
+    add("--resilience", type=_checked(make_resilience), default="")
+    add("--persist-memo", action="store_true")
+    add("--trace", default="")
+    add("--shards", type=count, default=1)
+    add("--geo", dest="regions", type=_regions, default=())
+    add("--geo-policy", default="home")
+    add("--topology", default="mesh")
+    add("--geo-storms", type=natural, default=0)
+    # scenarios may sit before, between or after the flags; they are
+    # checked after parsing, so `--req 5` names the flag, not '5'
+    args = parser.parse_intermixed_args(argv)
+
+    slo = make_slo(args.slo, args.shed)
+    resilience = make_resilience(args.resilience)
+    if resilience is not None:
+        # fail fast when the spec carries no deadline and there is no
+        # SLO target to inherit one from
+        resilience.timeout_s(slo)
+    priorities = parse_priorities(",".join(args.priority))
+    for model in priorities:
+        if model not in model_names():
             raise ConfigError(
-                "--geo-policy/--topology/--geo-storms need --geo"
+                f"unknown model '{model}' in --priority; known: "
+                f"{', '.join(model_names())}"
             )
-        if shards > 1:
-            # a bare --shards N implies the shard-stable dispatch;
-            # an explicit conflicting one is rejected below
-            if not dispatch_given:
-                dispatch = "shard"
-            if flush != "fifo" or priority_specs:
-                raise ConfigError(
-                    "sharded runs use the default fifo flush; priority "
-                    "flush queues are not plumbed across worker shards"
-                )
-            validate_sharding(shards, replicas=replicas,
-                              dispatch=dispatch, autoscale=autoscale,
-                              scale=scale, steal=steal, shed=shed_depth,
-                              fail=faults, scenarios=scenarios,
-                              resilience=resilience)
+    make_flush(args.flush, priorities or None)  # validate the pair
+    if args.scale:
+        make_scale(args.scale, parse_autoscale(args.autoscale))
+    for name in args.scenarios:
+        get_scenario(name)
+    if args.regions:
+        validate_geo(args.regions, geo=args.geo_policy,
+                     topology=args.topology, storms=args.geo_storms)
+        if args.requests < len(args.regions):
+            raise ConfigError(
+                f"geo runs need at least one request per region "
+                f"({args.requests} requests over {len(args.regions)} "
+                f"regions)"
+            )
+        if args.shards > 1:
+            raise ConfigError(
+                "cannot combine --geo with --shards: regions "
+                "already fan across worker processes"
+            )
+        if args.replicas is not None or args.accelerator is not None:
+            raise ConfigError(
+                "--geo regions carry their own accelerator and "
+                "replica counts; drop --replicas/--accelerator"
+            )
+        if args.fail:
+            raise ConfigError(
+                "--fail is not plumbed through --geo; use "
+                "--geo-storms for region-granularity outages or a "
+                "fault-carrying scenario (failure-storm)"
+            )
+        if (args.shed or args.autoscale or args.scale or args.steal
+                or args.flush != "fifo" or args.priority):
+            raise ConfigError(
+                "--geo supports --policy/--dispatch/--slo/"
+                "--resilience/--trace/--persist-memo riders only; "
+                "shed, autoscale, scale, steal, flush and "
+                "priority are not plumbed through region engines"
+            )
+    elif (args.geo_policy != "home" or args.topology != "mesh"
+            or args.geo_storms):
+        raise ConfigError("--geo-policy/--topology/--geo-storms need --geo")
+    args.replicas = args.replicas or 2
+    args.accelerator = args.accelerator or "SMART"
+    if args.shards > 1:
+        # a bare --shards N implies the shard-stable dispatch; an
+        # explicit conflicting one is rejected by validate_sharding
+        args.dispatch = args.dispatch or "shard"
+        if args.flush != "fifo" or args.priority:
+            raise ConfigError(
+                "sharded runs use the default fifo flush; priority "
+                "flush queues are not plumbed across worker shards"
+            )
+        validate_sharding(args.shards, replicas=args.replicas,
+                          dispatch=args.dispatch,
+                          autoscale=args.autoscale, scale=args.scale,
+                          steal=args.steal, shed=args.shed,
+                          fail=args.fail, scenarios=args.scenarios,
+                          resilience=args.resilience)
+    args.dispatch = args.dispatch or "round_robin"
+    return args
+
+
+def _cmd_serve_sim(argv: list[str], opts: argparse.Namespace) -> int:
+    """Serve simulated request traffic and print percentile rows.
+
+    The plain grid runs in-process through ``serving_grid``; ``--shards``
+    and ``--geo`` fan each cell out through one engine.  Every path
+    resolves its layers through one shared memo, so ``--persist-memo``
+    loads the persisted totals pool into it up front and stores it
+    back after the grid.
+    """
+    try:
+        args = _serve_sim_args(argv)
     except ConfigError as exc:
         print(f"error: {exc}")
         return 2
+    from repro.serving import (SCENARIOS, GeoRouter, LayerMemoCache,
+                               ShardedEngine, Telemetry)
+    from repro.serving.experiments import serving_grid
+    from repro.serving.memo import (load_persistent_memo,
+                                    store_persistent_memo)
 
-    if geo_regions:
-        return _serve_sim_geo(
-            opts, scenarios=scenarios, policies=policies,
-            requests=requests, batch_size=batch_size, seed=seed,
-            dispatch=dispatch, slo_us=slo_us, regions=geo_regions,
-            geo_policy=geo_policy, topology=topology, storms=storms,
-            trace_path=trace_path, resilience=resilience,
-            persist_memo=persist_memo,
-        )
-    if shards > 1:
-        return _serve_sim_sharded(
-            opts, scenarios=scenarios, policies=policies,
-            requests=requests, replicas=replicas,
-            batch_size=batch_size, seed=seed, accelerator=accelerator,
-            dispatch=dispatch, slo_us=slo_us, shards=shards,
-            trace_path=trace_path, resilience=resilience,
-            persist_memo=persist_memo,
-        )
-
-    cache = LayerMemoCache()
-    memo_store = ResultCache() if persist_memo else None
-    loaded = (load_persistent_memo(cache, memo_store)
-              if persist_memo else 0)
-    # 200us matches the autoscaler's default control-loop interval, so
-    # a traced run without --scale still gets a metrics timeline
-    telemetry = Telemetry(tick=200e-6) if trace_path else None
-    rows = serving_grid(
-        requests=requests, accelerator=accelerator, replicas=replicas,
-        batch_size=batch_size, dispatch=dispatch, seed=seed,
-        scenarios=scenarios or None, policies=policies, cache=cache,
-        slo_us=slo_us, shed_depth=shed_depth, autoscale=autoscale,
-        faults=faults, flush=flush, priority=priority, scale=scale,
-        steal=steal, telemetry=telemetry, resilience=resilience,
-    )
-    stored = (store_persistent_memo(cache, memo_store)
-              if persist_memo else 0)
-    if telemetry is not None:
-        telemetry.save(trace_path)
-    if opts.as_json:
-        print(report.to_json(rows))
-        return 0
-    extras = "".join(
-        part for part, on in (
-            (f", slo {slo_us:g}us", slo_us),
-            (f", shed@{shed_depth}", shed_depth),
-            (f", autoscale {autoscale}", autoscale),
-            (f", scale {scale}", scale),
-            (f", flush {flush}", flush != "fifo"),
-            (", stealing", steal),
-            (f", {faults} fault(s)", faults),
-            (f", resilience {resilience}",
-             resilience and resilience != "none"),
-        ) if on
-    )
-    print(f"\n=== serve-sim: {accelerator} x{replicas} "
-          f"({dispatch}), {requests} requests/scenario{extras} ===")
-    print(report.render_rows(rows))
-    if persist_memo and loaded and not len(cache):
-        # a fully warm start: every lookup came from persisted totals,
-        # so the layer-level memo never saw a single simulation
-        print(f"\nlayer-memo: warm start, every lookup served from "
-              f"the persisted pool ({cache.stats.hit_rate:.1%} hit "
-              f"rate, 0 layer simulations)")
+    memo = LayerMemoCache()
+    memo_store = ResultCache() if args.persist_memo else None
+    loaded = (load_persistent_memo(memo, memo_store)
+              if args.persist_memo else 0)
+    geo = bool(args.regions)
+    fan_out = geo or args.shards > 1
+    results: list = []
+    telemetry = None
+    if fan_out:
+        cell = dict(policy=args.policies[0], batch_size=args.batch_size,
+                    dispatch=args.dispatch, slo_us=args.slo,
+                    mode="inline" if opts.serial else "process",
+                    max_workers=opts.workers, trace=bool(args.trace),
+                    resilience=args.resilience, memo_cache=memo)
+        engine = (GeoRouter(args.regions, topology=args.topology,
+                            geo=args.geo_policy, storms=args.geo_storms,
+                            **cell) if geo
+                  else ShardedEngine(args.shards, replicas=args.replicas,
+                                     accelerator=args.accelerator, **cell))
+        # fault-carrying scenarios are not shard-stable, so the default
+        # sharded grid skips them (asking for one is an exit-2 error)
+        names = args.scenarios or [name for name, s in SCENARIOS.items()
+                                   if geo or not s.faults]
+        for name in names:
+            for policy in args.policies:
+                engine.policy = policy
+                results.append(engine.run_scenario(name, args.requests,
+                                                   args.seed))
+        rows = [result.to_row() for result in results]
+        if args.trace:
+            # one JSONL sink: every worker's tagged rows (plus the geo
+            # per-region summary rows the dashboard reads) and the
+            # summed counters
+            telemetry, counters = Telemetry(), Counter()
+            for result in results:
+                counters.update(result.counters)
+                telemetry.rows.extend(result.telemetry_rows)
+                if geo:
+                    telemetry.rows.extend(result.region_trace_rows())
+            telemetry.counters.update(counters)
     else:
-        print(f"\nlayer-memo: {len(cache)} distinct layer x batch "
-              f"results, {cache.stats.hit_rate:.1%} hit rate")
-    if persist_memo:
-        print(f"persisted memo: {loaded} totals loaded, "
-              f"{stored} stored")
+        # 200us matches the autoscaler's default control-loop interval,
+        # so a traced run without --scale still gets a metrics timeline
+        telemetry = Telemetry(tick=200e-6) if args.trace else None
+        rows = serving_grid(
+            requests=args.requests, accelerator=args.accelerator,
+            replicas=args.replicas, batch_size=args.batch_size,
+            dispatch=args.dispatch, seed=args.seed,
+            scenarios=args.scenarios or None, policies=args.policies,
+            cache=memo, slo_us=args.slo, shed_depth=args.shed,
+            autoscale=args.autoscale, faults=args.fail, flush=args.flush,
+            priority=",".join(args.priority), scale=args.scale,
+            steal=args.steal, telemetry=telemetry,
+            resilience=args.resilience,
+        )
+    stored = (store_persistent_memo(memo, memo_store)
+              if args.persist_memo else 0)
     if telemetry is not None:
-        print(f"telemetry trace: {trace_path} "
-              f"({telemetry.counters['runs']} run(s), "
-              f"{len(telemetry.rows)} row(s))")
-    return 0
-
-
-def _merged_telemetry(results: list, summary_rows=lambda result: ()):
-    """One trace sink for a grid of fan-out runs: every worker's tagged
-    rows (then ``summary_rows(result)``) and the summed counters."""
-    from repro.serving import Telemetry
-
-    telemetry = Telemetry()
-    counters: Counter = Counter()
-    for result in results:
-        counters.update(result.counters)
-        telemetry.rows.extend(result.telemetry_rows)
-        telemetry.rows.extend(summary_rows(result))
-    telemetry.counters.update(counters)
-    return telemetry
-
-
-def _serve_sim_sharded(opts: CliOptions, *, scenarios: list[str],
-                       policies: list[str], requests: int,
-                       replicas: int, batch_size: int, seed: int,
-                       accelerator: str, dispatch: str, slo_us: float,
-                       shards: int, trace_path: str,
-                       resilience: str = "",
-                       persist_memo: bool = False) -> int:
-    """The ``serve-sim --shards N`` path: fan out, merge, report.
-
-    Every cell's engine calibrates and prewarms through one shared
-    parent-side memo, so the broadcast snapshot grows across cells;
-    ``--persist-memo`` loads the persisted totals pool into that memo
-    up front (a fully warm fleet) and stores it back after the grid.
-    """
-    from repro.serving import LayerMemoCache, SCENARIOS
-    from repro.serving.memo import (load_persistent_memo,
-                                    store_persistent_memo)
-    from repro.serving.sharding import ShardedEngine
-
-    memo_cache = LayerMemoCache()
-    memo_store = ResultCache() if persist_memo else None
-    loaded = (load_persistent_memo(memo_cache, memo_store)
-              if persist_memo else 0)
-    # fault-carrying scenarios are not shard-stable, so the default
-    # grid skips them (asking for one explicitly is an exit-2 error)
-    names = scenarios or [name for name, s in SCENARIOS.items()
-                          if not s.faults]
-    trace = bool(trace_path)
-    rows: list[dict] = []
-    results = []
-    for name in names:
-        for policy in policies:
-            engine = ShardedEngine(
-                shards, accelerator=accelerator, replicas=replicas,
-                policy=policy, batch_size=batch_size, dispatch=dispatch,
-                slo_us=slo_us, trace=trace, resilience=resilience,
-                memo_cache=memo_cache,
-            )
-            result = engine.run_scenario(name, requests, seed)
-            results.append(result)
-            rows.append(result.to_row())
-    stored = (store_persistent_memo(memo_cache, memo_store)
-              if persist_memo else 0)
-    if trace:
-        # merge the shard-tagged worker traces into one JSONL sink
-        telemetry = _merged_telemetry(results)
-        telemetry.save(trace_path)
-    if opts.as_json:
-        print(report.to_json(rows))
-        return 0
-    total = sum(r.requests for r in results)
-    wall = sum(r.wall_s for r in results)
-    extras = f", slo {slo_us:g}us" if slo_us else ""
-    print(f"\n=== serve-sim: {accelerator} x{replicas} ({dispatch}), "
-          f"{requests} requests/scenario across {shards} shard "
-          f"worker(s){extras} ===")
-    print(report.render_rows(rows))
-    print(f"\nscale-out: {total} requests simulated in {wall:.2f}s "
-          f"wall ({total / wall:,.0f} aggregate req/s)" if wall
-          else f"\nscale-out: {total} requests simulated")
-    seeded = sum(r.cache.seeded for r in results)
-    if seeded:
-        print(f"warm fleet: {seeded} snapshot cells shipped, "
-              f"{sum(r.cache.seed_hits for r in results)} warm hits "
-              f"across shard workers")
-    if persist_memo:
-        print(f"persisted memo: {loaded} totals loaded, "
-              f"{stored} stored")
-    if trace:
-        print(f"telemetry trace: {trace_path} "
-              f"({len(telemetry.rows)} shard-tagged row(s))")
-    return 0
-
-
-def _serve_sim_geo(opts: CliOptions, *, scenarios: list[str],
-                   policies: list[str], requests: int, batch_size: int,
-                   seed: int, dispatch: str, slo_us: float,
-                   regions: tuple, geo_policy: str, topology: str,
-                   storms: int, trace_path: str,
-                   resilience: str = "",
-                   persist_memo: bool = False) -> int:
-    """The ``serve-sim --geo REGIONS`` path: route, fan out, merge.
-
-    All region calibrators share one parent-side memo (structural
-    keying keeps the mixed backends apart), so the broadcast snapshot
-    accumulates across cells; ``--persist-memo`` loads the persisted
-    totals pool into it up front and stores it back after the grid.
-    """
-    from repro.serving import LayerMemoCache, SCENARIOS
-    from repro.serving.geo import GeoResult, GeoRouter
-    from repro.serving.memo import (load_persistent_memo,
-                                    store_persistent_memo)
-
-    memo_cache = LayerMemoCache()
-    memo_store = ResultCache() if persist_memo else None
-    loaded = (load_persistent_memo(memo_cache, memo_store)
-              if persist_memo else 0)
-    names = scenarios or list(SCENARIOS)
-    trace = bool(trace_path)
-    router = GeoRouter(
-        regions, topology=topology, geo=geo_policy, storms=storms,
-        policy=policies[0], batch_size=batch_size, dispatch=dispatch,
-        slo_us=slo_us, trace=trace, resilience=resilience,
-        memo_cache=memo_cache,
-    )
-    rows: list[dict] = []
-    region_rows: list[dict] = []
-    results = []
-    for name in names:
-        for policy in policies:
-            router.policy = policy
-            result = router.run_scenario(name, requests, seed)
-            results.append(result)
-            rows.append(result.to_row())
-            region_rows.extend(
-                {"scenario": name, "policy": policy, **row}
-                for row in result.region_rows()
-            )
-    stored = (store_persistent_memo(memo_cache, memo_store)
-              if persist_memo else 0)
-    if trace:
-        # one JSONL sink holding every region-tagged worker trace plus
-        # the per-region summary rows the dashboard's geo table reads
-        telemetry = _merged_telemetry(results,
-                                      GeoResult.region_trace_rows)
-        telemetry.save(trace_path)
+        telemetry.save(args.trace)
+    region_rows = [{"scenario": r.scenario, "policy": r.policy, **row}
+                   for r in results for row in r.region_rows()] \
+        if geo else []
     if opts.as_json:
         print(report.to_json(rows + region_rows))
         return 0
-    total = sum(r.requests for r in results)
-    wall = sum(r.wall_s for r in results)
-    extras = "".join(
-        part for part, on in (
-            (f", slo {slo_us:g}us", slo_us),
-            (f", {storms} region storm(s)", storms),
-        ) if on
-    )
-    region_names = ", ".join(spec.name for spec in router.regions)
-    print(f"\n=== serve-sim: geo[{len(router.regions)}] "
-          f"({geo_policy} over {topology}), {requests} "
+
+    fleet = (f"geo[{len(args.regions)}] ({args.geo_policy} over "
+             f"{args.topology})" if geo
+             else f"{args.accelerator} x{args.replicas} ({args.dispatch})")
+    extras = "".join(part for part, on in (
+        (f" across {args.shards} shard worker(s)", args.shards > 1),
+        (f", slo {args.slo:g}us", args.slo),
+        (f", shed@{args.shed}", args.shed),
+        (f", autoscale {args.autoscale}", args.autoscale),
+        (f", scale {args.scale}", args.scale),
+        (f", flush {args.flush}", args.flush != "fifo"),
+        (", stealing", args.steal),
+        (f", {args.fail} fault(s)", args.fail),
+        (f", {args.geo_storms} region storm(s)", args.geo_storms),
+        # the fan-out headers never listed the resilience spec
+        (f", resilience {args.resilience}",
+         not fan_out and args.resilience not in ("", "none")),
+    ) if on)
+    print(f"\n=== serve-sim: {fleet}, {args.requests} "
           f"requests/scenario{extras} ===")
-    print(f"regions: {region_names}")
+    if geo:
+        print(f"regions: {', '.join(spec.name for spec in args.regions)}")
     print(report.render_rows(rows))
-    print("\nper-region breakdown:")
-    print(report.render_rows(region_rows))
-    print(f"\ngeo scale-out: {total} requests simulated in "
-          f"{wall:.2f}s wall ({total / wall:,.0f} aggregate req/s)"
-          if wall else f"\ngeo scale-out: {total} requests simulated")
-    seeded = sum(r.cache.seeded for r in results)
-    if seeded:
-        print(f"warm fleet: {seeded} snapshot cells shipped, "
-              f"{sum(r.cache.seed_hits for r in results)} warm hits "
-              f"across region workers")
-    if persist_memo:
+    if geo:
+        print("\nper-region breakdown:")
+        print(report.render_rows(region_rows))
+    worker = "region" if geo else "shard"
+    if fan_out:
+        label = "geo scale-out" if geo else "scale-out"
+        total = sum(r.requests for r in results)
+        wall = sum(r.wall_s for r in results)
+        print(f"\n{label}: {total} requests simulated in {wall:.2f}s "
+              f"wall ({total / wall:,.0f} aggregate req/s)" if wall
+              else f"\n{label}: {total} requests simulated")
+        seeded = sum(r.cache.seeded for r in results)
+        if seeded:
+            print(f"warm fleet: {seeded} snapshot cells shipped, "
+                  f"{sum(r.cache.seed_hits for r in results)} warm hits "
+                  f"across {worker} workers")
+    elif args.persist_memo and loaded and not len(memo):
+        # a fully warm start: every lookup came from persisted totals,
+        # so the layer-level memo never saw a single simulation
+        print(f"\nlayer-memo: warm start, every lookup served from "
+              f"the persisted pool ({memo.stats.hit_rate:.1%} hit "
+              f"rate, 0 layer simulations)")
+    else:
+        print(f"\nlayer-memo: {len(memo)} distinct layer x batch "
+              f"results, {memo.stats.hit_rate:.1%} hit rate")
+    if args.persist_memo:
         print(f"persisted memo: {loaded} totals loaded, "
               f"{stored} stored")
-    if trace:
-        print(f"telemetry trace: {trace_path} "
-              f"({len(telemetry.rows)} region-tagged row(s))")
+    if telemetry is not None:
+        runs = "" if fan_out else f"{telemetry.counters['runs']} run(s), "
+        tag = f"{worker}-tagged " if fan_out else ""
+        print(f"telemetry trace: {args.trace} ({runs}"
+              f"{len(telemetry.rows)} {tag}row(s))")
     return 0
 
 
-def _cmd_report(args: list[str], opts: CliOptions) -> int:
+def _cmd_report(argv: list[str], opts: argparse.Namespace) -> int:
     """Build the fleet report (JSON and/or the HTML dashboard)."""
     from repro.eval.blocks import (load_bench, load_ledger,
                                    load_rows, load_telemetry)
     from repro.eval.dashboard import (DEFAULT_WINDOW, build_report,
                                       render_html, summary_rows)
 
-    bench_path, ledger_path, out_path = "BENCH_serving.json", "", ""
-    rows_paths: list[str] = []
-    trace_paths: list[str] = []
-    window = DEFAULT_WINDOW
+    parser = _Parser("repro report")
+    parser.add_argument("--bench", default="BENCH_serving.json")
+    parser.add_argument("--ledger", default="")
+    parser.add_argument("--rows", action="append", default=[])
+    parser.add_argument("--trace", action="append", default=[])
+    parser.add_argument("--out", "-o", default="")
+    parser.add_argument("--window", type=_number(int, 1),
+                        default=DEFAULT_WINDOW)
     try:
-        i = 0
-        while i < len(args):
-            token = args[i]
-            if token in ("--bench", "--ledger", "--rows", "--trace",
-                         "--out", "-o", "--window"):
-                if i + 1 >= len(args):
-                    raise ConfigError(f"{token} needs a value")
-                value = args[i + 1]
-                if token == "--bench":
-                    bench_path = value
-                elif token == "--ledger":
-                    ledger_path = value
-                elif token == "--rows":
-                    rows_paths.append(value)
-                elif token == "--trace":
-                    trace_paths.append(value)
-                elif token == "--window":
-                    try:
-                        window = int(value)
-                    except ValueError:
-                        raise ConfigError(
-                            f"--window needs a number, got {value!r}"
-                        ) from None
-                    if window < 1:
-                        raise ConfigError("--window must be >= 1")
-                else:
-                    out_path = value
-            elif token.startswith("-"):
-                raise ConfigError(f"unknown report flag {token!r}")
-            else:
-                raise ConfigError(f"unexpected report argument {token!r}")
-            i += 2
-
-        grid_rows: list[dict] = []
-        for path in rows_paths:
-            grid_rows.extend(load_rows(path))
-        telemetry_rows: list[dict] = []
-        for path in trace_paths:
-            telemetry_rows.extend(load_telemetry(path))
+        args = parser.parse_args(argv)
         fleet = build_report(
-            load_bench(bench_path),
-            ledger_rows=load_ledger(ledger_path or None),
-            grid_rows=grid_rows,
-            telemetry_rows=telemetry_rows,
-            window=window,
+            load_bench(args.bench),
+            ledger_rows=load_ledger(args.ledger or None),
+            grid_rows=[row for path in args.rows
+                       for row in load_rows(path)],
+            telemetry_rows=[row for path in args.trace
+                            for row in load_telemetry(path)],
+            window=args.window,
         )
     except ConfigError as exc:
         print(f"error: {exc}")
         return 2
     if opts.as_json:
         print(report.to_json(fleet))
-        if out_path:  # HTML only when a destination was asked for
-            _write_text(out_path, render_html(fleet))
+        if args.out:  # HTML only when a destination was asked for
+            _write_text(args.out, render_html(fleet))
         return 0
-    out_path = out_path or "repro-report.html"
+    out_path = args.out or "repro-report.html"
     _write_text(out_path, render_html(fleet))
     cells = summary_rows(fleet)
     if cells:
         print(report.render_rows(cells))
     else:
-        print(f"no bench points in '{bench_path}'")
+        print(f"no bench points in '{args.bench}'")
     runs = fleet["runs"]
     print(f"\nreport: {len(cells)} bench cell(s), {runs['total']} "
           f"ledger run(s), {len(fleet['timeline'])} telemetry "
@@ -872,7 +584,7 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _cmd_runs(args: list[str], opts: CliOptions) -> int:
+def _cmd_runs(args: list[str], opts: argparse.Namespace) -> int:
     if args:
         print(f"unknown runs argument(s) {' '.join(args)!r}; "
               f"use --limit N to bound the listing")
@@ -893,7 +605,7 @@ def _cmd_runs(args: list[str], opts: CliOptions) -> int:
     return 0
 
 
-def _cmd_cache(args: list[str], opts: CliOptions) -> int:
+def _cmd_cache(args: list[str], opts: argparse.Namespace) -> int:
     cache = ResultCache()
     if args == ["clear"]:
         removed = cache.clear()
@@ -928,7 +640,9 @@ def _cmd_cache(args: list[str], opts: CliOptions) -> int:
 def main(argv: list[str]) -> int:
     """CLI dispatcher; returns a process exit code."""
     try:
-        opts, args = _parse_flags(list(argv))
+        # unknown tokens keep their order, so the shared flags work
+        # anywhere on the line and the rest goes to the subcommand
+        opts, args = _global_parser().parse_known_args(list(argv))
     except ConfigError as exc:
         print(f"error: {exc}")
         return 2

@@ -1,9 +1,13 @@
 """Tests for the network compiler driver and the CLI entry point."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+import repro.__main__ as cli
 from repro.__main__ import EXPERIMENTS, main, run
 from repro.compiler.driver import NetworkCompiler
 from repro.cryomem import TABLE1
@@ -178,12 +182,14 @@ class TestServeSimCli:
             assert 0 < row["p50_us"] <= row["p95_us"] <= row["p99_us"]
 
     def test_single_scenario_and_policy(self, capsys):
-        assert main(["--json", "serve-sim", "steady",
-                     "--policy", "timeout", *self.FAST]) == 0
-        rows = json.loads(capsys.readouterr().out)
-        assert [(r["scenario"], r["policy"]) for r in rows] == [
-            ("steady", "timeout")
-        ]
+        # the scenario may come before or after the flags
+        for argv in (["steady", "--policy", "timeout", *self.FAST],
+                     ["--policy", "timeout", "steady", *self.FAST]):
+            assert main(["--json", "serve-sim", *argv]) == 0
+            rows = json.loads(capsys.readouterr().out)
+            assert [(r["scenario"], r["policy"]) for r in rows] == [
+                ("steady", "timeout")
+            ]
 
     def test_table_output_mentions_memo(self, capsys):
         assert main(["serve-sim", "steady", "--policy", "fixed",
@@ -202,6 +208,14 @@ class TestServeSimCli:
 
     def test_unknown_flag_rejected(self, capsys):
         assert main(["serve-sim", "--burst"]) == 2
+        capsys.readouterr()
+        # flag names are exact: `--req` is no abbreviation of
+        # `--requests`, and the error names it, not the '5' after it
+        assert main(["serve-sim", "--req", "5"]) == 2
+        out = capsys.readouterr().out
+        assert "--req" in out and "'5'" not in out
+        # no help flag: a usage error, returned rather than SystemExit
+        assert main(["serve-sim", "-h"]) == 2
 
     def test_bad_requests_value_rejected(self, capsys):
         assert main(["serve-sim", "--requests", "many"]) == 2
@@ -349,6 +363,95 @@ class TestServeSimCli:
         assert "0 totals loaded" not in warm
         assert "warm start" in warm
         assert "0 layer simulations" in warm
+
+
+WALL = r"[0-9.]+s wall \([0-9,]+ aggregate req/s\)"
+
+
+class TestServeSimPaths:
+    """What the plain, sharded and geo paths print and where their
+    worker pools come from."""
+
+    @pytest.mark.parametrize("argv,head,tail", [
+        (["steady", "--policy", "timeout", "--replicas", "1",
+          "--requests", "120", "--slo", "2000", "--shed", "48",
+          "--resilience", "retry:budget=1"],
+         ["=== serve-sim: SMART x1 (round_robin), 120 requests/scenario, "
+          "slo 2000us, shed@48, resilience retry:budget=1 ==="],
+         [re.escape("layer-memo: 636 distinct layer x batch results, "
+                    "61.7% hit rate")]),
+        (["steady", "--shards", "2", "--replicas", "2", "--requests",
+          "200", "--policy", "timeout", "--slo", "900"],
+         ["=== serve-sim: SMART x2 (shard), 200 requests/scenario across "
+          "2 shard worker(s), slo 900us ==="],
+         ["scale-out: 200 requests simulated in " + WALL,
+          re.escape("warm fleet: 96 snapshot cells shipped, 96 warm hits "
+                    "across shard workers")]),
+        (["diurnal", "--geo", "2", "--geo-storms", "1", "--slo", "4000",
+          "--requests", "200", "--policy", "timeout"],
+         ["=== serve-sim: geo[2] (home over mesh), 200 requests/scenario, "
+          "slo 4000us, 1 region storm(s) ===",
+          "regions: us-east, eu-west"],
+         ["geo scale-out: 200 requests simulated in " + WALL,
+          re.escape("warm fleet: 192 snapshot cells shipped, 96 warm hits "
+                    "across region workers")]),
+    ], ids=["plain", "sharded", "geo"])
+    def test_header_and_summary_lines(self, argv, head, tail, capsys):
+        assert main(["serve-sim", *argv]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[1:1 + len(head)] == head
+        # the summary is everything after the last table
+        summary = out.rsplit("\n\n", 1)[1].splitlines()
+        assert len(summary) == len(tail)
+        for line, pattern in zip(summary, tail):
+            assert re.fullmatch(pattern, line), line
+
+    @pytest.mark.parametrize("argv,mode,width", [
+        (["--serial", "serve-sim", "steady", "--shards", "2",
+          "--replicas", "2"], "inline", None),
+        (["--workers", "1", "serve-sim", "steady", "--geo", "2"],
+         "process", 1),
+    ], ids=["sharded-serial", "geo-workers"])
+    def test_pool_flags_reach_the_fan_out(self, argv, mode, width,
+                                          monkeypatch, capsys):
+        from repro.serving import sharding
+
+        calls = []
+        real = sharding.parallel_map
+
+        def spy(*args, **kwargs):
+            calls.append((kwargs["mode"], kwargs["max_workers"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sharding, "parallel_map", spy)
+        assert main([*argv, "--requests", "200", "--policy",
+                     "timeout"]) == 0
+        assert "scale-out:" in capsys.readouterr().out
+        assert calls and set(calls) == {(mode, width)}
+
+    def test_documented_invocations_parse(self):
+        """Every ``repro ... serve-sim ...`` line in a code block of the
+        module docstring, README.md or the verify recipe passes the
+        parse-and-check step (nothing is served)."""
+        root = Path(__file__).resolve().parent.parent
+        sources = {"__main__": cli.__doc__}
+        for path in ("README.md", ".claude/skills/verify/SKILL.md"):
+            text = (root / path).read_text(encoding="utf-8")
+            sources[path] = "\n".join(
+                re.findall(r"```[^\n]*\n(.*?)```", text, re.DOTALL))
+        for source, text in sources.items():
+            lines = [line.split("#")[0]
+                     for line in text.replace("\\\n", " ").splitlines()]
+            commands = [shlex.split(line[match.end():])
+                        for line in lines
+                        for match in [re.match(r"\s*(python -m )?repro ",
+                                               line)]
+                        if match and "serve-sim" in line]
+            assert commands, source
+            for argv in commands:
+                _, rest = cli._global_parser().parse_known_args(argv)
+                assert rest[0] == "serve-sim", argv
+                cli._serve_sim_args(rest[1:])
 
 
 class TestServeSimShardsCli:
