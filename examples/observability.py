@@ -16,7 +16,7 @@ from repro.eval.blocks import AggregateBlock, FilterBlock, Pipeline, \
     load_bench
 from repro.eval.dashboard import build_report, render_html
 from repro.serving import (
-    AutoscalePolicy,
+    ReactiveScalePolicy,
     ServingSimulator,
     Telemetry,
     make_policy,
@@ -29,7 +29,7 @@ def main() -> None:
     telemetry = Telemetry(tick=200e-6)
     cluster = ServingSimulator(
         "SMART", replicas=1, policy=make_policy("timeout"),
-        autoscale=make_scale("holt", AutoscalePolicy(
+        autoscale=make_scale("holt", ReactiveScalePolicy(
             min_replicas=1, max_replicas=6)),
         telemetry=telemetry,
     )

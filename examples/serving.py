@@ -17,11 +17,11 @@ import time
 
 from repro.eval import render_rows
 from repro.serving import (
-    AutoscalePolicy,
     EdfFlush,
     FailurePlan,
     ForecastScalePolicy,
     LayerMemoCache,
+    ReactiveScalePolicy,
     ServingSimulator,
     SloPolicy,
     WorkStealPolicy,
@@ -91,7 +91,7 @@ def main() -> None:
         "SMART", replicas=1, policy=policy, dispatch="least_loaded",
         cache=cluster.cache,
         slo=SloPolicy(target=2000e-6),
-        autoscale=AutoscalePolicy(min_replicas=1, max_replicas=6),
+        autoscale=ReactiveScalePolicy(min_replicas=1, max_replicas=6),
     )
     outcome = scaled.run_scenario(wave, 5_000, seed=7)
     ups = sum(1 for _, a in outcome.scale_events if a == "up")

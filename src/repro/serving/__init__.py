@@ -32,10 +32,8 @@ from repro.serving.batching import (
     make_policy,
 )
 from repro.serving.events import (
-    AutoscalePolicy,
     ClusterEngine,
     DISPATCH_STRATEGIES,
-    Event,
     EventKind,
     EventQueue,
     FailurePlan,
@@ -144,7 +142,6 @@ from repro.serving.workload import (
 __all__ = [
     "ARRIVAL_SHAPES",
     "AdmissionPolicy",
-    "AutoscalePolicy",
     "BatchRecord",
     "BurstyProcess",
     "CacheStats",
@@ -157,7 +154,6 @@ __all__ = [
     "DispatchPolicy",
     "DiurnalProcess",
     "EdfFlush",
-    "Event",
     "EventKind",
     "EventQueue",
     "FLUSH_POLICIES",

@@ -8,8 +8,9 @@ to the clock itself: autoscaling ticks, replica failures mid-batch,
 admission decisions against a live queue depth.  This module replaces
 it with a true discrete-event engine:
 
-- a heap-ordered :class:`EventQueue` of arrival / flush-deadline /
-  batch-done / failure / recovery / control-tick / drain events;
+- a heap-ordered :class:`EventQueue` of flush-deadline / batch-done /
+  failure / recovery / control-tick / drain events, merge-scanned
+  against the time-ordered arrivals;
 - :class:`ClusterEngine`, which owns the queues, the replica pool and
   the clock, and on which the control plane runs:
 
@@ -17,7 +18,8 @@ it with a true discrete-event engine:
     accelerator configuration, and the ``fastest_finish`` dispatch
     strategy picks the replica that *completes* a batch earliest
     (per-replica service times), not merely the one that frees first;
-  * **SLO-aware autoscaling** (:class:`AutoscalePolicy`) — scale on
+  * **SLO-aware autoscaling**
+    (:class:`~repro.serving.policies.ReactiveScalePolicy`) — scale on
     queue depth or windowed p95 latency, with warm-up delay before a
     new replica serves and a cooldown between actions;
   * **failure injection** (:class:`FailurePlan`) — a replica drops
@@ -33,10 +35,9 @@ policy seams in :mod:`repro.serving.policies`: replica selection to a
 strategies reproduce the retired string branches bit for bit), flush
 tie-breaking / drain ordering / parked-batch re-dispatch to a
 :class:`~repro.serving.policies.FlushPolicy`, the control-tick pool
-decision to a :class:`~repro.serving.policies.ScalePolicy` (an
-:class:`AutoscalePolicy` is wrapped reactively; predictive policies
-consume the per-tick arrival-rate history the engine keeps for them),
-and arrival admission to an
+decision to a :class:`~repro.serving.policies.ScalePolicy` (predictive
+policies consume the per-tick arrival-rate history the engine keeps
+for them), and arrival admission to an
 :class:`~repro.serving.policies.AdmissionPolicy`.  A
 :class:`~repro.serving.policies.WorkStealPolicy` additionally lets
 control ticks re-dispatch the most-backlogged replica's last
@@ -56,8 +57,9 @@ per-request latencies bit for bit.
 
 The hot path is tuned for trace scale (see ``BENCH_serving.json``):
 the heap holds raw ``(time, kind, key, seq, payload)`` tuples rather
-than :class:`Event` objects, arrivals are merge-scanned out of the
-(time-ordered) trace instead of being heap-resident, per-(replica
+than event objects, arrivals are merge-scanned out of the
+(time-ordered) trace instead of being heap-resident — one loop for a
+materialised trace and a lazily pulled stream alike — per-(replica
 configuration, model, batch-size) service/energy rates are memoised
 outside the dispatch inner loop, and the windowed-p95 autoscale metric
 is maintained incrementally (:class:`_LatencyWindow`) instead of
@@ -76,8 +78,9 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import pairwise
 from math import ceil
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.serving.policies import (
@@ -86,7 +89,6 @@ from repro.serving.policies import (
     DispatchPolicy,
     FifoFlush,
     FlushPolicy,
-    ReactiveScalePolicy,
     ResiliencePolicy,
     ScalePolicy,
     WorkStealPolicy,
@@ -155,45 +157,23 @@ _HEDGE = int(EventKind.HEDGE)
 _CANCEL = int(EventKind.CANCEL)
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One scheduled event.
-
-    Attributes:
-        time: simulation instant (s).
-        kind: event type (also its tie-break priority).
-        key: secondary tie-break — the model name for FLUSH events, so
-            simultaneous deadlines fire in (deadline, model) order.
-        payload: kind-specific data.
-    """
-
-    time: float
-    kind: EventKind
-    key: str = ""
-    payload: object = None
-
-
 class EventQueue:
     """A heap-ordered event queue with deterministic tie-breaking.
 
     Events at the same instant pop in (kind, key, insertion) order;
     insertion order makes simultaneous same-kind events (e.g. two
-    arrivals with identical timestamps) deterministic and stable.
+    failures at one instant) deterministic and stable.
 
     The heap stores raw ``(time, kind, key, seq, payload)`` tuples —
-    no per-event object allocation on ``push``; :meth:`pop` wraps the
-    head back into an :class:`Event` for callers that want one.  The
-    engine's run loop reads the raw tuples directly.
+    no per-event object allocation on ``push`` — and the engine's run
+    loop pops them straight off ``_heap``.
     """
 
     __slots__ = ("_heap", "_seq")
 
-    def __init__(self, first_seq: int = 0) -> None:
+    def __init__(self) -> None:
         self._heap: list[tuple[float, int, str, int, object]] = []
-        self._seq = first_seq
-
-    def __len__(self) -> int:
-        return len(self._heap)
+        self._seq = 0
 
     def push(self, time: float, kind: EventKind, key: str = "",
              payload: object = None) -> None:
@@ -201,18 +181,6 @@ class EventQueue:
         heapq.heappush(self._heap,
                        (time, int(kind), key, self._seq, payload))
         self._seq += 1
-
-    def next_time(self) -> float:
-        """The earliest scheduled instant (the heap head's time)."""
-        if not self._heap:
-            raise ConfigError("next_time of an empty event queue")
-        return self._heap[0][0]
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event."""
-        time, kind, key, _seq, payload = heapq.heappop(self._heap)
-        return Event(time=time, kind=EventKind(kind), key=key,
-                     payload=payload)
 
 
 class _LatencyWindow:
@@ -283,58 +251,6 @@ class SloPolicy:
             raise ConfigError("SLO target must be positive")
         if self.shed_depth is not None and self.shed_depth < 1:
             raise ConfigError("shed depth must be >= 1")
-
-
-@dataclass(frozen=True)
-class AutoscalePolicy:
-    """Replica autoscaling driven by queue depth or windowed p95.
-
-    Attributes:
-        min_replicas, max_replicas: pool bounds.
-        metric: ``"queue"`` scales on in-system requests (queued *or*
-            dispatched but unfinished) per alive replica; ``"p95"`` on
-            the p95 of a sliding window of completed-request latencies
-            (needs ``target_p95``).
-        high_queue: scale up when in-system > high_queue x alive.
-        low_queue: scale down when in-system < low_queue x alive.
-        target_p95: p95 objective (s) for the ``"p95"`` metric; scale
-            up above it, down below half of it.
-        tick: control-loop interval (s).
-        warmup: delay before a fresh replica can start serving (s).
-        cooldown: minimum spacing between scale actions (s).
-        window: completed-request latencies the p95 metric looks at.
-    """
-
-    min_replicas: int = 1
-    max_replicas: int = 8
-    metric: str = "queue"
-    high_queue: int = 12
-    low_queue: int = 2
-    target_p95: Optional[float] = None
-    tick: float = 200e-6
-    warmup: float = 1e-3
-    cooldown: float = 500e-6
-    window: int = 256
-
-    def __post_init__(self) -> None:
-        if self.min_replicas < 1 or self.max_replicas < self.min_replicas:
-            raise ConfigError(
-                "autoscale needs 1 <= min_replicas <= max_replicas"
-            )
-        if self.metric not in ("queue", "p95"):
-            raise ConfigError("autoscale metric must be 'queue' or 'p95'")
-        if self.metric == "p95" and (self.target_p95 is None
-                                     or self.target_p95 <= 0):
-            raise ConfigError("p95 autoscaling needs a positive target_p95")
-        if self.high_queue < 1 or self.low_queue < 0:
-            raise ConfigError("queue thresholds must be sensible")
-        if self.low_queue >= self.high_queue:
-            raise ConfigError("low_queue must sit below high_queue")
-        if self.tick <= 0 or self.warmup < 0 or self.cooldown < 0:
-            raise ConfigError("autoscale times must be non-negative "
-                              "(tick positive)")
-        if self.window < 1:
-            raise ConfigError("latency window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -547,11 +463,12 @@ class ClusterEngine:
             work regardless of trace length.
         energy_fn: (accelerator, model, batch) -> batch energy (J).
         slo: SLO / admission-control policy, or None.
-        autoscale: scaling — an :class:`AutoscalePolicy` (wrapped in
-            the stock reactive :class:`ScalePolicy`), a
-            :class:`~repro.serving.policies.ScalePolicy` directly, or
-            None for a static pool.  Replicas added by a scale-up
-            clone the *first* replica's accelerator configuration.
+        autoscale: a :class:`~repro.serving.policies.ScalePolicy`
+            (the stock reactive
+            :class:`~repro.serving.policies.ReactiveScalePolicy`, or
+            e.g. a forecaster), or None for a static pool.  Replicas
+            added by a scale-up clone the *first* replica's
+            accelerator configuration.
         failures: failure-injection plan, or None.
         memoize_rates: memoise (replica configuration, model, batch
             size) -> (service, energy) for the run, hoisting the
@@ -593,8 +510,7 @@ class ClusterEngine:
                  service_fn: Callable[[object, str, int], float],
                  energy_fn: Callable[[object, str, int], float],
                  slo: Optional[SloPolicy] = None,
-                 autoscale: Optional[AutoscalePolicy | ScalePolicy]
-                 = None,
+                 autoscale: Optional[ScalePolicy] = None,
                  failures: Optional[FailurePlan] = None,
                  memoize_rates: bool = True,
                  switch_fn: Optional[Callable[[object, str, int],
@@ -618,11 +534,7 @@ class ClusterEngine:
         self.energy_fn = energy_fn
         self.switch_fn = switch_fn
         self.slo = slo
-        self.autoscale = autoscale
-        self.scale: Optional[ScalePolicy] = (
-            ReactiveScalePolicy(autoscale)
-            if isinstance(autoscale, AutoscalePolicy) else autoscale
-        )
+        self.scale = autoscale
         self.flush = flush if flush is not None else FifoFlush()
         if admission is None and slo is not None \
                 and slo.shed_depth is not None:
@@ -637,12 +549,8 @@ class ClusterEngine:
         self._initial = list(replicas)
 
     # -- per-run state ---------------------------------------------------
-    def _prepare(self, t0: float, n: int) -> None:
-        """Reset all per-run state for a run starting at ``t0``.
-
-        ``n`` seeds ``_remaining`` (arrivals still to come); the
-        streaming path maintains it from its look-ahead instead.
-        """
+    def _prepare(self, t0: float) -> None:
+        """Reset all per-run state for a run starting at ``t0``."""
         self._replicas = [
             Replica(index=i, accelerator=acc)
             for i, acc in enumerate(self._initial)
@@ -661,7 +569,8 @@ class ClusterEngine:
         self._stolen = 0
         self._wasted = 0.0
         self._in_system = 0
-        self._remaining = n
+        # arrivals still to come; cleared once the source runs dry
+        self._remaining = True
         self._last_scale = float("-inf")
         scale = self.scale
         if scale is not None:
@@ -786,51 +695,64 @@ class ClusterEngine:
         """Serve a trace and return the raw outcome.
 
         ``requests`` is either a materialised sequence (sorted here if
-        out of order) or any other iterable — a generator streams with
-        one request of look-ahead and is never materialised.  Streamed
-        traces must already be time-ordered.
+        out of order) or any other iterable, which must already be
+        time-ordered — a generator streams with one request of
+        look-ahead and is never materialised.  Both feed one merge-scan.
 
         ``span`` optionally pins the run's ``(start, drain)`` horizon
         instead of the trace's own first/last arrival — a sharded run
         passes the *global* trace span so every shard drains at the
-        same instant the monolithic engine would.  Streaming with a
-        :class:`FailurePlan` requires a span (outages are sampled over
-        the full horizon before the first arrival is seen).
+        same instant the monolithic engine would.  A sequence's span
+        defaults to its first and last arrival; a stream with a
+        :class:`FailurePlan` needs an explicit one (outages are
+        sampled over the full horizon before the first arrival is
+        seen).
         """
-        if not isinstance(requests, Sequence):
-            return self._run_stream(iter(requests), span)
-        if not requests:
-            raise ConfigError("cannot serve an empty trace")
-        n = len(requests)
-        ordered = requests
-        if any(ordered[i].arrival > ordered[i + 1].arrival
-               for i in range(n - 1)):
-            # stable, so equal arrivals keep their trace order — the
-            # same tie-break the heap's insertion seq used to provide
-            ordered = sorted(requests, key=lambda r: r.arrival)
-        # trace span from the *time* order, never the input order: the
-        # DRAIN must land at the true last arrival or late requests
-        # under a deadline-less policy would sit in their queues forever
-        t0, t_end = ordered[0].arrival, ordered[-1].arrival
-        if span is not None:
-            if span[0] > t0 or span[1] < t_end:
+        if isinstance(requests, Sequence) and requests:
+            if any(a.arrival > b.arrival for a, b in pairwise(requests)):
+                # stable, so equal arrivals keep their trace order
+                requests = sorted(requests, key=lambda r: r.arrival)
+            # span from the *time* order, never the input order: the
+            # DRAIN must land at the true last arrival or late requests
+            # under a deadline-less policy would sit in their queues
+            first, last = requests[0].arrival, requests[-1].arrival
+            if span is None:
+                span = (first, last)
+            elif span[0] > first or span[1] < last:
                 raise ConfigError("span must cover the trace's "
                                   "arrival interval")
-            t0, t_end = span
+        it = iter(requests)
+        request = next(it, None)
+        if request is None:
+            raise ConfigError("cannot serve an empty trace")
+        arrival = request.arrival
+        if span is not None and arrival < span[0]:
+            raise ConfigError("streamed arrival lands before the "
+                              "span's start")
+        t0 = arrival if span is None else span[0]
+        self._prepare(t0)
 
-        self._prepare(t0, n)
-
-        # Arrivals stay in the (time-ordered) trace and are merge-
+        # Arrivals stay in the (time-ordered) source and are merge-
         # scanned against the heap, which only ever holds the sparse
-        # flush/done/control events.  Arrival ``seq`` is the trace
-        # index; heap events start numbering after the trace, so every
-        # same-instant tie resolves exactly as when arrivals were
-        # pushed first (kind, key, then insertion order).
-        events = EventQueue(first_seq=n)
+        # flush/done/control events.  No heap entry is an ARRIVAL, so
+        # comparing the head against (arrival, ARRIVAL) fires a
+        # same-instant FLUSH before the arrival and every other kind
+        # after it, in EventKind order.  The DRAIN is the only kind-6
+        # event, so it sorts after every same-instant event whenever
+        # it is pushed: up front when the span is known, else when
+        # the source runs dry.
+        events = EventQueue()
         self._events = events
-        events.push(t_end, EventKind.DRAIN)
+        if span is not None:
+            events.push(span[1], EventKind.DRAIN)
         if self.failures is not None:
-            for outage in self.failures.resolve(t0, t_end,
+            if span is None:
+                raise ConfigError(
+                    "streaming runs with a failure plan need an "
+                    "explicit span=(start, end); outages are sampled "
+                    "over the full horizon before arrivals are seen"
+                )
+            for outage in self.failures.resolve(t0, span[1],
                                                 len(self._replicas)):
                 if outage.replica >= len(self._replicas):
                     raise ConfigError(
@@ -848,107 +770,30 @@ class ClusterEngine:
         heap = events._heap
         heappop = heapq.heappop
         on_arrival = self._on_arrival
-        i = 0
+        t_cap = span[1] if span is not None else float("inf")
         while True:
-            if i < n:
-                request = ordered[i]
-                if heap and heap[0] < (request.arrival, _ARRIVAL, "", i):
-                    time, kind, _key, _seq, payload = heappop(heap)
-                    handlers[kind](time, payload)
-                else:
-                    on_arrival(request.arrival, request)
-                    i += 1
-            elif heap:
+            if heap and heap[0] < (arrival, _ARRIVAL):
                 time, kind, _key, _seq, payload = heappop(heap)
                 handlers[kind](time, payload)
-            else:
+                continue
+            on_arrival(arrival, request)
+            request = next(it, None)
+            if request is None:
                 break
-
-        return self._finish()
-
-    def _run_stream(self, it: Iterator[Request],
-                    span: Optional[tuple[float, float]]) -> EngineRun:
-        """Serve a time-ordered stream with one request of look-ahead.
-
-        Identical outcomes to the materialised path: arrivals never
-        enter the heap, so heap ``seq`` numbers only order heap-vs-heap
-        ties and the ``first_seq=n`` offset the tuple path uses is
-        irrelevant; the end-of-trace DRAIN (the single kind-6 event,
-        which sorts after every same-instant event regardless of
-        insertion order) is pushed when the stream runs dry, at the
-        last arrival seen — unless ``span`` pins the horizon up front.
-        """
-        first = next(it, None)
-        if first is None:
-            raise ConfigError("cannot serve an empty trace")
-        if span is not None and first.arrival < span[0]:
-            raise ConfigError("streamed arrival lands before the "
-                              "span's start")
-        t0 = first.arrival if span is None else span[0]
-        self._prepare(t0, 1)
-        events = EventQueue()
-        self._events = events
-        if span is not None:
-            events.push(span[1], EventKind.DRAIN)
-        if self.failures is not None:
-            if span is None:
+            last, arrival = arrival, request.arrival
+            if not last <= arrival <= t_cap:
                 raise ConfigError(
-                    "streaming runs with a failure plan need an "
-                    "explicit span=(start, end); outages are sampled "
-                    "over the full horizon before arrivals are seen"
+                    "streamed traces must be time-ordered"
+                    if arrival < last else
+                    "streamed arrival lands after the span's drain "
+                    "horizon"
                 )
-            for outage in self.failures.resolve(t0, span[1],
-                                                len(self._replicas)):
-                if outage.replica >= len(self._replicas):
-                    raise ConfigError(
-                        f"outage targets replica {outage.replica} but "
-                        f"the pool has {len(self._replicas)}"
-                    )
-                events.push(outage.at, EventKind.FAIL,
-                            payload=outage.replica)
-                events.push(outage.until, EventKind.RECOVER,
-                            payload=outage.replica)
-        if self._control_tick:
-            events.push(t0 + self._control_tick, EventKind.CONTROL)
-
-        handlers = self._handlers()
-        heap = events._heap
-        heappop = heapq.heappop
-        on_arrival = self._on_arrival
-        t_cap = span[1] if span is not None else None
-        nxt: Optional[Request] = first
-        last_arrival = first.arrival
-        i = 0
-        while True:
-            if nxt is not None:
-                if heap and heap[0] < (nxt.arrival, _ARRIVAL, "", i):
-                    time, kind, _key, _seq, payload = heappop(heap)
-                    handlers[kind](time, payload)
-                else:
-                    on_arrival(nxt.arrival, nxt)
-                    last_arrival = nxt.arrival
-                    i += 1
-                    nxt = next(it, None)
-                    if nxt is None:
-                        self._remaining = 0
-                        if span is None:
-                            events.push(last_arrival, EventKind.DRAIN)
-                    else:
-                        if nxt.arrival < last_arrival:
-                            raise ConfigError(
-                                "streamed traces must be time-ordered"
-                            )
-                        if t_cap is not None and nxt.arrival > t_cap:
-                            raise ConfigError(
-                                "streamed arrival lands after the "
-                                "span's drain horizon"
-                            )
-                        self._remaining = 1
-            elif heap:
-                time, kind, _key, _seq, payload = heappop(heap)
-                handlers[kind](time, payload)
-            else:
-                break
+        self._remaining = False
+        if span is None:
+            events.push(arrival, EventKind.DRAIN)
+        while heap:
+            time, kind, _key, _seq, payload = heappop(heap)
+            handlers[kind](time, payload)
 
         return self._finish()
 
@@ -956,7 +801,6 @@ class ClusterEngine:
     # Handlers take (time, payload) — the engine never materialises
     # Event objects on its own queue.
     def _on_arrival(self, time: float, request: Request) -> None:
-        self._remaining -= 1
         if self._track_rate:
             # offered load, so shed arrivals still count into the rate
             self._tick_arrivals += 1

@@ -24,10 +24,11 @@ from typing import Mapping, Optional, Sequence
 from repro.core import make_accelerator
 from repro.errors import ConfigError
 from repro.serving.batching import POLICIES, make_policy
-from repro.serving.events import AutoscalePolicy, FailurePlan, SloPolicy
+from repro.serving.events import FailurePlan, SloPolicy
 from repro.serving.memo import LayerMemoCache
 from repro.serving.policies import (
     ForecastScalePolicy,
+    ReactiveScalePolicy,
     WorkStealPolicy,
     make_flush,
     make_resilience,
@@ -41,8 +42,8 @@ from repro.serving.workload import SCENARIOS, get_scenario
 
 def parse_autoscale(spec: str, metric: str = "queue",
                     target_p95_us: float = 0.0
-                    ) -> Optional[AutoscalePolicy]:
-    """Build an :class:`AutoscalePolicy` from a ``"min:max"`` spec.
+                    ) -> Optional[ReactiveScalePolicy]:
+    """Build a :class:`ReactiveScalePolicy` from a ``"min:max"`` spec.
 
     Empty spec means no autoscaling; ``target_p95_us`` switches the
     metric to windowed p95 when positive.
@@ -61,11 +62,11 @@ def parse_autoscale(spec: str, metric: str = "queue",
             f"bad autoscale spec {spec!r}; expected MIN:MAX"
         ) from None
     if target_p95_us > 0:
-        return AutoscalePolicy(min_replicas=low, max_replicas=high,
-                               metric="p95",
-                               target_p95=target_p95_us * 1e-6)
-    return AutoscalePolicy(min_replicas=low, max_replicas=high,
-                           metric=metric)
+        return ReactiveScalePolicy(min_replicas=low, max_replicas=high,
+                                   metric="p95",
+                                   target_p95=target_p95_us * 1e-6)
+    return ReactiveScalePolicy(min_replicas=low, max_replicas=high,
+                               metric=metric)
 
 
 def parse_priorities(spec) -> dict[str, int]:
@@ -148,8 +149,7 @@ def serving_grid(requests: int = 2000, accelerator: str = "SMART",
     cache = cache if cache is not None else LayerMemoCache()
     slo = make_slo(slo_us, shed_depth)
     bounds = parse_autoscale(autoscale)
-    if scale:
-        make_scale(scale, bounds)  # fail fast on a bad spec
+    make_scale(scale, bounds)  # fail fast on a bad spec
     # flush policies are stateless (an immutable priority map), so one
     # instance serves the whole grid; scale policies carry forecast
     # state + calibration and are built fresh per cell below
@@ -164,8 +164,7 @@ def serving_grid(requests: int = 2000, accelerator: str = "SMART",
                 accelerator=config, replicas=replicas,
                 policy=make_policy(policy_name, batch_size=batch_size),
                 dispatch=dispatch, cache=cache, slo=slo,
-                autoscale=(make_scale(scale, bounds) if scale
-                           else bounds),
+                autoscale=make_scale(scale, bounds),
                 failures=failures, flush=flush_policy,
                 steal=WorkStealPolicy() if steal else None,
                 telemetry=telemetry,
@@ -285,14 +284,14 @@ def serving_forecast(scenario: str = "diurnal", policy: str = "timeout",
     rows = []
     for mode in modes:
         if mode == "reactive-queue":
-            scaling = AutoscalePolicy(min_replicas=min_replicas,
-                                      max_replicas=max_replicas,
-                                      metric="queue")
+            scaling = ReactiveScalePolicy(min_replicas=min_replicas,
+                                          max_replicas=max_replicas,
+                                          metric="queue")
         elif mode == "reactive-p95":
-            scaling = AutoscalePolicy(min_replicas=min_replicas,
-                                      max_replicas=max_replicas,
-                                      metric="p95",
-                                      target_p95=slo_us * 1e-6)
+            scaling = ReactiveScalePolicy(min_replicas=min_replicas,
+                                          max_replicas=max_replicas,
+                                          metric="p95",
+                                          target_p95=slo_us * 1e-6)
         elif mode in ("ewma", "holt"):
             scaling = ForecastScalePolicy(
                 min_replicas=min_replicas, max_replicas=max_replicas,

@@ -27,11 +27,11 @@ the engine calls through, plus the new policies that ride on them:
   behaviour; :class:`EdfFlush` adds earliest-deadline-first ordering
   with per-model priority classes.
 - :class:`ScalePolicy` — the control-tick scaling decision.
-  :class:`ReactiveScalePolicy` wraps the stock
-  :class:`~repro.serving.events.AutoscalePolicy` (queue-depth or
-  windowed-p95) unchanged; :class:`ForecastScalePolicy` feeds the
-  engine's per-tick arrival-rate history into an EWMA or Holt
-  (double-exponential) forecast and scales *ahead* of the crest.
+  :class:`ReactiveScalePolicy` is the stock autoscaler (queue-depth or
+  windowed-p95, with its pool bounds and timing as plain fields);
+  :class:`ForecastScalePolicy` feeds the engine's per-tick
+  arrival-rate history into an EWMA or Holt (double-exponential)
+  forecast and scales *ahead* of the crest.
 - :class:`AdmissionPolicy` — per-arrival admit/shed.
   :class:`DepthAdmission` is the stock in-system concurrency bound.
 
@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime cycle
-    from repro.serving.events import AutoscalePolicy, Replica
+    from repro.serving.events import Replica
 
 #: Priority classes are small signed integers; the bound keeps the
 #: fixed-width flush-key encoding total-ordered.
@@ -393,42 +393,75 @@ class ScalePolicy:
         raise NotImplementedError
 
 
+@dataclass(frozen=True)
 class ReactiveScalePolicy(ScalePolicy):
-    """The stock reactive autoscaler, behind the policy seam.
+    """The stock reactive autoscaler: queue depth or windowed p95.
 
-    Wraps an :class:`~repro.serving.events.AutoscalePolicy` and
-    reproduces the engine's retired inline decision exactly: scale on
-    in-system backlog per alive replica (``"queue"``), or on the p95
-    of the completed-latency window (``"p95"``).
+    Attributes:
+        min_replicas, max_replicas: pool bounds.
+        metric: ``"queue"`` scales on in-system requests (queued *or*
+            dispatched but unfinished) per alive replica; ``"p95"`` on
+            the p95 of a sliding window of completed-request latencies
+            (needs ``target_p95``).
+        high_queue: scale up when in-system > high_queue x alive.
+        low_queue: scale down when in-system < low_queue x alive.
+        target_p95: p95 objective (s) for the ``"p95"`` metric; scale
+            up above it, down below half of it.
+        tick: control-loop interval (s).
+        warmup: delay before a fresh replica can start serving (s).
+        cooldown: minimum spacing between scale actions (s).
+        window: completed-request latencies the p95 metric looks at.
     """
 
     name = "reactive"
 
-    def __init__(self, policy: "AutoscalePolicy") -> None:
-        self.policy = policy
-        self.min_replicas = policy.min_replicas
-        self.max_replicas = policy.max_replicas
-        self.tick = policy.tick
-        self.warmup = policy.warmup
-        self.cooldown = policy.cooldown
+    min_replicas: int = 1
+    max_replicas: int = 8
+    metric: str = "queue"
+    high_queue: int = 12
+    low_queue: int = 2
+    target_p95: Optional[float] = None
+    tick: float = 200e-6
+    warmup: float = 1e-3
+    cooldown: float = 500e-6
+    window: int = 256
+
+    def __post_init__(self) -> None:
+        if self.min_replicas < 1 or self.max_replicas < self.min_replicas:
+            raise ConfigError(
+                "autoscale needs 1 <= min_replicas <= max_replicas"
+            )
+        if self.metric not in ("queue", "p95"):
+            raise ConfigError("autoscale metric must be 'queue' or 'p95'")
+        if self.metric == "p95" and (self.target_p95 is None
+                                     or self.target_p95 <= 0):
+            raise ConfigError("p95 autoscaling needs a positive target_p95")
+        if self.high_queue < 1 or self.low_queue < 0:
+            raise ConfigError("queue thresholds must be sensible")
+        if self.low_queue >= self.high_queue:
+            raise ConfigError("low_queue must sit below high_queue")
+        if self.tick <= 0 or self.warmup < 0 or self.cooldown < 0:
+            raise ConfigError("autoscale times must be non-negative "
+                              "(tick positive)")
+        if self.window < 1:
+            raise ConfigError("latency window must be >= 1")
 
     @property
     def window_size(self) -> int:
-        return self.policy.window if self.policy.metric == "p95" else 0
+        return self.window if self.metric == "p95" else 0
 
     def decide(self, time, in_system, alive, window, arrivals, dt):
-        policy = self.policy
-        if policy.metric == "queue":
-            if in_system > policy.high_queue * alive:
+        if self.metric == "queue":
+            if in_system > self.high_queue * alive:
                 return 1
-            if in_system < policy.low_queue * alive:
+            if in_system < self.low_queue * alive:
                 return -1
         elif window is not None and len(window):
             p95 = window.percentile(95)
-            if p95 > policy.target_p95:
+            if p95 > self.target_p95:
                 return 1
-            if (p95 < 0.5 * policy.target_p95
-                    and in_system <= policy.low_queue * alive):
+            if (p95 < 0.5 * self.target_p95
+                    and in_system <= self.low_queue * alive):
                 return -1
         return 0
 
@@ -468,7 +501,7 @@ class ForecastScalePolicy(ScalePolicy):
         capacity_rps: one replica's throughput (requests/s); None
             until calibrated.
         tick, warmup, cooldown: control-loop timing, as in
-            :class:`~repro.serving.events.AutoscalePolicy`.
+            :class:`ReactiveScalePolicy`.
     """
 
     name = "forecast"
@@ -573,14 +606,14 @@ class ForecastScalePolicy(ScalePolicy):
         return 0
 
 
-def make_scale(scale, autoscale: Optional["AutoscalePolicy"] = None,
+def make_scale(scale, autoscale: Optional[ReactiveScalePolicy] = None,
                **forecast_kwargs) -> Optional[ScalePolicy]:
     """Resolve a scale spec into a :class:`ScalePolicy`.
 
     ``scale`` may be a policy instance (passed through), ``""``/None
-    (use ``autoscale`` reactively, or nothing), ``"reactive"`` (wrap
-    ``autoscale``, which must then be set), or ``"ewma"``/``"holt"``
-    (a :class:`ForecastScalePolicy`, taking pool bounds from
+    (``autoscale`` itself, or nothing), ``"reactive"`` (``autoscale``,
+    which must then be set), or ``"ewma"``/``"holt"`` (a
+    :class:`ForecastScalePolicy`, taking pool bounds from
     ``autoscale`` when given plus any ``forecast_kwargs``).
 
     Raises:
@@ -589,14 +622,14 @@ def make_scale(scale, autoscale: Optional["AutoscalePolicy"] = None,
     if isinstance(scale, ScalePolicy):
         return scale
     if not scale:
-        return ReactiveScalePolicy(autoscale) if autoscale else None
+        return autoscale
     if scale == "reactive":
         if autoscale is None:
             raise ConfigError(
                 "reactive scaling needs pool bounds "
                 "(--autoscale MIN:MAX)"
             )
-        return ReactiveScalePolicy(autoscale)
+        return autoscale
     if scale in ("ewma", "holt"):
         if autoscale is not None:
             forecast_kwargs.setdefault("min_replicas",

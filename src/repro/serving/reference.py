@@ -4,17 +4,19 @@ PR 4 rewrote the discrete-event hot path (raw heap tuples, merge-
 scanned arrivals, hoisted service/energy rates, incremental p95
 window) with a hard guarantee: not one emitted float changes.  This
 module keeps the straightforward engine exactly as it behaved before
-the rewrite — one :class:`~repro.serving.events.Event` object per
-scheduled event, every arrival heap-resident, every dispatch calling
+the rewrite — one :class:`Event` object per scheduled event, every
+arrival heap-resident, every dispatch calling
 ``service_fn``/``energy_fn`` directly, every control tick re-sorting
 the full latency window — so the equivalence suite can hold the
 optimised engine to exact per-request tuple equality on every stock
 scenario x policy x dispatch cell.
 
-It shares the control-plane *policies* (:class:`SloPolicy`,
-:class:`AutoscalePolicy`, :class:`FailurePlan`) and the result types
-with :mod:`repro.serving.events` — those are pure configuration and
-were not touched by the rewrite — but owns its own event loop.
+It shares the control-plane configuration (:class:`SloPolicy`,
+:class:`FailurePlan`, the bounds and thresholds of a
+:class:`~repro.serving.policies.ReactiveScalePolicy`) and the result
+types with :mod:`repro.serving.events` — those are pure configuration
+and were not touched by the rewrite — but owns its own event loop and
+its own inline reactive scaling decision.
 
 Two PR 3 defects are fixed here in lockstep with the optimised engine
 (so the oracle keeps matching it): the end-of-trace drain is scheduled
@@ -39,25 +41,44 @@ from __future__ import annotations
 import heapq
 import zlib
 from collections import deque
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.eval.report import percentile
 from repro.serving.events import (
-    AutoscalePolicy,
     BatchRecord,
     DISPATCH_STRATEGIES,
     EngineRun,
-    Event,
     EventKind,
     FailurePlan,
     Replica,
     SloPolicy,
     _InFlight,
 )
+from repro.serving.policies import (DegradePolicy, FifoFlush, HedgePolicy,
+                                    ReactiveScalePolicy, RetryPolicy)
 from repro.serving.workload import Request
 
 __all__ = ["ReferenceEventQueue", "ReferenceEngine", "run_reference"]
+
+
+@dataclass(frozen=True, slots=True)
+class Event:
+    """One scheduled event.
+
+    Attributes:
+        time: simulation instant (s).
+        kind: event type (also its tie-break priority).
+        key: secondary tie-break — the model name for FLUSH events, so
+            simultaneous deadlines fire in (deadline, model) order.
+        payload: kind-specific data.
+    """
+
+    time: float
+    kind: EventKind
+    key: str = ""
+    payload: object = None
 
 
 class ReferenceEventQueue:
@@ -97,7 +118,7 @@ class ReferenceEngine:
                  service_fn: Callable[[object, str, int], float],
                  energy_fn: Callable[[object, str, int], float],
                  slo: Optional[SloPolicy] = None,
-                 autoscale: Optional[AutoscalePolicy] = None,
+                 autoscale: Optional[ReactiveScalePolicy] = None,
                  failures: Optional[FailurePlan] = None,
                  switch_fn: Optional[Callable[[object, str, int],
                                               float]] = None,
@@ -608,14 +629,13 @@ def run_reference(simulator, requests: Sequence[Request],
     :meth:`ServingSimulator.run`.
 
     The reference predates the policy seams and only implements the
-    stock configuration (string dispatches, FIFO flush ordering,
-    reactive :class:`AutoscalePolicy`, depth admission, no stealing);
-    auditing a simulator that uses any other policy raises a clean
-    :class:`~repro.errors.ConfigError` rather than silently comparing
-    against an engine that ignores it.
+    stock configuration (string dispatches, FIFO flush ordering, the
+    stock :class:`~repro.serving.policies.ReactiveScalePolicy` — not a
+    subclass, which may override ``decide`` — depth admission, no
+    stealing); auditing a simulator that uses any other policy raises
+    a clean :class:`~repro.errors.ConfigError` rather than silently
+    comparing against an engine that ignores it.
     """
-    from repro.serving.policies import (DegradePolicy, FifoFlush,
-                                        HedgePolicy, RetryPolicy)
     if simulator.resilience is not None and type(
             simulator.resilience) not in (RetryPolicy, HedgePolicy,
                                           DegradePolicy):
@@ -624,11 +644,11 @@ def run_reference(simulator, requests: Sequence[Request],
             "policies (retry / hedge / degrade); it cannot audit custom "
             "ResiliencePolicy runs"
         )
-    if simulator.autoscale is not None and not isinstance(
-            simulator.autoscale, AutoscalePolicy):
+    if simulator.autoscale is not None and type(
+            simulator.autoscale) is not ReactiveScalePolicy:
         raise ConfigError(
-            "the reference engine only implements the stock reactive "
-            "AutoscalePolicy; it cannot audit custom ScalePolicy runs"
+            "the reference engine only implements the stock "
+            "ReactiveScalePolicy; it cannot audit custom ScalePolicy runs"
         )
     if simulator.flush is not None and type(simulator.flush) \
             is not FifoFlush:

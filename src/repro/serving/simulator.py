@@ -18,7 +18,7 @@ exact event core this layer configures:
   least-loaded, per-model sharding, and ``fastest_finish`` — the
   heterogeneity-aware strategy that weighs each replica's own service
   time, not just its queue;
-- **autoscaling** (:class:`~repro.serving.events.AutoscalePolicy`),
+- **autoscaling** (:class:`~repro.serving.policies.ScalePolicy`),
   **failure injection** (:class:`~repro.serving.events.FailurePlan`)
   and **admission control** via the engine's control plane.
 
@@ -39,7 +39,6 @@ from repro.eval.report import fraction_within, percentile
 from repro.models import get_model
 from repro.serving.batching import FixedSizeBatching, TimeoutBatching
 from repro.serving.events import (
-    AutoscalePolicy,
     BatchRecord,
     ClusterEngine,
     DISPATCH_STRATEGIES,
@@ -296,10 +295,11 @@ class ServingSimulator:
         accelerators: optional per-replica configurations (models or
             scheme names) forming a heterogeneous pool.
         slo: latency SLO + admission control, or None.
-        autoscale: an :class:`AutoscalePolicy` (stock reactive), a
-            :class:`~repro.serving.policies.ScalePolicy` (e.g.
-            :class:`~repro.serving.policies.ForecastScalePolicy`), or
-            None for a static pool; scale-ups clone the first
+        autoscale: a :class:`~repro.serving.policies.ScalePolicy`
+            (the stock
+            :class:`~repro.serving.policies.ReactiveScalePolicy`, or
+            e.g. :class:`~repro.serving.policies.ForecastScalePolicy`),
+            or None for a static pool; scale-ups clone the first
             replica's configuration, so a heterogeneous pool grows
             with copies of its lead config.  An uncalibrated forecast
             policy is calibrated against the trace's own model mix
@@ -337,8 +337,7 @@ class ServingSimulator:
                  accelerators: Optional[Sequence[AcceleratorModel | str]]
                  = None,
                  slo: Optional[SloPolicy] = None,
-                 autoscale: Optional[AutoscalePolicy | ScalePolicy]
-                 = None,
+                 autoscale: Optional[ScalePolicy] = None,
                  failures: Optional[FailurePlan] = None,
                  flush: Optional[FlushPolicy] = None,
                  admission: Optional[AdmissionPolicy] = None,
@@ -475,9 +474,7 @@ class ServingSimulator:
                 networks[request.model] = self.network(request.model)
         cache = self.cache
         scale = self.autoscale
-        # getattr: scale may also be a plain AutoscalePolicy, which
-        # predates the ScalePolicy seam and never needs calibration
-        if (scale is not None and getattr(scale, "needs_rate", False)
+        if (scale is not None and scale.needs_rate
                 and not scale.capacity_pinned):
             # a capacity-sizing policy (e.g. the forecasters) gets one
             # replica's throughput calibrated against the trace's own

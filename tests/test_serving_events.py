@@ -5,19 +5,20 @@ could not express, plus autoscaling, failure injection with batch
 re-dispatch, admission control and heterogeneous replica pools.
 """
 
+import heapq
+
 import pytest
 
 from repro.core import make_smart, make_tpu
 from repro.errors import ConfigError
 from repro.serving import (
-    AutoscalePolicy,
-    Event,
     EventKind,
     EventQueue,
     FailurePlan,
     FixedSizeBatching,
     LayerMemoCache,
     Outage,
+    ReactiveScalePolicy,
     ServingSimulator,
     SloPolicy,
     TimeoutBatching,
@@ -43,13 +44,19 @@ def toy_trace(n, gap=1e-5, model="toy", start_id=0):
     return [Request(start_id + i, model, (i + 1) * gap) for i in range(n)]
 
 
+def pop(q):
+    """Pop the earliest raw ``(time, kind, key, seq, payload)`` entry,
+    the way the engine's run loop does."""
+    return heapq.heappop(q._heap)
+
+
 class TestEventQueue:
     def test_time_order(self):
         q = EventQueue()
         q.push(2.0, EventKind.ARRIVAL)
         q.push(1.0, EventKind.BATCH_DONE)
-        assert q.pop().time == 1.0
-        assert q.pop().time == 2.0
+        assert pop(q)[0] == 1.0
+        assert pop(q)[0] == 2.0
 
     def test_kind_priority_at_equal_time(self):
         """A flush due exactly at an arrival fires first; the drain
@@ -59,7 +66,7 @@ class TestEventQueue:
         q.push(1.0, EventKind.ARRIVAL)
         q.push(1.0, EventKind.FLUSH, key="m")
         q.push(1.0, EventKind.BATCH_DONE)
-        kinds = [q.pop().kind for _ in range(4)]
+        kinds = [pop(q)[1] for _ in range(4)]
         assert kinds == [EventKind.FLUSH, EventKind.ARRIVAL,
                          EventKind.BATCH_DONE, EventKind.DRAIN]
 
@@ -67,14 +74,14 @@ class TestEventQueue:
         q = EventQueue()
         q.push(1.0, EventKind.FLUSH, key="zebra", payload="z")
         q.push(1.0, EventKind.FLUSH, key="alex", payload="a")
-        assert q.pop().payload == "a"
-        assert q.pop().payload == "z"
+        assert pop(q)[-1] == "a"
+        assert pop(q)[-1] == "z"
 
     def test_insertion_order_breaks_remaining_ties(self):
         q = EventQueue()
         q.push(1.0, EventKind.ARRIVAL, payload=1)
         q.push(1.0, EventKind.ARRIVAL, payload=2)
-        assert [q.pop().payload, q.pop().payload] == [1, 2]
+        assert [pop(q)[-1], pop(q)[-1]] == [1, 2]
 
     def test_thousands_of_same_timestamp_events_pop_stably(self):
         """Tie-break stress: with every event at the same instant, the
@@ -92,18 +99,11 @@ class TestEventQueue:
             q.push(1.0, kind, key=key, payload=i)
             pushed.append((kind, key, i))
         expected = sorted(pushed, key=lambda p: (int(p[0]), p[1], p[2]))
-        popped = [q.pop() for _ in range(5000)]
-        assert [(e.kind, e.key, e.payload) for e in popped] == expected
-        assert all(e.time == 1.0 for e in popped)
-        assert len(q) == 0
-
-    def test_pop_rebuilds_event_objects(self):
-        q = EventQueue()
-        q.push(2.5, EventKind.FLUSH, key="m", payload=("m", 2.5))
-        event = q.pop()
-        assert isinstance(event, Event)
-        assert event.kind is EventKind.FLUSH
-        assert (event.time, event.key, event.payload) == (2.5, "m", ("m", 2.5))
+        popped = [pop(q) for _ in range(5000)]
+        assert [(kind, key, payload)
+                for _, kind, key, _, payload in popped] == expected
+        assert all(entry[0] == 1.0 for entry in popped)
+        assert not q._heap
 
 
 class TestLatencyWindow:
@@ -210,9 +210,81 @@ class TestUnsortedTraces:
         assert run.batches[-1].flush == pytest.approx(2e-3)
 
 
+def _flat_engine(**kwargs):
+    """A two-replica engine over constant-rate stub models."""
+    from repro.serving import ClusterEngine
+
+    return ClusterEngine(
+        [make_smart()] * 2, FixedSizeBatching(batch_size=2),
+        "round_robin",
+        service_fn=lambda acc, model, size: 3e-6,
+        energy_fn=lambda acc, model, size: 1e-9, **kwargs,
+    )
+
+
+class TestRunInputContract:
+    """What ``ClusterEngine.run`` accepts, for a materialised tuple and
+    for a one-pass iterator alike."""
+
+    SOURCES = {"tuple": tuple, "iterator": iter}
+    TRACE = tuple(toy_trace(6, gap=1e-5))  # arrivals 1e-5 .. 6e-5
+
+    @pytest.fixture(params=sorted(SOURCES))
+    def source(self, request):
+        return self.SOURCES[request.param]
+
+    def test_empty_trace_rejected(self, source):
+        with pytest.raises(ConfigError, match="empty trace"):
+            _flat_engine().run(source(()))
+
+    def test_out_of_order_trace(self, source):
+        """A sequence is sorted before serving; an iterator cannot be
+        and must refuse rather than serve out of time order."""
+        shuffled = self.TRACE[3:] + self.TRACE[:3]
+        if source is iter:
+            with pytest.raises(ConfigError, match="time-ordered"):
+                _flat_engine().run(source(shuffled))
+        else:
+            served = _flat_engine().run(source(shuffled))
+            ordered = _flat_engine().run(self.TRACE)
+            assert served.done == ordered.done
+            assert served.batches == ordered.batches
+
+    def test_arrival_before_span_start_rejected(self, source):
+        span = (2e-5, 1e-3)  # the first arrival (1e-5) lands before
+        with pytest.raises(ConfigError, match="span"):
+            _flat_engine().run(source(self.TRACE), span=span)
+
+    def test_arrival_after_span_end_rejected(self, source):
+        span = (0.0, 4e-5)  # arrivals 5e-5 and 6e-5 land after
+        with pytest.raises(ConfigError, match="span"):
+            _flat_engine().run(source(self.TRACE), span=span)
+
+    def test_failure_plan_without_span(self, source):
+        """Outages are sampled over the horizon before the first
+        arrival: a tuple knows its own first-last interval, an
+        iterator must be told."""
+        plan = FailurePlan(count=2, downtime_frac=0.2, seed=3)
+        if source is iter:
+            with pytest.raises(ConfigError, match="span"):
+                _flat_engine(failures=plan).run(source(self.TRACE))
+            return
+        first, last = self.TRACE[0].arrival, self.TRACE[-1].arrival
+        run = _flat_engine(failures=plan).run(source(self.TRACE))
+        pinned = _flat_engine(failures=plan).run(iter(self.TRACE),
+                                                 span=(first, last))
+        assert run.done == pinned.done
+        assert run.batches == pinned.batches
+        assert run.replica_trace == pinned.replica_trace
+        outages = plan.resolve(first, last, 2)
+        downs = [t for t, _ in run.replica_trace[1:]]
+        assert downs == sorted(
+            [o.at for o in outages] + [o.until for o in outages])
+
+
 class TestAutoscaling:
     # time constants sized to the toy network's ~0.4us batch service
-    POLICY = AutoscalePolicy(min_replicas=1, max_replicas=4,
+    POLICY = ReactiveScalePolicy(min_replicas=1, max_replicas=4,
                              high_queue=6, low_queue=1,
                              tick=5e-7, warmup=2e-6, cooldown=1e-6)
 
@@ -264,7 +336,7 @@ class TestAutoscaling:
         burst/quiet cycles grew the pool list (which every dispatch
         scans) without bound; a scale-up must revive a retired replica
         instead, keeping indices within the policy's max."""
-        policy = AutoscalePolicy(min_replicas=1, max_replicas=2,
+        policy = ReactiveScalePolicy(min_replicas=1, max_replicas=2,
                                  high_queue=4, low_queue=1,
                                  tick=5e-7, warmup=1e-6, cooldown=1e-6)
         sim = toy_simulator(replicas=1, dispatch="least_loaded",
@@ -286,7 +358,7 @@ class TestAutoscaling:
         assert result.peak_replicas <= policy.max_replicas
 
     def test_p95_metric_scales(self):
-        policy = AutoscalePolicy(min_replicas=1, max_replicas=4,
+        policy = ReactiveScalePolicy(min_replicas=1, max_replicas=4,
                                  metric="p95", target_p95=1e-6,
                                  tick=5e-7, warmup=2e-6, cooldown=1e-6)
         sim, trace = self.overloaded(autoscale=policy)
@@ -295,17 +367,17 @@ class TestAutoscaling:
 
     def test_policy_validation(self):
         with pytest.raises(ConfigError):
-            AutoscalePolicy(min_replicas=0)
+            ReactiveScalePolicy(min_replicas=0)
         with pytest.raises(ConfigError):
-            AutoscalePolicy(min_replicas=4, max_replicas=2)
+            ReactiveScalePolicy(min_replicas=4, max_replicas=2)
         with pytest.raises(ConfigError):
-            AutoscalePolicy(metric="cpu")
+            ReactiveScalePolicy(metric="cpu")
         with pytest.raises(ConfigError):
-            AutoscalePolicy(metric="p95")  # needs target_p95
+            ReactiveScalePolicy(metric="p95")  # needs target_p95
         with pytest.raises(ConfigError):
-            AutoscalePolicy(high_queue=4, low_queue=6)
+            ReactiveScalePolicy(high_queue=4, low_queue=6)
         with pytest.raises(ConfigError):
-            AutoscalePolicy(tick=0.0)
+            ReactiveScalePolicy(tick=0.0)
 
 
 class TestFailureInjection:
@@ -400,7 +472,7 @@ class TestFailureInjection:
         """Regression: a RECOVER whose FAIL was skipped (the replica
         was already scaled down) must not force the replica back up —
         only the autoscaler may grant capacity it retired."""
-        autoscale = AutoscalePolicy(min_replicas=1, max_replicas=2,
+        autoscale = ReactiveScalePolicy(min_replicas=1, max_replicas=2,
                                     high_queue=50, low_queue=2,
                                     tick=5e-7, warmup=2e-6,
                                     cooldown=1e-6)

@@ -16,7 +16,6 @@ import pytest
 from repro.core import make_smart, make_tpu
 from repro.errors import ConfigError
 from repro.serving import (
-    AutoscalePolicy,
     ClusterEngine,
     DISPATCH_STRATEGIES,
     EdfFlush,
@@ -111,11 +110,10 @@ class TestPolicyResolution:
             EdfFlush({"toy": 10**6})
 
     def test_make_scale(self):
-        bounds = AutoscalePolicy(min_replicas=1, max_replicas=4)
+        bounds = ReactiveScalePolicy(min_replicas=1, max_replicas=4)
         assert make_scale("", None) is None
-        assert isinstance(make_scale("", bounds), ReactiveScalePolicy)
-        assert isinstance(make_scale("reactive", bounds),
-                          ReactiveScalePolicy)
+        assert make_scale("", bounds) is bounds
+        assert make_scale("reactive", bounds) is bounds
         holt = make_scale("holt", bounds)
         assert isinstance(holt, ForecastScalePolicy)
         assert (holt.min_replicas, holt.max_replicas) == (1, 4)
@@ -208,23 +206,6 @@ class TestSeamEquivalence:
         second = toy_simulator(replicas=2, dispatch=policy).run(trace)
         assert [b.replica for b in first.batches] == [
             b.replica for b in second.batches]
-
-    def test_reactive_wrap_matches_plain_autoscale(self):
-        autoscale = AutoscalePolicy(min_replicas=1, max_replicas=4,
-                                    high_queue=4, low_queue=1,
-                                    tick=5e-7, warmup=2e-6,
-                                    cooldown=1e-6)
-        trace = toy_trace(150, gap=3e-8)
-        plain = toy_simulator(replicas=1, dispatch="least_loaded",
-                              policy=TimeoutBatching(max_batch=4,
-                                                     max_wait=1e-6),
-                              autoscale=autoscale).run(trace)
-        wrapped = toy_simulator(
-            replicas=1, dispatch="least_loaded",
-            policy=TimeoutBatching(max_batch=4, max_wait=1e-6),
-            autoscale=ReactiveScalePolicy(autoscale)).run(trace)
-        assert plain.latencies == wrapped.latencies
-        assert plain.scale_events == wrapped.scale_events
 
 
 class TestEdfOrdering:
@@ -363,10 +344,10 @@ class TestWorkStealing:
                 assert later.start >= earlier.done - 1e-18
 
     def test_works_with_autoscaler_sharing_ticks(self):
-        autoscale = AutoscalePolicy(min_replicas=1, max_replicas=3,
-                                    high_queue=4, low_queue=1,
-                                    tick=5e-7, warmup=2e-6,
-                                    cooldown=1e-6)
+        autoscale = ReactiveScalePolicy(min_replicas=1, max_replicas=3,
+                                        high_queue=4, low_queue=1,
+                                        tick=5e-7, warmup=2e-6,
+                                        cooldown=1e-6)
         sim = toy_simulator(replicas=1, dispatch="least_loaded",
                             policy=TimeoutBatching(max_batch=4,
                                                    max_wait=1e-6),
@@ -580,9 +561,15 @@ class TestPersistentMemo:
         from repro.serving import DepthAdmission
         from repro.serving.reference import run_reference
 
+        class EagerScale(ReactiveScalePolicy):
+            def decide(self, time, in_system, alive, window, arrivals,
+                       dt):
+                return 1
+
         trace = toy_trace(4)
         for kwargs in (
             {"autoscale": ForecastScalePolicy()},
+            {"autoscale": EagerScale()},
             {"flush": EdfFlush({"toy": 1})},
             {"admission": DepthAdmission(depth=4)},
             {"steal": WorkStealPolicy()},

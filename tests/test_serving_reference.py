@@ -19,11 +19,11 @@ for explicitly constructed policy objects.
 import pytest
 
 from repro.serving import (
-    AutoscalePolicy,
     DISPATCH_STRATEGIES,
     FailurePlan,
     FifoFlush,
     LayerMemoCache,
+    ReactiveScalePolicy,
     SCENARIOS,
     ServingSimulator,
     SloPolicy,
@@ -31,7 +31,9 @@ from repro.serving import (
     get_scenario,
     make_dispatch,
     make_policy,
+    make_scale,
 )
+from repro.serving.experiments import parse_autoscale
 from repro.serving.reference import run_reference
 
 #: One memo shared by every cell in the module: layer simulations are
@@ -126,10 +128,10 @@ def test_queue_autoscale_cell_bit_identical():
     probe = ServingSimulator("SMART", replicas=2, cache=SHARED,
                              policy=make_policy("timeout"))
     rate = scenario.load * probe.capacity_rps(scenario)
-    autoscale = AutoscalePolicy(min_replicas=2, max_replicas=6,
-                                high_queue=4, low_queue=1,
-                                tick=10 / rate, warmup=20 / rate,
-                                cooldown=15 / rate)
+    autoscale = ReactiveScalePolicy(min_replicas=2, max_replicas=6,
+                                    high_queue=4, low_queue=1,
+                                    tick=10 / rate, warmup=20 / rate,
+                                    cooldown=15 / rate)
     result, ref, trace = run_cell("overload", "timeout", "least_loaded",
                                   n=300, autoscale=autoscale)
     assert result.scale_events  # the control plane actually acted
@@ -145,10 +147,21 @@ def test_p95_autoscale_cell_bit_identical():
     probe = ServingSimulator("SMART", replicas=2, cache=SHARED,
                              policy=make_policy("timeout"))
     rate = scenario.load * probe.capacity_rps(scenario)
-    autoscale = AutoscalePolicy(min_replicas=2, max_replicas=6,
-                                metric="p95", target_p95=target,
-                                window=64, tick=10 / rate,
-                                warmup=20 / rate, cooldown=15 / rate)
+    autoscale = ReactiveScalePolicy(min_replicas=2, max_replicas=6,
+                                    metric="p95", target_p95=target,
+                                    window=64, tick=10 / rate,
+                                    warmup=20 / rate, cooldown=15 / rate)
+    result, ref, trace = run_cell("overload", "timeout", "least_loaded",
+                                  n=300, autoscale=autoscale)
+    assert result.scale_events
+    assert_identical(result, ref, trace)
+
+
+def test_cli_reactive_scale_cell_bit_identical():
+    """What ``serve-sim --autoscale 2:6 --scale reactive`` builds — the
+    stock policy through ``make_scale`` — is auditable: the oracle
+    used to refuse it as a custom ScalePolicy."""
+    autoscale = make_scale("reactive", parse_autoscale("2:6"))
     result, ref, trace = run_cell("overload", "timeout", "least_loaded",
                                   n=300, autoscale=autoscale)
     assert result.scale_events

@@ -16,9 +16,9 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.serving import (
-    AutoscalePolicy,
     FailurePlan,
     LayerMemoCache,
+    ReactiveScalePolicy,
     ServingSimulator,
     TRACE_SCHEMA,
     Telemetry,
@@ -78,14 +78,14 @@ class TestNeutrality:
     def test_autoscale_cell_bit_identical(self):
         telemetry = assert_neutral(
             "diurnal",
-            autoscale=AutoscalePolicy(min_replicas=1, max_replicas=4),
+            autoscale=ReactiveScalePolicy(min_replicas=1, max_replicas=4),
         )
         assert telemetry.counters["scale_ups"] > 0
 
     def test_predictive_scale_cell_bit_identical(self):
         assert_neutral(
             "diurnal",
-            autoscale=make_scale("holt", AutoscalePolicy(
+            autoscale=make_scale("holt", ReactiveScalePolicy(
                 min_replicas=1, max_replicas=4)),
         )
 
