@@ -374,9 +374,13 @@ class Replica:
     done_model: Optional[str] = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BatchRecord:
     """One dispatched batch.
+
+    Read-only by convention, like
+    :class:`~repro.serving.workload.Request`, and for the same reason:
+    the engine builds one per batch.
 
     Attributes:
         model: network the batch ran.
@@ -400,6 +404,11 @@ class BatchRecord:
     def service(self) -> float:
         """Pure accelerator service time (s)."""
         return self.done - self.start
+
+    def __reduce__(self):
+        # rebuilt through the constructor, as Request is
+        return type(self), (self.model, self.size, self.replica,
+                            self.flush, self.start, self.done, self.energy)
 
 
 @dataclass(slots=True)

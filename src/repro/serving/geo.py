@@ -72,7 +72,7 @@ from repro.serving.sharding import (
     _spec,
     _warm_cells,
 )
-from repro.serving.simulator import ServingSimulator
+from repro.serving.simulator import ServingSimulator, _gc_headroom
 from repro.serving.workload import (
     Request,
     Scenario,
@@ -722,6 +722,7 @@ class GeoRouter:
         if snapshot is not None:
             snapshot.install(self._warm_cache)
 
+    @_gc_headroom()
     def run_scenario(self, scenario: Scenario | str, n_requests: int,
                      seed: int = 0) -> GeoResult:
         """Calibrate regions, route every request once, fan the

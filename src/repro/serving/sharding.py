@@ -62,7 +62,8 @@ from repro.serving.batching import make_policy
 from repro.serving.policies import make_resilience
 from repro.serving.events import FailurePlan, SloPolicy
 from repro.serving.memo import CacheStats, LayerMemoCache, MemoSnapshot
-from repro.serving.simulator import ServingResult, ServingSimulator
+from repro.serving.simulator import (ServingResult, ServingSimulator,
+                                     _gc_headroom)
 from repro.serving.telemetry import Telemetry
 from repro.serving.workload import (
     Request,
@@ -303,6 +304,7 @@ def _warm_cells(scenario: Scenario, max_batch: int) -> tuple:
                  for batch in range(1, max_batch + 1))
 
 
+@_gc_headroom()
 def _serve_partition(spec: dict, requests: Iterable[Request],
                      span: Optional[tuple[float, float]], tags: dict,
                      t_start: float,
@@ -860,6 +862,7 @@ class ShardedEngine:
         if snapshot is not None:
             snapshot.install(self._warm_cache)
 
+    @_gc_headroom()
     def run_scenario(self, scenario: Scenario | str, n_requests: int,
                      seed: int = 0) -> ShardedResult:
         """Calibrate, shard, fan out, and merge one scenario run.

@@ -43,12 +43,16 @@ from repro.errors import ConfigError
 from repro.models import model_names
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Request:
     """One inference request.
 
     A trace holds one of these per request — slots keep the millions
-    of instances a long trace materialises compact.
+    of instances a long trace materialises compact.  Read-only by
+    convention, not ``frozen``: a frozen dataclass pays one
+    ``object.__setattr__`` per field on every construction.  Equality
+    is field-wise between requests only (never with a tuple), and the
+    hash is that of the field tuple.
 
     Attributes:
         request_id: position in the trace (unique, ascending).
@@ -62,6 +66,12 @@ class Request:
     model: str
     arrival: float
     region: str = ""
+
+    def __reduce__(self):
+        # rebuild through the constructor: a compact pickle under every
+        # protocol (a plain slots class pickles only from protocol 2)
+        return type(self), (self.request_id, self.model, self.arrival,
+                            self.region)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,15 @@ served three ways, which must agree exactly:
 - the same engine over a one-pass iterator pinned to the trace's span;
 - the retained reference engine (``repro.serving.reference``).
 
+None of the three may change a request: ``Request`` is read-only by
+convention only (a slots dataclass, not a frozen one), so every drawn
+request's fields are snapshotted and compared after the runs.
+
 Run with ``--hypothesis-show-statistics`` to see how often the drawn
 cells scaled, shed, re-dispatched, retried and carried arrival ties.
 """
+
+from dataclasses import astuple
 
 from hypothesis import event, given, settings, strategies as st
 
@@ -115,12 +121,14 @@ def test_tuple_stream_and_reference_agree(trace, cell):
     sim = ServingSimulator(ACCELERATOR, networks=NETWORKS, cache=SHARED,
                            **cell)
     span = (trace[0].arrival, trace[-1].arrival)
+    drawn = [astuple(request) for request in trace]
     materialised = sim.make_engine(NETWORKS).run(trace)
     streamed = sim.make_engine(NETWORKS).run(iter(trace), span=span)
     reference = run_reference(sim, trace)
     expected = observables(materialised)
     assert observables(streamed) == expected
     assert observables(reference) == expected
+    assert [astuple(request) for request in trace] == drawn
     for label, hit in (("scaled", materialised.scale_events),
                        ("shed", materialised.shed),
                        ("redispatched", materialised.redispatched),
