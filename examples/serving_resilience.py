@@ -13,8 +13,8 @@ Walks the PR 9 resilience tier end to end:
    hedge (delay just under the SLO) duplicates only those onto the
    second-best replica, where a singleton completes in microseconds;
 4. **fault-tolerant scale-out** — a sharded run with `retry` armed
-   still merges bit-exactly, and a crashed worker shard is re-run
-   and checkpointed rather than killing the run.
+   still merges bit-exactly, counters included, and a crashed worker
+   shard is re-run and checkpointed rather than killing the run.
 
 Run:  python examples/serving_resilience.py
 """
@@ -107,15 +107,17 @@ def main() -> None:
         .run_scenario("steady", 2_000, seed=7)
     shard = ShardedEngine(2, replicas=4, policy="timeout", batch_size=8,
                           slo_us=900, detail=True,
-                          resilience=retry_spec, shard_retries=2) \
+                          resilience=retry_spec) \
         .run_scenario("steady", 2_000, seed=7)
     assert shard.detail.latencies == mono.latencies
     assert shard.detail.energy_per_request == mono.energy_per_request
+    assert shard.detail.retries == shard.retries == mono.retries
     print("\n=== sharded + retry ===")
-    print(f"2-shard run with {mono.retries} deadline retries merges "
-          f"bit-exactly with the monolithic engine; crashed worker "
-          f"shards re-run with capped backoff (shard_retries=2) and "
-          f"checkpoint=PATH resumes interrupted runs")
+    print(f"2-shard run with {shard.retries} deadline retries merges "
+          f"bit-exactly with the monolithic engine, counters included; "
+          f"crashed worker shards re-run with capped backoff (2 "
+          f"retries, shared by every fan-out) and checkpoint=PATH "
+          f"resumes interrupted runs")
 
 
 if __name__ == "__main__":

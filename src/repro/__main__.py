@@ -417,13 +417,13 @@ def _cmd_serve_sim(argv: list[str], opts: argparse.Namespace) -> int:
     telemetry = None
     if fan_out:
         cell = dict(policy=args.policies[0], batch_size=args.batch_size,
-                    dispatch=args.dispatch, slo_us=args.slo,
+                    slo_us=args.slo,
                     mode="inline" if opts.serial else "process",
                     max_workers=opts.workers, trace=bool(args.trace),
                     resilience=args.resilience, memo_cache=memo)
         engine = (GeoRouter(args.regions, topology=args.topology,
                             geo=args.geo_policy, storms=args.geo_storms,
-                            **cell) if geo
+                            dispatch=args.dispatch, **cell) if geo
                   else ShardedEngine(args.shards, replicas=args.replicas,
                                      accelerator=args.accelerator, **cell))
         # fault-carrying scenarios are not shard-stable, so the default

@@ -15,14 +15,16 @@ For million-request scale, traces stream (:func:`stream_trace`,
 bit-identical to :func:`generate_trace` with O(1) requests resident)
 and :class:`ShardedEngine` (:mod:`repro.serving.sharding`) fans a
 deterministically sharded trace across worker processes, merging
-exact counters plus a mergeable latency digest back into one result.
+exact counters plus a mergeable latency digest back into one
+:class:`ShardedResult`.
 
 On top of the cluster sits the geo tier (:mod:`repro.serving.geo`):
 a :class:`GeoRouter` routes region-tagged traffic over a static
 :class:`Interconnect` (ring / mesh / tree) to per-region engines,
 charging deterministic network delay.  Regions are shards: they run
-on the sharded engine's worker body, crash-safe driver and merge, and
-:class:`GeoResult` extends the same :class:`FanOutResult` base.
+on the sharded engine's worker body, crash-safe re-run loop and
+merge, :class:`GeoResult` extends :class:`ShardedResult`, and region
+storms are :class:`FailurePlan` windows over regions.
 """
 
 from repro.serving.batching import (
@@ -85,8 +87,6 @@ from repro.serving.policies import (
     LeastLoadedDispatch,
     RESILIENCE_POLICIES,
     ReactiveScalePolicy,
-    RegionFailurePlan,
-    RegionOutage,
     ResiliencePolicy,
     RetryPolicy,
     RoundRobinDispatch,
@@ -101,7 +101,6 @@ from repro.serving.policies import (
     make_scale,
 )
 from repro.serving.sharding import (
-    FanOutResult,
     LatencyDigest,
     ShardOutcome,
     ShardedEngine,
@@ -158,7 +157,6 @@ __all__ = [
     "EventQueue",
     "FLUSH_POLICIES",
     "FailurePlan",
-    "FanOutResult",
     "FastestFinishDispatch",
     "FifoFlush",
     "FixedSizeBatching",
@@ -185,8 +183,6 @@ __all__ = [
     "RESILIENCE_POLICIES",
     "RampProcess",
     "ReactiveScalePolicy",
-    "RegionFailurePlan",
-    "RegionOutage",
     "RegionOutcome",
     "RegionSpec",
     "Replica",

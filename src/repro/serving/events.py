@@ -84,6 +84,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.serving.policies import (
+    DISPATCH_POLICIES,
     AdmissionPolicy,
     DepthAdmission,
     DispatchPolicy,
@@ -100,8 +101,7 @@ from repro.serving.workload import Request
 
 #: Replica-selection strategies the engine understands (the stock
 #: :data:`repro.serving.policies.DISPATCH_POLICIES` names).
-DISPATCH_STRATEGIES = ("round_robin", "least_loaded", "shard",
-                       "fastest_finish")
+DISPATCH_STRATEGIES = tuple(DISPATCH_POLICIES)
 
 
 class EventKind(IntEnum):
@@ -111,15 +111,6 @@ class EventKind(IntEnum):
     flush whose deadline lands exactly on an arrival fires *before*
     that arrival is enqueued; completions and control actions follow
     arrivals; the end-of-trace drain runs after the last arrival.
-
-    NETWORK names a request in flight on the geo interconnect, but no
-    queue pushes it: the :class:`~repro.serving.geo.GeoRouter` re-sorts
-    its routed requests into delivery order on a plain heap of tuples,
-    and the cluster engine's heap never sees the kind.  The member
-    stays because its value is load-bearing:
-    ``ClusterEngine._handlers`` is indexed by kind value, and
-    TIMEOUT / HEDGE / CANCEL must keep sorting after every
-    pre-resilience kind.
 
     TIMEOUT / HEDGE / CANCEL are the resilience tier's kinds: a
     deadline check (and the backoff-delayed retry it may launch), the
@@ -136,25 +127,14 @@ class EventKind(IntEnum):
     RECOVER = 4
     CONTROL = 5
     DRAIN = 6
-    NETWORK = 7
-    TIMEOUT = 8
-    HEDGE = 9
-    CANCEL = 10
+    TIMEOUT = 7
+    HEDGE = 8
+    CANCEL = 9
 
 
-# Hot-loop aliases: heap entries carry the plain int so tuple
-# comparisons and handler dispatch never touch the enum machinery.
-_FLUSH = int(EventKind.FLUSH)
+# Hot-loop alias: the run loop compares heap heads against a plain-int
+# (arrival, ARRIVAL) tuple, never touching the enum machinery.
 _ARRIVAL = int(EventKind.ARRIVAL)
-_BATCH_DONE = int(EventKind.BATCH_DONE)
-_FAIL = int(EventKind.FAIL)
-_RECOVER = int(EventKind.RECOVER)
-_CONTROL = int(EventKind.CONTROL)
-_DRAIN = int(EventKind.DRAIN)
-_NETWORK = int(EventKind.NETWORK)
-_TIMEOUT = int(EventKind.TIMEOUT)
-_HEDGE = int(EventKind.HEDGE)
-_CANCEL = int(EventKind.CANCEL)
 
 
 class EventQueue:
@@ -255,7 +235,12 @@ class SloPolicy:
 
 @dataclass(frozen=True)
 class Outage:
-    """One resolved replica outage: down at ``at``, back at ``until``."""
+    """One resolved outage: down at ``at``, back at ``until``.
+
+    ``replica`` indexes the unit that goes dark: a replica of the
+    cluster engine's pool, or a region of a geo fleet (the geo router's
+    storms darken whole regions).
+    """
 
     replica: int
     at: float
@@ -270,12 +255,15 @@ class Outage:
 
 @dataclass(frozen=True)
 class FailurePlan:
-    """Seeded replica failure/recovery injection.
+    """Seeded failure/recovery injection over replicas or regions.
 
     Either carries explicit :class:`Outage` windows, or samples
-    ``count`` of them (uniform instants over the middle 80% of the
-    trace span, round-robin over replicas with a seeded shuffle), each
-    lasting ``downtime_frac`` of the span.
+    ``count`` of them (one seeded shuffle of the units, then one
+    uniform instant per window over the middle 80% of the trace span,
+    round-robin over the shuffled units), each lasting
+    ``downtime_frac`` of the span.  The cluster engine resolves it over
+    its replicas; the geo router resolves its region storms over its
+    regions (``Outage.replica`` is then the region index).
 
     Attributes:
         count: sampled outages when ``outages`` is empty.
@@ -298,11 +286,12 @@ class FailurePlan:
 
     def resolve(self, start: float, end: float,
                 replicas: int) -> tuple[Outage, ...]:
-        """Concrete outage windows for a trace spanning [start, end].
+        """Concrete outage windows for a trace spanning [start, end]
+        over ``replicas`` units (replicas, or regions).
 
-        Overlapping windows on one replica are merged, so a replica is
-        down for the union of its outages — without the merge, the
-        first RECOVER to pop would end every overlapping window early.
+        Overlapping windows on one unit are merged, so a unit is down
+        for the union of its outages — without the merge, the first
+        RECOVER to pop would end every overlapping window early.
         """
         if self.outages:
             return _merge_outages(self.outages)
@@ -675,7 +664,6 @@ class ClusterEngine:
             self._on_recover,     # RECOVER
             self._on_control,     # CONTROL
             self._on_drain,       # DRAIN
-            None,                 # NETWORK (never heaped anywhere)
             self._on_timeout,     # TIMEOUT
             self._on_hedge,       # HEDGE
             self._on_cancel,      # CANCEL
@@ -708,14 +696,13 @@ class ClusterEngine:
         time-ordered — a generator streams with one request of
         look-ahead and is never materialised.  Both feed one merge-scan.
 
-        ``span`` optionally pins the run's ``(start, drain)`` horizon
-        instead of the trace's own first/last arrival — a sharded run
-        passes the *global* trace span so every shard drains at the
-        same instant the monolithic engine would.  A sequence's span
-        defaults to its first and last arrival; a stream with a
-        :class:`FailurePlan` needs an explicit one (outages are
-        sampled over the full horizon before the first arrival is
-        seen).
+        ``span`` pins the run's ``(start, drain)`` horizon: outages are
+        sampled over it and the DRAIN lands at its end.  A sequence's
+        span defaults to its first and last arrival; a stream must
+        pass one, since the horizon is fixed before the first arrival
+        is seen.  A sharded run passes the *global* trace span, so
+        every shard drains at the same instant the monolithic engine
+        would.
         """
         if isinstance(requests, Sequence) and requests:
             if any(a.arrival > b.arrival for a, b in pairwise(requests)):
@@ -734,11 +721,14 @@ class ClusterEngine:
         request = next(it, None)
         if request is None:
             raise ConfigError("cannot serve an empty trace")
+        if span is None:
+            raise ConfigError("a streamed trace needs its span=(first "
+                              "arrival, last arrival)")
         arrival = request.arrival
-        if span is not None and arrival < span[0]:
+        if arrival < span[0]:
             raise ConfigError("streamed arrival lands before the "
                               "span's start")
-        t0 = arrival if span is None else span[0]
+        t0, t_cap = span
         self._prepare(t0)
 
         # Arrivals stay in the (time-ordered) source and are merge-
@@ -746,22 +736,14 @@ class ClusterEngine:
         # flush/done/control events.  No heap entry is an ARRIVAL, so
         # comparing the head against (arrival, ARRIVAL) fires a
         # same-instant FLUSH before the arrival and every other kind
-        # after it, in EventKind order.  The DRAIN is the only kind-6
-        # event, so it sorts after every same-instant event whenever
-        # it is pushed: up front when the span is known, else when
-        # the source runs dry.
+        # after it, in EventKind order.  The DRAIN, pushed up front at
+        # the span's end, sorts after every same-instant arrival,
+        # flush, completion, outage and control tick.
         events = EventQueue()
         self._events = events
-        if span is not None:
-            events.push(span[1], EventKind.DRAIN)
+        events.push(t_cap, EventKind.DRAIN)
         if self.failures is not None:
-            if span is None:
-                raise ConfigError(
-                    "streaming runs with a failure plan need an "
-                    "explicit span=(start, end); outages are sampled "
-                    "over the full horizon before arrivals are seen"
-                )
-            for outage in self.failures.resolve(t0, span[1],
+            for outage in self.failures.resolve(t0, t_cap,
                                                 len(self._replicas)):
                 if outage.replica >= len(self._replicas):
                     raise ConfigError(
@@ -779,7 +761,6 @@ class ClusterEngine:
         heap = events._heap
         heappop = heapq.heappop
         on_arrival = self._on_arrival
-        t_cap = span[1] if span is not None else float("inf")
         while True:
             if heap and heap[0] < (arrival, _ARRIVAL):
                 time, kind, _key, _seq, payload = heappop(heap)
@@ -798,8 +779,6 @@ class ClusterEngine:
                     "horizon"
                 )
         self._remaining = False
-        if span is None:
-            events.push(arrival, EventKind.DRAIN)
         while heap:
             time, kind, _key, _seq, payload = heappop(heap)
             handlers[kind](time, payload)

@@ -348,8 +348,7 @@ def serving_scale(scenario: str = "steady", policy: str = "timeout",
     """
     engine = ShardedEngine(
         shards=shards, accelerator=accelerator, replicas=replicas,
-        policy=policy, batch_size=batch_size, dispatch="shard",
-        slo_us=slo_us, mode=mode,
+        policy=policy, batch_size=batch_size, slo_us=slo_us, mode=mode,
     )
     rows = []
     for name in scenarios or (scenario,):

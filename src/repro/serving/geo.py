@@ -58,14 +58,9 @@ from repro.serving.batching import make_policy
 from repro.serving.events import FailurePlan
 from repro.serving.interconnect import REQUEST_BYTES, Interconnect
 from repro.serving.memo import LayerMemoCache, MemoSnapshot
-from repro.serving.policies import (
-    GeoDispatchPolicy,
-    RegionFailurePlan,
-    make_geo,
-    make_resilience,
-)
+from repro.serving.policies import GeoDispatchPolicy, make_geo, make_resilience
 from repro.serving.sharding import (
-    FanOutResult,
+    ShardedResult,
     ShardOutcome,
     _fan_out,
     _serve_partition,
@@ -307,7 +302,9 @@ class _RouterView:
 
 
 def _down(outages, region: int, t: float) -> bool:
-    return any(o.region == region and o.at <= t < o.until
+    """Whether ``region`` is dark at ``t`` (an outage's ``replica`` is
+    its region index)."""
+    return any(o.replica == region and o.at <= t < o.until
                for o in outages)
 
 
@@ -495,10 +492,10 @@ def _serve_geo_region(spec: dict) -> ShardOutcome:
 
 
 @dataclass
-class GeoResult(FanOutResult):
+class GeoResult(ShardedResult):
     """The merge-reduced outcome of one geo run.
 
-    The sharded merge (:class:`~repro.serving.sharding.FanOutResult`,
+    The sharded merge (:class:`~repro.serving.sharding.ShardedResult`,
     region == shard) plus what only the geo tier knows: the routing
     plan and each region's network ledger and grid price.  Cost sums
     exactly over regions.  ``replicas`` is the whole fleet's width and
@@ -579,7 +576,7 @@ class GeoResult(FanOutResult):
 
     def to_row(self) -> dict:
         """The aggregate row ``repro serve-sim --geo N`` prints."""
-        row = {
+        return {
             "scenario": self.scenario,
             "policy": self.policy,
             "geo": self.geo,
@@ -599,20 +596,10 @@ class GeoResult(FanOutResult):
                              if self.requests else 0.0),
             "remote_frac": self.remote_frac,
             "cache_hit_rate": self.cache.hit_rate,
+            # cross-region failover retries, under a resilience policy
+            **self._tail_columns(**({"retried": self.retried}
+                                    if self.resilience else {})),
         }
-        if self.resilience:
-            row["resilience"] = self.resilience
-            row["retried"] = self.retried
-        if self.shard_retries:
-            row["shard_retries"] = self.shard_retries
-        if self.slo_target:
-            row["slo_attain"] = self.slo_attainment
-        if self.cache.seeded:
-            # warm-fleet effectiveness: snapshot cells shipped across
-            # all regions and how many turned into warm promotions
-            row["memo_seeded"] = self.cache.seeded
-            row["warm_hits"] = self.cache.seed_hits
-        return row
 
 
 class GeoRouter:
@@ -627,8 +614,9 @@ class GeoRouter:
         geo: region-routing policy — a :data:`~repro.serving.policies.
             GEO_POLICIES` name or a :class:`~repro.serving.policies.
             GeoDispatchPolicy` instance.
-        storms: region-granularity outage windows to sample
-            (:class:`~repro.serving.policies.RegionFailurePlan`);
+        storms: region-granularity outage windows to sample: a
+            :class:`~repro.serving.events.FailurePlan` resolved over
+            the regions instead of replicas, seeded by the run's seed;
             arrivals for a dark region reroute to the nearest healthy
             one.
         policy / batch_size / dispatch / slo_us: each region engine's
@@ -636,10 +624,10 @@ class GeoRouter:
             regions so cells stay comparable.
         mode / max_workers: the :func:`~repro.runtime.executor.
             parallel_map` pool (one worker per region).  A region
-            worker that raises or dies is re-run through the sharded
-            driver with its default budget (2 retries, capped
-            exponential backoff from 0.05 s); geo runs keep no
-            checkpoint.
+            worker that raises or dies is re-run by the sharded
+            fan-out loop with the budget every fan-out shares (2
+            retries, capped exponential backoff from 0.05 s); geo runs
+            keep no checkpoint.
         detail: keep per-request arrays and merge a full bit-exact
             :class:`~repro.serving.simulator.ServingResult` (the
             zero-drift proof path).
@@ -658,13 +646,12 @@ class GeoRouter:
             warm or cold, the parent resolves the outage windows and
             routes every request once, and workers serve only their
             own deliveries.  Warm results are bit-identical to cold.
-        snapshot: a pre-built :class:`~repro.serving.memo.
-            MemoSnapshot` installed into the parent's warm cache up
-            front (e.g. the persisted memo pool).
         memo_cache: the shared parent-side
             :class:`~repro.serving.memo.LayerMemoCache` to calibrate
             and prewarm through across runs (the ``--persist-memo``
-            path); default a fresh private one.
+            path), or one with a :class:`~repro.serving.memo.
+            MemoSnapshot` installed to seed it; default a fresh
+            private one.
 
     Raises:
         ConfigError: from :func:`validate_geo` for malformed fleets.
@@ -684,7 +671,6 @@ class GeoRouter:
                  trace_events: bool = False,
                  resilience: str = "",
                  prewarm: bool = True,
-                 snapshot: Optional[MemoSnapshot] = None,
                  memo_cache: Optional[LayerMemoCache] = None) -> None:
         if isinstance(regions, int):
             regions = default_regions(regions)
@@ -719,8 +705,6 @@ class GeoRouter:
         self.prewarm = prewarm
         self._warm_cache = (memo_cache if memo_cache is not None
                             else LayerMemoCache())
-        if snapshot is not None:
-            snapshot.install(self._warm_cache)
 
     @_gc_headroom()
     def run_scenario(self, scenario: Scenario | str, n_requests: int,
@@ -801,10 +785,9 @@ class GeoRouter:
         admissions = _admissions(spec)
         outages: tuple = ()
         if self.storms:
-            outages = RegionFailurePlan(count=self.storms, seed=seed) \
-                .resolve(min(arrivals[0] for arrivals, _ in admissions),
-                         max(arrivals[-1] for arrivals, _ in admissions),
-                         count)
+            outages = FailurePlan(count=self.storms, seed=seed).resolve(
+                min(arrivals[0] for arrivals, _ in admissions),
+                max(arrivals[-1] for arrivals, _ in admissions), count)
         columns, ledgers, spec["span"] = _route_once(
             spec, self._geo, outages, admissions)
         outcomes, reruns = _fan_out(

@@ -48,7 +48,6 @@ can serve many runs deterministically.
 
 from __future__ import annotations
 
-import random as _random
 import zlib
 from dataclasses import dataclass
 from math import ceil
@@ -1110,74 +1109,6 @@ def make_geo(policy: str | GeoDispatchPolicy) -> GeoDispatchPolicy:
         ) from None
 
 
-# ---------------------------------------------------------------------------
-# Region-granularity outage storms
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class RegionOutage:
-    """One region's outage window: down in ``[at, until)``."""
-
-    region: int
-    at: float
-    until: float
-
-    def __post_init__(self) -> None:
-        if self.until <= self.at:
-            raise ConfigError("outage must end after it starts")
-
-    def down(self, time: float) -> bool:
-        """Whether the region is dark at ``time``."""
-        return self.at <= time < self.until
-
-
-@dataclass(frozen=True)
-class RegionFailurePlan:
-    """Seeded region-granularity outage storms for the geo tier.
-
-    The cluster-level :class:`~repro.serving.events.FailurePlan` darkens
-    single replicas; this darkens whole *regions* — the router reroutes
-    arrivals for a dark region to the nearest healthy one, so region
-    engines themselves stay fault-free and shard-stable.  ``count``
-    outages are sampled over the middle 80% of the trace span
-    (round-robin over regions with a seeded shuffle), each lasting
-    ``downtime_frac`` of the span.
-
-    Attributes:
-        count: outage windows to sample.
-        downtime_frac: outage length as a fraction of the trace span.
-        seed: RNG seed for sampling.
-    """
-
-    count: int = 2
-    downtime_frac: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ConfigError("storm count must be >= 0")
-        if not 0.0 < self.downtime_frac < 1.0:
-            raise ConfigError("downtime fraction must be in (0, 1)")
-
-    def resolve(self, start: float, end: float,
-                regions: int) -> tuple[RegionOutage, ...]:
-        """Concrete outage windows for a trace spanning [start, end]."""
-        if regions < 1:
-            raise ConfigError("region count must be >= 1")
-        span = max(end - start, 1e-12)
-        rng = _random.Random(self.seed)
-        order = list(range(regions))
-        rng.shuffle(order)
-        downtime = self.downtime_frac * span
-        return tuple(sorted(
-            (RegionOutage(region=order[i % regions],
-                          at=(at := start + span
-                              * (0.1 + 0.8 * rng.random())),
-                          until=at + downtime)
-             for i in range(self.count)),
-            key=lambda o: (o.at, o.region),
-        ))
-
-
 __all__ = [
     "AdmissionPolicy",
     "CheapestJouleDispatch",
@@ -1198,8 +1129,6 @@ __all__ = [
     "MAX_PRIORITY",
     "RESILIENCE_POLICIES",
     "ReactiveScalePolicy",
-    "RegionFailurePlan",
-    "RegionOutage",
     "ResiliencePolicy",
     "RetryPolicy",
     "HedgePolicy",

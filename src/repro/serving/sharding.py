@@ -8,8 +8,10 @@ shard_trace`: no process ever materialises the full request list),
 serves it on an independent :class:`~repro.serving.events.
 ClusterEngine`, and ships back a compact :class:`ShardOutcome`; the
 parent merge-reduces those into one :class:`ShardedResult` with exact
-counters and energy sums, a mergeable :class:`LatencyDigest` for
-percentiles, and per-shard telemetry rows tagged with their shard id.
+counters (the engine's retries, timeouts, hedges, cancels and
+re-dispatches included) and energy sums, a mergeable
+:class:`LatencyDigest` for percentiles, and per-shard telemetry rows
+tagged with their shard id.
 
 Why this is exact and not merely parallel: the splitter partitions
 models by the same ``crc32(model) % replicas`` pin
@@ -40,8 +42,8 @@ trace slice or a geo region's routed deliveries; one crash-safe driver
 (:func:`_fan_out`) that re-runs crashed workers with capped backoff
 and can checkpoint completed outcomes, so an interrupted run resumes
 with only the missing partitions; and one exact merge into
-:class:`FanOutResult`, the base of :class:`ShardedResult` and
-:class:`~repro.serving.geo.GeoResult`.
+:class:`ShardedResult`, which :class:`~repro.serving.geo.GeoResult`
+extends.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ from repro.serving.batching import make_policy
 from repro.serving.policies import make_resilience
 from repro.serving.events import FailurePlan, SloPolicy
 from repro.serving.memo import CacheStats, LayerMemoCache, MemoSnapshot
-from repro.serving.simulator import (ServingResult, ServingSimulator,
-                                     _gc_headroom)
+from repro.serving.simulator import (ENGINE_COUNTERS, ServingResult,
+                                     ServingSimulator, _gc_headroom,
+                                     counter_columns)
 from repro.serving.telemetry import Telemetry
 from repro.serving.workload import (
     Request,
@@ -74,7 +77,6 @@ from repro.serving.workload import (
 )
 
 __all__ = [
-    "FanOutResult",
     "LatencyDigest",
     "ShardOutcome",
     "ShardedEngine",
@@ -93,8 +95,8 @@ SHARD_STABLE_DISPATCH = ("shard",)
 #: inside a single shard.
 SHARD_STABLE_RESILIENCE = ("retry",)
 
-#: Worker-crash retry budget and base backoff (s) of every fan-out;
-#: :class:`ShardedEngine` lets callers override them.
+#: Worker-crash retry budget and base backoff (s) of every fan-out,
+#: sharded and geo alike; :func:`_fan_out` reads them at call time.
 _SHARD_RETRIES = 2
 _RETRY_BACKOFF_S = 0.05
 
@@ -261,11 +263,14 @@ class ShardOutcome:
     shipped back to the parent.
 
     Counters, energies and busy time are exact; latency percentiles
-    travel in the mergeable ``digest``.  ``result`` carries the full
-    per-request :class:`ServingResult` only when the run asked for
-    ``detail`` (the equivalence-test path); ``telemetry_rows`` are the
-    partition's trace rows, each already tagged with its ``shard`` (or
-    ``region``).
+    travel in the mergeable ``digest``.  ``energy`` is served energy;
+    the engine's own counters (:data:`~repro.serving.simulator.
+    ENGINE_COUNTERS`, ``wasted_energy`` among them) keep their engine
+    names.  ``result`` carries the full per-request
+    :class:`ServingResult` only when the run asked for ``detail`` (the
+    equivalence-test path); ``telemetry_rows`` are the partition's
+    trace rows, each already tagged with its ``shard`` (or ``region``)
+    and ``counters`` its telemetry counters.
     """
 
     shard: int
@@ -282,6 +287,14 @@ class ShardOutcome:
     telemetry_rows: tuple = ()
     counters: tuple = ()
     result: Optional[ServingResult] = None
+    redispatched: int = 0
+    wasted_energy: float = 0.0
+    stolen: int = 0
+    timeouts: int = 0
+    retries: int = 0
+    hedges: int = 0
+    cancels: int = 0
+    degraded: int = 0
 
 
 def _spec(engine, scenario: Scenario, **extra) -> dict:
@@ -306,7 +319,7 @@ def _warm_cells(scenario: Scenario, max_batch: int) -> tuple:
 
 @_gc_headroom()
 def _serve_partition(spec: dict, requests: Iterable[Request],
-                     span: Optional[tuple[float, float]], tags: dict,
+                     span: tuple[float, float], tags: dict,
                      t_start: float,
                      failures: Optional[FailurePlan] = None
                      ) -> ShardOutcome:
@@ -365,13 +378,10 @@ def _serve_partition(spec: dict, requests: Iterable[Request],
         # a legal outcome: an unlucky hash fold, or a geo policy that
         # drained this region dry — the partition's pool idles for the
         # whole run (still reporting any snapshot cells it was shipped)
-        idle_stats = sim.cache.stats
         return ShardOutcome(
             shard=spec["shard"], requests=0, batches=0, energy=0.0,
             busy_s=0.0, first_arrival=math.inf, last_done=-math.inf,
-            digest=LatencyDigest(), slo_hits=0,
-            cache=CacheStats(seeded=idle_stats.seeded,
-                             seed_hits=idle_stats.seed_hits),
+            digest=LatencyDigest(), slo_hits=0, cache=sim.cache.stats,
             wall_s=perf_counter() - t_start,
         )
     outcome = engine.run(chain((first,), stream), span=span)
@@ -387,11 +397,7 @@ def _serve_partition(spec: dict, requests: Iterable[Request],
             slo_hits += 1
     busy = sum(record.service for record in outcome.batches)
     last_done = max(record.done for record in outcome.batches)
-    stats = sim.cache.stats
-    cache = CacheStats(hits=stats.hits, misses=stats.misses,
-                       energy_hits=stats.energy_hits,
-                       energy_misses=stats.energy_misses,
-                       seeded=stats.seeded, seed_hits=stats.seed_hits)
+    cache = sim.cache.stats  # the partition's own, fresh memo
 
     rows: tuple = ()
     counters: tuple = ()
@@ -402,20 +408,9 @@ def _serve_partition(spec: dict, requests: Iterable[Request],
         rows = tuple(telemetry.rows)
         counters = tuple(sorted(telemetry.counters.items()))
 
-    result = None
-    if spec["detail"]:
-        latencies = tuple(outcome.done[r.request_id][0] - r.arrival
-                          for r in kept)
-        energies = tuple(outcome.done[r.request_id][1] for r in kept)
-        result = ServingResult(
-            accelerator=sim.accelerator.name, replicas=sim.replicas,
-            scenario=scenario.name, policy=sim.policy.name,
-            rate=spec["rate"], requests=kept, latencies=latencies,
-            energy_per_request=energies, batches=outcome.batches,
-            cache=cache, slo_target=slo_target,
-            replica_trace=outcome.replica_trace,
-        )
-
+    result = (sim.make_result(kept, outcome, cache, scenario=scenario.name,
+                              rate=spec["rate"])
+              if spec["detail"] else None)
     return ShardOutcome(
         shard=spec["shard"], requests=len(outcome.done),
         batches=len(outcome.batches), energy=energy, busy_s=busy,
@@ -423,6 +418,7 @@ def _serve_partition(spec: dict, requests: Iterable[Request],
         digest=digest, slo_hits=slo_hits, cache=cache,
         wall_s=perf_counter() - t_start, telemetry_rows=rows,
         counters=counters, result=result,
+        **{key: getattr(outcome, key) for key in ENGINE_COUNTERS},
     )
 
 
@@ -507,18 +503,18 @@ def _save_checkpoint(path: Optional[str], fingerprint: str,
 def _fan_out(worker: tuple[str, str], specs: Sequence[dict], *,
              mode: str, max_workers: Optional[int],
              snapshot: Optional[MemoSnapshot],
-             retries: int = _SHARD_RETRIES,
-             backoff_s: float = _RETRY_BACKOFF_S,
              checkpoint: Optional[str] = None,
              ) -> tuple[tuple[ShardOutcome, ...], int]:
     """The one crash-safe driver: serve every partition spec.
 
-    Failed partitions are re-run with capped exponential backoff, for
-    at most ``retries`` more rounds; with a ``checkpoint``, completed
-    outcomes land there after every round and a rerun of the same
-    configuration serves only the missing ones.  Returns the outcomes
-    in spec order and the number of partition re-runs.
+    Failed partitions are re-run with capped exponential backoff from
+    :data:`_RETRY_BACKOFF_S`, for at most :data:`_SHARD_RETRIES` more
+    rounds; with a ``checkpoint``, completed outcomes land there after
+    every round and a rerun of the same configuration serves only the
+    missing ones.  Returns the outcomes in spec order and the number
+    of partition re-runs.
     """
+    retries, backoff_s = _SHARD_RETRIES, _RETRY_BACKOFF_S
     # only a checkpoint needs the fingerprint: a geo spec carries its
     # delivery columns, far too big to repr on every call
     fingerprint = _spec_fingerprint(specs[0]) if checkpoint else ""
@@ -557,17 +553,19 @@ def _fan_out(worker: tuple[str, str], specs: Sequence[dict], *,
 
 
 @dataclass
-class FanOutResult:
+class ShardedResult:
     """The merge-reduced outcome of one fan-out run, sharded or geo.
 
     Counters, energy, busy time and SLO hits are exact sums over the
-    partitions; latency percentiles read off the merged
-    :class:`LatencyDigest` (within its resolution).  ``detail`` holds
-    the bit-exact merged :class:`ServingResult` when the run kept
-    per-request arrays.  ``wall_s`` times the whole ``run_scenario``
-    call: calibration, prewarm, the parent's span or routing pass, the
-    fan-out and the merge.  ``shard_retries`` counts partition re-runs
-    after a crash.
+    partitions, the engine's own counters (:data:`~repro.serving.
+    simulator.ENGINE_COUNTERS`) included; ``energy`` is served energy
+    and ``wasted_energy`` the aborted and duplicate work.  Latency
+    percentiles read off the merged :class:`LatencyDigest` (within its
+    resolution).  ``detail`` holds the bit-exact merged
+    :class:`ServingResult` when the run kept per-request arrays.
+    ``wall_s`` times the whole ``run_scenario`` call: calibration,
+    prewarm, the parent's span or routing pass, the fan-out and the
+    merge.  ``shard_retries`` counts partition re-runs after a crash.
     """
 
     scenario: str
@@ -591,10 +589,18 @@ class FanOutResult:
     detail: Optional[ServingResult]
     resilience: str
     shard_retries: int
+    redispatched: int
+    wasted_energy: float
+    stolen: int
+    timeouts: int
+    retries: int
+    hedges: int
+    cancels: int
+    degraded: int
 
     @classmethod
     def merge(cls, outcomes: tuple[ShardOutcome, ...], *, t_start: float,
-              retried: int, **run) -> "FanOutResult":
+              retried: int, **run) -> "ShardedResult":
         """Exact merge of the partition outcomes into one result.
 
         ``run`` names the run — ``scenario``, ``policy``, ``dispatch``,
@@ -612,7 +618,19 @@ class FanOutResult:
             cache.energy_misses += outcome.cache.energy_misses
             cache.seeded += outcome.cache.seeded
             cache.seed_hits += outcome.cache.seed_hits
-        detail = None
+        engine = {key: sum(getattr(o, key) for o in outcomes)
+                  for key in ENGINE_COUNTERS}
+        result = cls(
+            requests=sum(o.requests for o in outcomes),
+            batches=sum(o.batches for o in outcomes),
+            energy=sum(o.energy for o in outcomes),
+            busy_s=sum(o.busy_s for o in outcomes),
+            first_arrival=min(o.first_arrival for o in outcomes),
+            last_done=max(o.last_done for o in outcomes),
+            digest=digest, slo_hits=sum(o.slo_hits for o in outcomes),
+            cache=cache, outcomes=outcomes, detail=None,
+            shard_retries=retried, wall_s=0.0, **engine, **run,
+        )
         parts = [o.result for o in outcomes if o.result is not None]
         if parts:
             # reassemble the monolithic ServingResult: requests (and
@@ -633,7 +651,7 @@ class FanOutResult:
                 chain.from_iterable(r.batches for r in parts),
                 key=lambda b: (b.flush, b.start, b.done, b.replica, b.model),
             ))
-            detail = ServingResult(
+            result.detail = ServingResult(
                 accelerator=run["accelerator"], replicas=run["replicas"],
                 scenario=run["scenario"], policy=run["policy"],
                 rate=run["rate"], requests=requests,
@@ -641,19 +659,16 @@ class FanOutResult:
                 energy_per_request=tuple(t[2] for t in triplets),
                 batches=batches, cache=cache, slo_target=run["slo_target"],
                 replica_trace=((requests[0].arrival, run["replicas"]),),
+                resilience=parts[0].resilience,
+                accuracy_cost=result.accuracy_cost, **engine,
             )
-        return cls(
-            requests=sum(o.requests for o in outcomes),
-            batches=sum(o.batches for o in outcomes),
-            energy=sum(o.energy for o in outcomes),
-            busy_s=sum(o.busy_s for o in outcomes),
-            first_arrival=min(o.first_arrival for o in outcomes),
-            last_done=max(o.last_done for o in outcomes),
-            digest=digest, slo_hits=sum(o.slo_hits for o in outcomes),
-            cache=cache, outcomes=outcomes, detail=detail,
-            shard_retries=retried, wall_s=perf_counter() - t_start,
-            **run,
-        )
+        result.wall_s = perf_counter() - t_start
+        return result
+
+    @property
+    def shards(self) -> int:
+        """Partitions the run fanned out to: shards, or geo regions."""
+        return len(self.outcomes)
 
     @property
     def makespan(self) -> float:
@@ -692,6 +707,15 @@ class FanOutResult:
         return self.slo_hits / self.requests if self.requests else 1.0
 
     @property
+    def accuracy_cost(self) -> float:
+        """Mean accounted accuracy drop per request, as a plain run
+        reports it: degraded requests x the policy's per-request drop."""
+        if not self.degraded:
+            return 0.0
+        return (self.degraded * make_resilience(self.resilience)
+                .accuracy_drop / self.requests)
+
+    @property
     def telemetry_rows(self) -> tuple:
         """Every partition's telemetry rows, tagged, concatenated in
         (partition, emission) order."""
@@ -714,16 +738,24 @@ class FanOutResult:
             return self.detail.latency_percentile(q)
         return self.digest.percentile(q)
 
-
-@dataclass
-class ShardedResult(FanOutResult):
-    """The merge-reduced outcome of one sharded run."""
-
-    shards: int
+    def _tail_columns(self, **extra) -> dict:
+        """The columns every fan-out row ends with, each only when
+        active: SLO attainment, the engine counters, ``extra``,
+        partition re-runs and the warm fleet's counters."""
+        row = {"slo_attain": self.slo_attainment} if self.slo_target else {}
+        row.update(counter_columns(self), **extra)
+        if self.shard_retries:
+            row["shard_retries"] = self.shard_retries
+        if self.cache.seeded:
+            # warm-fleet effectiveness: snapshot cells shipped across
+            # all partitions and how many turned into warm promotions
+            row["memo_seeded"] = self.cache.seeded
+            row["warm_hits"] = self.cache.seed_hits
+        return row
 
     def to_row(self) -> dict:
         """The reporting row ``repro serve-sim --shards N`` prints."""
-        row = {
+        return {
             "scenario": self.scenario,
             "policy": self.policy,
             "shards": self.shards,
@@ -739,23 +771,17 @@ class ShardedResult(FanOutResult):
             "mean_batch": self.mean_batch,
             "utilization": self.utilization,
             "cache_hit_rate": self.cache.hit_rate,
+            **self._tail_columns(),
         }
-        if self.slo_target:
-            row["slo_attain"] = self.slo_attainment
-        if self.resilience:
-            row["resilience"] = self.resilience
-        if self.shard_retries:
-            row["shard_retries"] = self.shard_retries
-        if self.cache.seeded:
-            # warm-fleet effectiveness: snapshot cells shipped across
-            # all shards and how many turned into warm promotions
-            row["memo_seeded"] = self.cache.seeded
-            row["warm_hits"] = self.cache.seed_hits
-        return row
 
 
 class ShardedEngine:
     """Fan one logical serving run out across worker processes.
+
+    Every shard routes with the one shard-stable dispatch, ``shard``.
+    A crashed or raising worker shard is re-run with the budget every
+    fan-out shares (2 retries, capped exponential backoff from
+    0.05 s).
 
     Args:
         shards: worker shard count (each one independent
@@ -765,7 +791,6 @@ class ShardedEngine:
         replicas: cluster width; must be >= ``shards``.
         policy: batching policy name (``fixed``/``timeout``).
         batch_size: batching policy batch size.
-        dispatch: must be shard-stable (``shard``).
         slo_us: per-request latency SLO (us); 0 disables.
         mode: executor mode (``process``/``thread``/``inline``) — the
             runtime executor falls back to threads transparently where
@@ -781,12 +806,6 @@ class ShardedEngine:
             (off keeps only timeline samples — the scale default).
         resilience: client resilience spec string; only shard-stable
             policies (:data:`SHARD_STABLE_RESILIENCE`) are accepted.
-        shard_retries: how many times a crashed/raising worker shard
-            is re-run (with capped exponential backoff) before the
-            run gives up.  :class:`~repro.serving.geo.GeoRouter`
-            re-runs crashed regions with the same defaults.
-        retry_backoff_s: base sleep before the first shard re-run;
-            doubles per attempt, capped at ``_BACKOFF_CAP_S``.
         checkpoint: optional path; completed :class:`ShardOutcome`
             pickles land there after every fan-out round, and a rerun
             with the same configuration resumes from them, serving
@@ -801,48 +820,38 @@ class ShardedEngine:
             memo is exact, so warm results are bit-identical to cold
             — pass ``False`` for the cold reference path (the bench
             baseline).
-        snapshot: a pre-built :class:`MemoSnapshot` to install into
-            the parent's warm cache up front (e.g. totals loaded from
-            the persisted memo pool), on top of which ``prewarm``
-            fills whatever is missing.
         memo_cache: the parent-side :class:`LayerMemoCache` to
             calibrate and prewarm through; pass a shared instance to
             accumulate warm totals across runs (the ``--persist-memo``
-            path), default a fresh private one.
+            path), or one with a :class:`MemoSnapshot` installed to
+            seed it, default a fresh private one.
 
     Raises:
         ConfigError: from :func:`validate_sharding`, for any
             combination whose sharded results would not be exact.
     """
 
+    dispatch = SHARD_STABLE_DISPATCH[0]
+
     def __init__(self, shards: int, accelerator: str = "SMART",
                  replicas: int = 2, policy: str = "timeout",
-                 batch_size: int = 8, dispatch: str = "shard",
-                 slo_us: float = 0.0, mode: str = "process",
+                 batch_size: int = 8, *, slo_us: float = 0.0,
+                 mode: str = "process",
                  max_workers: Optional[int] = None,
                  detail: bool = False, trace: bool = False,
                  tick: float = 200e-6,
                  trace_events: bool = False,
                  resilience: str = "",
-                 shard_retries: int = _SHARD_RETRIES,
-                 retry_backoff_s: float = _RETRY_BACKOFF_S,
                  checkpoint: Optional[str] = None,
                  prewarm: bool = True,
-                 snapshot: Optional[MemoSnapshot] = None,
                  memo_cache: Optional[LayerMemoCache] = None) -> None:
-        validate_sharding(shards, replicas=replicas, dispatch=dispatch,
-                          resilience=resilience)
+        validate_sharding(shards, replicas=replicas, resilience=resilience)
         make_policy(policy, batch_size=batch_size)  # fail fast
-        if shard_retries < 0:
-            raise ConfigError("shard_retries must be >= 0")
-        if retry_backoff_s < 0:
-            raise ConfigError("retry_backoff_s must be >= 0")
         self.shards = shards
         self.accelerator = accelerator
         self.replicas = replicas
         self.policy = policy
         self.batch_size = batch_size
-        self.dispatch = dispatch
         self.slo_us = slo_us
         self.mode = mode
         self.max_workers = max_workers
@@ -853,14 +862,10 @@ class ShardedEngine:
         # normalise "none"/"" to the empty spec so rows stay clean
         self.resilience = \
             resilience if make_resilience(resilience) is not None else ""
-        self.shard_retries = shard_retries
-        self.retry_backoff_s = retry_backoff_s
         self.checkpoint = checkpoint
         self.prewarm = prewarm
         self._warm_cache = (memo_cache if memo_cache is not None
                             else LayerMemoCache())
-        if snapshot is not None:
-            snapshot.install(self._warm_cache)
 
     @_gc_headroom()
     def run_scenario(self, scenario: Scenario | str, n_requests: int,
@@ -871,7 +876,6 @@ class ShardedEngine:
         if isinstance(scenario, str):
             scenario = get_scenario(scenario)
         validate_sharding(self.shards, replicas=self.replicas,
-                          dispatch=self.dispatch,
                           resilience=self.resilience,
                           scenarios=(scenario,))
         if n_requests < 1:
@@ -905,12 +909,11 @@ class ShardedEngine:
             (__name__, "_serve_shard"),
             [dict(spec, shard=shard) for shard in range(self.shards)],
             mode=self.mode, max_workers=self.max_workers,
-            snapshot=snapshot, retries=self.shard_retries,
-            backoff_s=self.retry_backoff_s, checkpoint=self.checkpoint)
+            snapshot=snapshot, checkpoint=self.checkpoint)
         return ShardedResult.merge(
             outcomes, t_start=t_start, retried=retried,
             scenario=scenario.name, policy=self.policy,
             dispatch=self.dispatch,
             accelerator=self.accelerator, replicas=self.replicas,
             rate=rate, slo_target=self.slo_us * 1e-6,
-            resilience=self.resilience, shards=self.shards)
+            resilience=self.resilience)

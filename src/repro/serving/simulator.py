@@ -32,7 +32,8 @@ from __future__ import annotations
 import gc
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from operator import sub
 from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.core import make_accelerator
@@ -44,6 +45,7 @@ from repro.serving.events import (
     BatchRecord,
     ClusterEngine,
     DISPATCH_STRATEGIES,
+    EngineRun,
     FailurePlan,
     SloPolicy,
 )
@@ -81,6 +83,23 @@ __all__ = [
 #: 700 a 100k-request run pays hundreds of collections that free
 #: nothing.
 GC_GEN0_THRESHOLD = 100_000
+
+#: The counters of one engine run, under the same names on
+#: :class:`~repro.serving.events.EngineRun`, :class:`ServingResult`, a
+#: fan-out partition's outcome and the merged fan-out result.
+ENGINE_COUNTERS = ("redispatched", "wasted_energy", "stolen", "timeouts",
+                   "retries", "hedges", "cancels", "degraded")
+
+
+def counter_columns(result) -> dict:
+    """A reporting row's re-dispatch, stealing and resilience columns,
+    each only when non-zero (the resilience ones only under a
+    resilience policy): one copy for plain and fan-out rows."""
+    keys = ("redispatched", "stolen")
+    if result.resilience:
+        keys += ("resilience", "timeouts", "retries", "hedges",
+                 "cancels", "degraded", "accuracy_cost")
+    return {key: value for key in keys if (value := getattr(result, key))}
 
 
 @contextmanager
@@ -275,24 +294,7 @@ class ServingResult:
         if self.scale_events or self.peak_replicas != self.low_replicas:
             row["replicas_low"] = self.low_replicas
             row["replicas_peak"] = self.peak_replicas
-        if self.redispatched:
-            row["redispatched"] = self.redispatched
-        if self.stolen:
-            row["stolen"] = self.stolen
-        if self.resilience:
-            row["resilience"] = self.resilience
-            if self.timeouts:
-                row["timeouts"] = self.timeouts
-            if self.retries:
-                row["retries"] = self.retries
-            if self.hedges:
-                row["hedges"] = self.hedges
-            if self.cancels:
-                row["cancels"] = self.cancels
-            if self.degraded:
-                row["degraded"] = self.degraded
-            if self.accuracy_cost:
-                row["accuracy_cost"] = self.accuracy_cost
+        row.update(counter_columns(self))
         return row
 
     @property
@@ -515,9 +517,7 @@ class ServingSimulator:
             # capacity is the right unit) — every run, so a policy
             # reused across simulators never keeps stale figures
             scale.calibrate(self._mix_capacity_rps(requests))
-        stats0 = (cache.stats.hits, cache.stats.misses,
-                  cache.stats.energy_hits, cache.stats.energy_misses,
-                  cache.stats.seeded, cache.stats.seed_hits)
+        stats0 = astuple(cache.stats)
         if self.telemetry is not None:
             self.telemetry.begin_run(
                 scenario=scenario, policy=self.policy.name,
@@ -528,7 +528,21 @@ class ServingSimulator:
 
         engine = self.make_engine(networks, failures=failures)
         outcome = engine.run(requests)
+        # per-run delta, so a memo shared across runs still reports
+        # this trace's own hit rate
+        delta = CacheStats(*map(sub, astuple(cache.stats), stats0))
+        return self.make_result(requests, outcome, delta,
+                                scenario=scenario, rate=rate)
 
+    def make_result(self, requests: tuple[Request, ...],
+                    outcome: EngineRun, cache: CacheStats, *,
+                    scenario: str, rate: float) -> ServingResult:
+        """Fold one engine run over the time-ordered ``requests`` into
+        a :class:`ServingResult`.
+
+        :meth:`run` and every fan-out partition fold their runs here,
+        so their per-request arrays and counters cannot drift apart.
+        """
         shed = frozenset(outcome.shed)
         latencies = tuple(
             float("inf") if r.request_id in shed
@@ -544,32 +558,17 @@ class ServingSimulator:
             scenario=scenario, policy=self.policy.name, rate=rate,
             requests=requests, latencies=latencies,
             energy_per_request=energy, batches=outcome.batches,
-            # per-run delta, so a memo shared across runs still reports
-            # this trace's own hit rate
-            cache=CacheStats(
-                hits=cache.stats.hits - stats0[0],
-                misses=cache.stats.misses - stats0[1],
-                energy_hits=cache.stats.energy_hits - stats0[2],
-                energy_misses=cache.stats.energy_misses - stats0[3],
-                seeded=cache.stats.seeded - stats0[4],
-                seed_hits=cache.stats.seed_hits - stats0[5],
-            ),
-            slo_target=self.slo.target if self.slo else 0.0,
+            cache=cache, slo_target=self.slo.target if self.slo else 0.0,
             shed=outcome.shed, replica_trace=outcome.replica_trace,
             scale_events=outcome.scale_events,
-            redispatched=outcome.redispatched,
-            wasted_energy=outcome.wasted_energy,
-            stolen=outcome.stolen,
             resilience=(self.resilience.name
                         if self.resilience is not None else ""),
-            timeouts=outcome.timeouts, retries=outcome.retries,
-            hedges=outcome.hedges, cancels=outcome.cancels,
-            degraded=outcome.degraded,
             accuracy_cost=(
                 outcome.degraded * self.resilience.accuracy_drop
                 / len(requests)
                 if outcome.degraded
                 and hasattr(self.resilience, "accuracy_drop") else 0.0),
+            **{key: getattr(outcome, key) for key in ENGINE_COUNTERS},
         )
 
     def make_engine(self, networks: Mapping[str, Network],

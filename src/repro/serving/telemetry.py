@@ -44,12 +44,10 @@ TRACE_SCHEMA = "repro-telemetry/1"
 
 #: Event kinds a trace may contain (``sample`` rows carry the metrics
 #: timeline; ``run`` rows mark run boundaries in a shared sink;
-#: ``network`` rows are geo-tier inter-region transfers and ``region``
-#: rows the geo tier's per-region summaries).
+#: ``region`` rows are the geo tier's per-region summaries).
 EVENT_KINDS = ("run", "arrival", "shed", "flush", "batch_done", "fail",
-               "recover", "steal", "scale", "park", "sample", "network",
-               "region", "timeout", "retry", "hedge", "cancel",
-               "degrade")
+               "recover", "steal", "scale", "park", "sample", "region",
+               "timeout", "retry", "hedge", "cancel", "degrade")
 
 
 class Telemetry:

@@ -1,5 +1,6 @@
 """Shared fixtures: keep runtime state out of the working directory,
-and keep every test's cyclic-GC settings as it found them."""
+keep every test's cyclic-GC settings as it found them, and hold a
+fan-out result's engine counters to a plain run's."""
 
 from __future__ import annotations
 
@@ -31,3 +32,22 @@ def _gc_settings_untouched():
         gc.set_threshold(*before[0])
         (gc.enable if before[1] else gc.disable)()
         pytest.fail(f"GC settings changed: {before} -> {after}")
+
+
+@pytest.fixture
+def assert_counters_match():
+    """Check a fan-out result and its merged detail against a plain
+    run: every engine counter exactly, wasted energy to ``rel``
+    (0: exactly, as one partition must; summing several shards'
+    floats may round)."""
+    from repro.serving.simulator import ENGINE_COUNTERS
+
+    def check(fanned, plain, rel=0.0):
+        want = {key: getattr(plain, key) for key in ENGINE_COUNTERS}
+        wasted = want.pop("wasted_energy")
+        for result in (fanned, fanned.detail):
+            got = {key: getattr(result, key) for key in ENGINE_COUNTERS}
+            assert got.pop("wasted_energy") == pytest.approx(
+                wasted, rel=rel, abs=0.0)
+            assert got == want
+    return check

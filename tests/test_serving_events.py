@@ -242,8 +242,9 @@ class TestRunInputContract:
         and must refuse rather than serve out of time order."""
         shuffled = self.TRACE[3:] + self.TRACE[:3]
         if source is iter:
+            span = (self.TRACE[0].arrival, self.TRACE[-1].arrival)
             with pytest.raises(ConfigError, match="time-ordered"):
-                _flat_engine().run(source(shuffled))
+                _flat_engine().run(source(shuffled), span=span)
         else:
             served = _flat_engine().run(source(shuffled))
             ordered = _flat_engine().run(self.TRACE)
@@ -259,6 +260,21 @@ class TestRunInputContract:
         span = (0.0, 4e-5)  # arrivals 5e-5 and 6e-5 land after
         with pytest.raises(ConfigError, match="span"):
             _flat_engine().run(source(self.TRACE), span=span)
+
+    def test_stream_without_span_rejected(self):
+        """A stream cannot know its last arrival up front, so it must
+        bring its span: the engine refuses it after the one look-ahead
+        pull, before any event runs."""
+        pulled = []
+
+        def stream():
+            for request in self.TRACE:
+                pulled.append(request)
+                yield request
+
+        with pytest.raises(ConfigError, match="needs its span"):
+            _flat_engine().run(stream())
+        assert len(pulled) == 1
 
     def test_failure_plan_without_span(self, source):
         """Outages are sampled over the horizon before the first

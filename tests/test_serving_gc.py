@@ -115,14 +115,16 @@ def test_partition_worker_raises_the_threshold_itself(caller):
     spec = _spec(ShardedEngine(2, replicas=2), scenario, rate=20_000.0,
                  shard=0, replicas=2, accelerator="SMART", warm_cells=None)
     seen: list[int] = []
+    trace = generate_trace(scenario, 20_000.0, 50, SEED)
 
     def stream():
-        for request in generate_trace(scenario, 20_000.0, 50, SEED):
+        for request in trace:
             seen.append(gc.get_threshold()[0])
             yield request
 
-    outcome = _serve_partition(spec, stream(), None, {"shard": 0},
-                               perf_counter())
+    outcome = _serve_partition(spec, stream(),
+                               (trace[0].arrival, trace[-1].arrival),
+                               {"shard": 0}, perf_counter())
     assert outcome.requests == 50
     assert set(seen) == {GC_GEN0_THRESHOLD}
     assert gc.get_threshold() == caller

@@ -27,18 +27,19 @@ from repro.errors import ConfigError
 from repro.runtime import executor as executor_module
 from repro.serving import (
     GEO_POLICIES,
+    FailurePlan,
     FollowSunDispatch,
     GeoDispatchPolicy,
     GeoRouter,
     Interconnect,
     POLICIES,
     REQUEST_BYTES,
-    RegionFailurePlan,
-    RegionOutage,
+    Outage,
     RegionSpec,
     SCENARIOS,
     STOCK_REGIONS,
     ServingSimulator,
+    SloPolicy,
     default_regions,
     generate_trace,
     load_trace,
@@ -54,17 +55,19 @@ N = 400
 SOLO = (RegionSpec("solo", accelerator="SMART", replicas=2),)
 
 
-def _geo_solo(scenario, policy):
+def _geo_solo(scenario, policy, **router):
     router = GeoRouter(SOLO, policy=policy, batch_size=8,
-                       detail=True, mode="inline")
+                       detail=True, mode="inline", **router)
     return router.run_scenario(scenario, N, seed=SEED)
 
 
-def _monolithic(scenario, policy):
+def _monolithic(scenario, policy, slo_us=0.0, resilience=None):
     simulator = ServingSimulator(
         "SMART", replicas=2,
         policy=make_policy(policy, batch_size=8),
         dispatch="round_robin",
+        slo=SloPolicy(target=slo_us * 1e-6) if slo_us else None,
+        resilience=resilience,
     )
     return simulator.run_scenario(scenario, N, seed=SEED)
 
@@ -74,12 +77,35 @@ class TestZeroDrift:
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     @pytest.mark.parametrize("policy", sorted(POLICIES))
-    def test_bit_identical_on_every_stock_cell(self, name, policy):
+    def test_bit_identical_on_every_stock_cell(self, name, policy,
+                                               assert_counters_match):
         geo = _geo_solo(name, policy)
         mono = _monolithic(name, policy)
         assert geo.detail is not None
         assert geo.detail.latencies == mono.latencies
         assert geo.detail.energy_per_request == mono.energy_per_request
+        assert_counters_match(geo, mono)
+
+    @pytest.mark.parametrize("name", ["bursty", "failure-storm"])
+    @pytest.mark.parametrize("resilience", [
+        "hedge", "retry:timeout_us=300,budget=1", "degrade:timeout_us=300"])
+    def test_resilience_counters_match_the_plain_engine(
+            self, name, resilience, assert_counters_match):
+        """The region engine's own counters (hedges, retries, cancels,
+        re-dispatches, wasted energy) survive the merge exactly, and
+        the aggregate row reports them under the plain row's keys."""
+        geo = _geo_solo(name, "timeout", slo_us=500,
+                        resilience=resilience)
+        mono = _monolithic(name, "timeout", slo_us=500,
+                           resilience=resilience)
+        assert geo.detail.latencies == mono.latencies
+        assert mono.cancels or mono.degraded  # the policy fired
+        assert_counters_match(geo, mono)
+        assert geo.accuracy_cost == mono.accuracy_cost
+        row, plain = geo.to_row(), mono.to_row()
+        for key in ("redispatched", "timeouts", "retries", "hedges",
+                    "cancels", "degraded", "accuracy_cost"):
+            assert row.get(key) == plain.get(key), key
 
     def test_aggregates_match_monolithic(self):
         geo = _geo_solo("bursty", "timeout")
@@ -298,7 +324,7 @@ def _reference_route(spec, geo, storms):
     admissions.sort()
     outages = ()
     if storms:
-        outages = RegionFailurePlan(count=storms, seed=SEED).resolve(
+        outages = FailurePlan(count=storms, seed=SEED).resolve(
             admissions[0][0], admissions[-1][0], regions)
     icx = Interconnect(regions, topology=spec["topology"],
                        bandwidth_gbps=spec["bandwidth_gbps"],
@@ -309,7 +335,7 @@ def _reference_route(spec, geo, storms):
     routed = []
     for t, home, rid, model in admissions:
         serve = policy.route(t, home, view)
-        dark = {o.region for o in outages if o.down(t)}
+        dark = {o.replica for o in outages if o.at <= t < o.until}
         rerouted = retried = False
         delay = 0.0
         if serve in dark and len(dark) < regions:
@@ -535,6 +561,56 @@ class TestGeoPolicies:
                                      "cheapest_joule", "spillover"}
 
 
+#: Storm windows the retired region sampler drew for (seed, count,
+#: regions, span), as ``(region, at, until)`` in its (at, region)
+#: order, and the same windows merged where two overlap on a region.
+RECORDED_STORMS = {
+    (3, 2, 4, (0.0, 100.0)): (
+        [(3, 39.59641332384635, 49.59641332384635),
+         (0, 58.31360308769556, 68.31360308769555)],
+        [(3, 39.59641332384635, 49.59641332384635),
+         (0, 58.31360308769556, 68.31360308769555)],
+    ),
+    (1, 7, 2, (0.5, 2.5)): (
+        [(1, 0.800970915020335, 1.000970915020335),
+         (0, 0.8886699258736976, 1.0886699258736976),
+         (1, 1.3073843573179644, 1.5073843573179644),
+         (0, 1.4555923897217866, 1.6555923897217866),
+         (1, 1.6107261997155395, 1.8107261997155395),
+         (1, 1.917539911860121, 2.117539911860121),
+         (0, 1.9836240978690938, 2.1836240978690937)],
+        [(1, 0.800970915020335, 1.000970915020335),
+         (0, 0.8886699258736976, 1.0886699258736976),
+         (1, 1.3073843573179644, 1.5073843573179644),
+         (0, 1.4555923897217866, 1.6555923897217866),
+         (1, 1.6107261997155395, 1.8107261997155395),
+         (1, 1.917539911860121, 2.117539911860121),
+         (0, 1.9836240978690938, 2.1836240978690937)],
+    ),
+    # the two region-0 windows overlap: one merged window
+    (9, 4, 3, (1e-3, 4e-3)): (
+        [(2, 0.0017467478907089566, 0.0020467478907089565),
+         (0, 0.001941122611854185, 0.002241122611854185),
+         (0, 0.002111981228043713, 0.002411981228043713),
+         (1, 0.002923944556828172, 0.003223944556828172)],
+        [(2, 0.0017467478907089566, 0.0020467478907089565),
+         (0, 0.001941122611854185, 0.002411981228043713),
+         (1, 0.002923944556828172, 0.003223944556828172)],
+    ),
+    # one region, five windows: two overlapping pairs
+    (7, 5, 1, (0.0, 1.0)): (
+        [(0, 0.1579490293340342, 0.2579490293340342),
+         (0, 0.22067933913960155, 0.32067933913960156),
+         (0, 0.35906621186652987, 0.45906621186652985),
+         (0, 0.5287056034453513, 0.6287056034453513),
+         (0, 0.620747578431883, 0.720747578431883)],
+        [(0, 0.1579490293340342, 0.32067933913960156),
+         (0, 0.35906621186652987, 0.45906621186652985),
+         (0, 0.5287056034453513, 0.720747578431883)],
+    ),
+}
+
+
 class TestRegionStorms:
     def test_storm_reroutes_dark_region(self):
         calm = GeoRouter(4, topology="ring", mode="inline") \
@@ -548,18 +624,42 @@ class TestRegionStorms:
 
     def test_outage_window_validates(self):
         with pytest.raises(ConfigError):
-            RegionOutage(region=0, at=2.0, until=1.0)
-        outage = RegionOutage(region=1, at=1.0, until=2.0)
-        assert outage.down(1.5) and not outage.down(2.5)
+            Outage(replica=0, at=2.0, until=1.0)
+        outages = (Outage(replica=1, at=1.0, until=2.0),)
+        assert geo_module._down(outages, 1, 1.5)
+        assert not geo_module._down(outages, 1, 2.5)
+        assert not geo_module._down(outages, 0, 1.5)
 
     def test_plan_is_seeded_and_bounded(self):
-        plan = RegionFailurePlan(count=3, seed=9)
-        outages = plan.resolve(0.0, 100.0, regions=4)
-        assert outages == plan.resolve(0.0, 100.0, regions=4)
+        plan = FailurePlan(count=3, seed=9)
+        outages = plan.resolve(0.0, 100.0, 4)
+        assert outages == plan.resolve(0.0, 100.0, 4)
         assert len(outages) == 3
         for o in outages:
             assert 0.0 <= o.at < o.until
-            assert 0 <= o.region < 4
+            assert 0 <= o.replica < 4
+
+    @pytest.mark.parametrize("cell", sorted(RECORDED_STORMS))
+    def test_failure_plan_draws_the_recorded_storms(self, cell):
+        """Storms used to come from a region-only sampler that made the
+        same draws as :class:`FailurePlan` but never merged overlapping
+        windows.  Its recorded windows, merged per region where they
+        overlap, are exactly what ``FailurePlan`` resolves."""
+        seed, count, regions, (start, end) = cell
+        got = FailurePlan(count=count, seed=seed).resolve(start, end,
+                                                          regions)
+        recorded, merged = RECORDED_STORMS[cell]
+        assert [(o.replica, o.at, o.until) for o in got] == merged
+        assert len(merged) <= len(recorded) == count
+        # membership is unchanged: a region is down under the merged
+        # windows exactly when one of the recorded windows darkens it
+        probes = sorted({t for _, at, until in recorded
+                         for t in (at, until, (at + until) / 2)})
+        for region in range(regions):
+            for t in probes:
+                assert geo_module._down(got, region, t) == any(
+                    r == region and at <= t < until
+                    for r, at, until in recorded)
 
 
 class TestFleetAccounting:

@@ -201,7 +201,8 @@ class TestDeterminism:
         trace = generate_trace(scenario, rate, 200, seed=9)
         networks = {m: sim.network(m) for m in scenario.mix.models()}
         batch = sim.make_engine(networks).run(trace)
-        streamed = sim.make_engine(networks).run(iter(trace))
+        streamed = sim.make_engine(networks).run(
+            iter(trace), span=(trace[0].arrival, trace[-1].arrival))
         assert streamed.done == batch.done
         assert streamed.batches == batch.batches
         assert (streamed.timeouts, streamed.retries, streamed.hedges,

@@ -141,7 +141,8 @@ class TestStreamingEngine:
         networks = {m: simulator.network(m)
                     for m in scenario.mix.models()}
         batch = simulator.make_engine(networks).run(trace)
-        streamed = simulator.make_engine(networks).run(iter(trace))
+        streamed = simulator.make_engine(networks).run(
+            iter(trace), span=(trace[0].arrival, trace[-1].arrival))
         assert streamed.done == batch.done
         assert streamed.batches == batch.batches
 
@@ -155,7 +156,8 @@ class TestStreamingEngine:
         trace = generate_trace(scenario, RATE, 50, seed=SEED)
         shuffled = trace[10:] + trace[:10]
         with pytest.raises(ConfigError, match="time-ordered"):
-            simulator.make_engine(networks).run(iter(shuffled))
+            simulator.make_engine(networks).run(
+                iter(shuffled), span=(trace[0].arrival, trace[-1].arrival))
 
     def test_streamed_run_rejects_empty_iterator(self):
         simulator = ServingSimulator("SMART", replicas=2,
@@ -168,9 +170,12 @@ class TestStreamingEngine:
 class TestShardedEquivalence:
     @pytest.mark.parametrize("name", ["steady", "hot-model", "overload"])
     @pytest.mark.parametrize("policy", ["fixed", "timeout"])
-    def test_detail_run_is_bit_exact(self, name, policy):
+    def test_detail_run_is_bit_exact(self, name, policy,
+                                     assert_counters_match):
         mono = _monolithic(name, 400, policy=policy)
-        merged = _sharded(name, 400, policy=policy).detail
+        result = _sharded(name, 400, policy=policy)
+        assert_counters_match(result, mono, rel=1e-12)
+        merged = result.detail
         assert merged.latencies == mono.latencies
         assert merged.energy_per_request == mono.energy_per_request
         assert merged.requests == mono.requests
@@ -316,8 +321,6 @@ class TestShardedEngineApi:
         with pytest.raises(ConfigError):
             ShardedEngine(3, replicas=2)
         with pytest.raises(ConfigError):
-            ShardedEngine(2, replicas=2, dispatch="round_robin")
-        with pytest.raises(ConfigError):
             ShardedEngine(2, replicas=2, policy="adaptive")
 
     def test_run_rejects_fault_scenarios_and_empty_traces(self):
@@ -363,25 +366,30 @@ RETRY_SPEC = "retry:timeout_us=400,budget=2"
 class TestShardedResilience:
     """Only shard-stable resilience shards, and it shards exactly."""
 
-    def test_retry_parity_is_bit_exact(self):
+    def test_retry_parity_is_bit_exact(self, assert_counters_match):
         from repro.serving import SloPolicy
         mono = _monolithic("steady", 400, replicas=4,
                            slo=SloPolicy(target=900e-6),
                            resilience=RETRY_SPEC)
-        merged = _sharded("steady", 400, shards=2, replicas=4,
-                          slo_us=900, resilience=RETRY_SPEC).detail
+        result = _sharded("steady", 400, shards=2, replicas=4,
+                          slo_us=900, resilience=RETRY_SPEC)
+        assert_counters_match(result, mono, rel=1e-12)
+        merged = result.detail
         assert mono.retries > 0  # the policy genuinely fired
         assert merged.latencies == mono.latencies
         assert merged.energy_per_request == mono.energy_per_request
 
     @pytest.mark.parametrize("shards", [2, 3, 4])
-    def test_retry_schedule_is_shard_count_invariant(self, shards):
+    def test_retry_schedule_is_shard_count_invariant(
+            self, shards, assert_counters_match):
         from repro.serving import SloPolicy
         mono = _monolithic("steady", 400, replicas=4,
                            slo=SloPolicy(target=900e-6),
                            resilience=RETRY_SPEC)
-        merged = _sharded("steady", 400, shards=shards, replicas=4,
-                          slo_us=900, resilience=RETRY_SPEC).detail
+        result = _sharded("steady", 400, shards=shards, replicas=4,
+                          slo_us=900, resilience=RETRY_SPEC)
+        assert_counters_match(result, mono, rel=1e-12)
+        merged = result.detail
         assert merged.latencies == mono.latencies
         assert merged.energy_per_request == mono.energy_per_request
 
@@ -404,13 +412,37 @@ class TestShardedResilience:
         assert row["resilience"] == RETRY_SPEC
         assert "shard_retries" not in row  # nothing crashed
 
+    def test_row_reports_the_monolithic_counters(self,
+                                                 assert_counters_match):
+        """A bursty overload past a tight deadline retries thousands of
+        times; the sharded result, its detail and its row report what
+        the monolithic engine does, under the plain row's keys."""
+        from repro.serving import SloPolicy
+        spec = "retry:timeout_us=300,budget=1"
+        mono = _monolithic("bursty", 1500, slo=SloPolicy(target=400e-6),
+                           resilience=spec)
+        result = _sharded("bursty", 1500, slo_us=400, resilience=spec)
+        assert mono.retries and mono.timeouts and mono.cancels
+        assert_counters_match(result, mono, rel=1e-12)
+        row, plain = result.to_row(), mono.to_row()
+        for key in ("timeouts", "retries", "cancels"):
+            assert row[key] == plain[key]
+        assert "hedges" not in row and "degraded" not in row
+
+
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Shrink the fan-out's crash-retry backoff so re-runs are quick."""
+    monkeypatch.setattr(sharding_module, "_RETRY_BACKOFF_S", 0.001)
+
 
 class TestShardFaultTolerance:
     """Crashed or raising worker shards are re-run, not fatal."""
 
     def test_raising_shard_is_retried_with_exact_result(self,
                                                         monkeypatch,
-                                                        tmp_path):
+                                                        tmp_path,
+                                                        fast_backoff):
         real = sharding_module._serve_shard
         sentinel = tmp_path / "crashed-once"
 
@@ -421,15 +453,15 @@ class TestShardFaultTolerance:
             return real(spec)
 
         monkeypatch.setattr(sharding_module, "_serve_shard", flaky)
-        result = _sharded("steady", 400, mode="thread",
-                          retry_backoff_s=0.001)
+        result = _sharded("steady", 400, mode="thread")
         assert result.shard_retries == 1
         clean = _monolithic("steady", 400)
         assert result.detail.latencies == clean.latencies
         assert result.detail.energy_per_request == \
             clean.energy_per_request
 
-    def test_permanent_failure_raises_after_budget(self, monkeypatch):
+    def test_permanent_failure_raises_after_budget(self, monkeypatch,
+                                                   fast_backoff):
         real = sharding_module._serve_shard
 
         def always(spec):
@@ -438,23 +470,17 @@ class TestShardFaultTolerance:
             return real(spec)
 
         monkeypatch.setattr(sharding_module, "_serve_shard", always)
-        engine = ShardedEngine(2, replicas=2, mode="thread",
-                               shard_retries=2, retry_backoff_s=0.001)
+        monkeypatch.setattr(sharding_module, "_SHARD_RETRIES", 3)
+        engine = ShardedEngine(2, replicas=2, mode="thread")
         with pytest.raises(RuntimeError,
-                           match="still failing after 2 retries"):
+                           match="still failing after 3 retries"):
             engine.run_scenario("steady", 200, seed=SEED)
-
-    def test_retry_budget_validation(self):
-        with pytest.raises(ConfigError):
-            ShardedEngine(2, replicas=2, shard_retries=-1)
-        with pytest.raises(ConfigError):
-            ShardedEngine(2, replicas=2, retry_backoff_s=-0.1)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="worker-kill chaos needs fork inheritance")
     def test_process_worker_killed_mid_run(self, monkeypatch,
-                                           tmp_path):
+                                           tmp_path, fast_backoff):
         """The chaos cell: one worker process dies outright
         (``os._exit``, as a crashed machine would); the run must still
         complete with the exact monolithic answer."""
@@ -472,8 +498,7 @@ class TestShardFaultTolerance:
         # drain any pools forked before the monkeypatch so the killer
         # is actually inherited
         executor_module.shutdown_pools()
-        result = _sharded("steady", 400, mode="process",
-                          retry_backoff_s=0.001)
+        result = _sharded("steady", 400, mode="process")
         assert sentinel.exists()  # the kill genuinely happened
         assert result.shard_retries >= 1
         clean = _monolithic("steady", 400)
@@ -494,9 +519,9 @@ class TestShardCheckpoint:
             return real(spec)
 
         monkeypatch.setattr(sharding_module, "_serve_shard", doomed)
+        monkeypatch.setattr(sharding_module, "_SHARD_RETRIES", 0)
         engine = ShardedEngine(2, replicas=2, mode="thread",
-                               detail=True, shard_retries=0,
-                               checkpoint=checkpoint)
+                               detail=True, checkpoint=checkpoint)
         with pytest.raises(RuntimeError):
             engine.run_scenario("steady", 300, seed=SEED)
         assert os.path.exists(checkpoint)  # shard 0 landed on disk

@@ -125,8 +125,9 @@ class TestWarmSharded:
         assert warm.detail.latencies == cold.detail.latencies
 
     def test_external_snapshot_accepted(self):
-        snapshot = _simulator().prewarm("steady")
-        warm = _sharded("steady", 400, snapshot=snapshot)
+        seeded = LayerMemoCache()
+        _simulator().prewarm("steady").install(seeded)
+        warm = _sharded("steady", 400, memo_cache=seeded)
         cold = _sharded("steady", 400, prewarm=False)
         assert warm.detail.latencies == cold.detail.latencies
         assert warm.detail.energy_per_request == \
@@ -207,11 +208,11 @@ class TestWarmChaos:
             return real(spec)
 
         monkeypatch.setattr(sharding_module, "_serve_shard", killer)
+        monkeypatch.setattr(sharding_module, "_RETRY_BACKOFF_S", 0.001)
         # drain pools forked before the monkeypatch so the killer is
         # actually inherited by the warm pool's workers
         executor_module.shutdown_pools()
-        result = _sharded("steady", 400, mode="process",
-                          retry_backoff_s=0.001)
+        result = _sharded("steady", 400, mode="process")
         assert sentinel.exists()
         assert result.shard_retries >= 1
         assert result.cache.seeded > 0
