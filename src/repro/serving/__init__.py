@@ -12,9 +12,9 @@ cache keeps million-request traces cheap, and can persist its totals
 across runs through the runtime result cache.
 
 For million-request scale, traces stream (:func:`stream_trace`,
-bit-identical to :func:`generate_trace` with O(1) requests resident)
-and :class:`ShardedEngine` (:mod:`repro.serving.sharding`) fans a
-deterministically sharded trace across worker processes, merging
+bit-identical to :func:`generate_trace` with one block of draws
+resident) and :class:`ShardedEngine` (:mod:`repro.serving.sharding`)
+fans a deterministically sharded trace across worker processes, merging
 exact counters plus a mergeable latency digest back into one
 :class:`ShardedResult`.
 

@@ -313,21 +313,21 @@ def _admissions(spec: dict) -> list:
     columns.
 
     Drawn the way :func:`~repro.serving.workload.generate_trace` draws
-    a trace: one RNG per region (its seed), every arrival time first,
-    then every model sample.  The columns cost 10 bytes a request, and
-    the storm windows read the run's first and last admission off them.
+    a trace, in blocks: one RNG per region (its seed), every arrival
+    time first, then every model sample.  The columns cost 10 bytes a
+    request, and the storm windows read the run's first and last
+    admission off them.
     """
     scenario = spec["scenario"]
     index = {model: k for k, model in enumerate(scenario.mix.models())}
-    sample = scenario.mix.sampler()
+    draw = scenario.mix.draw
     admissions = []
     for region, rate, n, seed in zip(spec["regions"], spec["rates"],
                                      spec["counts"], spec["seeds"]):
         rng = random.Random(seed)
         process = _region_scenario(scenario, region[4]).process(rate)
         arrivals = array("d", process.times(n, rng))
-        models = array("H", map(index.__getitem__,
-                                map(sample, repeat(rng, n))))
+        models = array("H", map(index.__getitem__, draw(rng, n)))
         admissions.append((arrivals, models))
     return admissions
 

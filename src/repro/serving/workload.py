@@ -21,23 +21,33 @@ and for SMART.  Everything is seeded and deterministic.
 Traces come in two physical forms with identical contents:
 :func:`generate_trace` materialises the full tuple, while
 :func:`stream_trace` yields the same :class:`Request` objects one at a
-time with O(1) requests in memory — ``tuple(stream_trace(...)) ==
-generate_trace(...)`` for every scenario and seed.  On top of the
-stream, :func:`shard_trace` splits a trace deterministically across
-worker shards by the same model hash :class:`~repro.serving.policies.
-ShardDispatch` pins replicas with, so a sharded run partitions exactly
-the traffic each home replica would have served in one process.
+time holding one block of draws (:data:`DRAW_BLOCK`) in memory —
+``tuple(stream_trace(...)) == generate_trace(...)`` for every scenario
+and seed.  On top of the stream, :func:`shard_trace` splits a trace
+deterministically across worker shards by the same model hash
+:class:`~repro.serving.policies.ShardDispatch` pins replicas with, so
+a sharded run partitions exactly the traffic each home replica would
+have served in one process.
+
+Every draw is taken in blocks: one list comprehension of
+``-log(1.0 - random()) / rate`` per block (``random.expovariate``'s
+own expression, one ``random()`` per draw) and one
+``accumulate(gaps, initial=t)`` running sum from the previous block's
+last instant — the same float operations, in the same order, as a
+per-draw ``t += rng.expovariate(rate)`` loop, so the traces are
+bit-identical to it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random as _random
 import zlib
 from bisect import bisect
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from itertools import accumulate, chain, compress, islice, repeat
+from typing import Iterable, Iterator
 
 from repro.errors import ConfigError
 from repro.models import model_names
@@ -87,8 +97,14 @@ class ModelMix:
     def __post_init__(self) -> None:
         if not self.weights:
             raise ConfigError("model mix cannot be empty")
-        if any(w <= 0 for _, w in self.weights):
-            raise ConfigError("model-mix weights must be positive")
+        for name, w in self.weights:
+            if not (w > 0 and math.isfinite(w)):
+                raise ConfigError(f"model-mix weights must be positive "
+                                  f"and finite, got weight {w!r} for "
+                                  f"'{name}'")
+        if not math.isfinite(sum(w for _, w in self.weights)):
+            raise ConfigError("model-mix weights must have a finite "
+                              "total")
 
     @staticmethod
     def uniform_zoo() -> "ModelMix":
@@ -122,30 +138,62 @@ class ModelMix:
         weights = [w for _, w in self.weights]
         return rng.choices(names, weights=weights, k=1)[0]
 
-    def sampler(self) -> Callable[[_random.Random], str]:
-        """A fast repeated-draw sampler, bit-identical to ``sample``.
+    def draw(self, rng: _random.Random, n: int) -> list[str]:
+        """``n`` model names, bit-identical to ``n`` :meth:`sample` calls.
 
         ``sample`` rebuilds the cumulative-weight table on every call;
-        the returned closure builds it once and replays exactly the
-        ``random.choices`` draw (one ``rng.random()`` per call, same
-        bisect over the same accumulated floats), so a million-request
-        stream samples the same models the tuple path does.
+        this builds it once and replays exactly the ``random.choices``
+        draw (one ``rng.random()`` per name, same bisect over the same
+        accumulated floats), leaving ``rng`` where ``n`` ``sample``
+        calls would.
         """
-        names = [n for n, _ in self.weights]
-        cum = list(itertools.accumulate(w for _, w in self.weights))
+        names = [name for name, _ in self.weights]
+        cum = list(accumulate(w for _, w in self.weights))
         total = cum[-1] + 0.0
         hi = len(cum) - 1
-
-        def draw(rng: _random.Random, _names=names, _cum=cum,
-                 _total=total, _hi=hi, _bisect=bisect) -> str:
-            return _names[_bisect(_cum, rng.random() * _total, 0, _hi)]
-
-        return draw
+        random = rng.random
+        return [names[bisect(cum, random() * total, 0, hi)]
+                for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
 # Arrival processes
 # ---------------------------------------------------------------------------
+#: Draws per block of a trace.  A block is one list comprehension of
+#: draws and one running sum, which is what makes the draws cheap; a
+#: lazy :meth:`times` iterator or a streamed trace holds one block.
+DRAW_BLOCK = 1024
+
+
+def _blocks(n: int, size: int = DRAW_BLOCK) -> list[range]:
+    """Positions ``0..n-1`` cut into consecutive blocks of ``size``."""
+    return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def _summed(gap_blocks: Iterable[list[float]]) -> Iterator[list[float]]:
+    """Running sums of successive gap blocks, one list per block.
+
+    Each block is summed from the previous block's last instant with
+    ``accumulate(gaps, initial=t)`` minus its first element: the same
+    additions, in the same order, as a per-draw ``t += gap``.  (Summing
+    the block alone and adding ``t`` after rounds differently, and
+    without ``initial`` a first gap of ``-0.0`` would surface as an
+    arrival of ``-0.0``.)
+    """
+    t = 0.0
+    for gaps in gap_blocks:
+        sums = list(accumulate(gaps, initial=t))
+        t = sums[-1]
+        del sums[0]
+        yield sums
+
+
+def _positive(value: float, what: str, field_name: str) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigError(f"{what} must be positive and finite, got "
+                          f"{field_name}={value!r}")
+
+
 @dataclass(frozen=True)
 class PoissonProcess:
     """Memoryless arrivals at a constant ``rate`` (requests/s)."""
@@ -153,15 +201,18 @@ class PoissonProcess:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ConfigError("arrival rate must be positive")
+        _positive(self.rate, "arrival rate", "rate")
 
     def times(self, n: int, rng: _random.Random) -> Iterator[float]:
-        """``n`` ascending arrival times (s), one draw per yield."""
-        t = 0.0
-        for _ in range(n):
-            t += rng.expovariate(self.rate)
-            yield t
+        """``n`` ascending arrival times (s), one ``rng.random()`` each.
+
+        Lazy, one block at a time: it may draw a block ahead of what it
+        has yielded, so drain it before drawing from ``rng`` yourself.
+        """
+        lam, random, log = self.rate, rng.random, math.log
+        return chain.from_iterable(_summed(
+            [-log(1.0 - random()) / lam for _ in block]
+            for block in _blocks(n)))
 
     def draws(self, n: int) -> int:
         """RNG draws :meth:`times` consumes for ``n`` arrivals."""
@@ -170,6 +221,15 @@ class PoissonProcess:
     def generate(self, n: int, rng: _random.Random) -> list[float]:
         """``n`` ascending arrival times (s)."""
         return list(self.times(n, rng))
+
+
+def _bursts(k: int, size: int, on, off) -> list:
+    """One entry per draw of ``k`` arrivals in bursts of ``size``:
+    ``on`` per arrival, then ``off`` for the idle draw that follows
+    every burst, including a short final one."""
+    full, short = divmod(k, size)
+    return (([on] * size + [off]) * full
+            + ([on] * short + [off] if short else []))
 
 
 @dataclass(frozen=True)
@@ -186,26 +246,37 @@ class BurstyProcess:
     burst_size: int = 20
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ConfigError("arrival rate must be positive")
-        if self.burst_factor <= 1.0:
-            raise ConfigError("burst factor must exceed 1")
+        _positive(self.rate, "arrival rate", "rate")
+        if not (self.burst_factor > 1.0
+                and math.isfinite(self.burst_factor)):
+            raise ConfigError(f"burst factor must be finite and exceed "
+                              f"1, got burst_factor={self.burst_factor!r}")
         if self.burst_size < 1:
             raise ConfigError("burst size must be >= 1")
 
     def times(self, n: int, rng: _random.Random) -> Iterator[float]:
-        """``n`` ascending arrival times (s), one draw per yield."""
+        """``n`` ascending arrival times (s), one ``rng.random()`` each
+        plus one per burst for the idle gap (never yielded).
+
+        Lazy, one block of whole bursts at a time: it may draw a block
+        ahead of what it has yielded, so drain it before drawing from
+        ``rng`` yourself.
+        """
+        size = self.burst_size
+        fast = self.rate * self.burst_factor
         # mean gap that restores the target rate after a fast burst
-        idle_mean = self.burst_size * (1.0 / self.rate
-                                       - 1.0 / (self.rate
-                                                * self.burst_factor))
-        done, t = 0, 0.0
-        while done < n:
-            for _ in range(min(self.burst_size, n - done)):
-                t += rng.expovariate(self.rate * self.burst_factor)
-                done += 1
-                yield t
-            t += rng.expovariate(1.0 / idle_mean)
+        idle_mean = size * (1.0 / self.rate
+                            - 1.0 / (self.rate * self.burst_factor))
+        slow = 1.0 / idle_mean
+        random, log = rng.random, math.log
+        blocks = _blocks(n, max(1, DRAW_BLOCK // size) * size)
+        gaps = ([-log(1.0 - random()) / lam
+                 for lam in _bursts(len(block), size, fast, slow)]
+                for block in blocks)
+        is_arrival = (_bursts(len(block), size, True, False)
+                      for block in blocks)
+        return chain.from_iterable(map(compress, _summed(gaps),
+                                       is_arrival))
 
     def draws(self, n: int) -> int:
         """RNG draws :meth:`times` consumes for ``n`` arrivals.
@@ -233,20 +304,24 @@ class RampProcess:
     start_fraction: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ConfigError("arrival rate must be positive")
+        _positive(self.rate, "arrival rate", "rate")
         if not 0.0 < self.start_fraction <= 1.0:
             raise ConfigError("start fraction must be in (0, 1]")
 
     def times(self, n: int, rng: _random.Random) -> Iterator[float]:
-        """``n`` ascending arrival times (s), one draw per yield."""
-        t = 0.0
-        for i in range(n):
-            frac = i / max(1, n - 1)
-            instant = self.rate * (self.start_fraction
-                                   + (1.0 - self.start_fraction) * frac)
-            t += rng.expovariate(instant)
-            yield t
+        """``n`` ascending arrival times (s), one ``rng.random()`` each.
+
+        Lazy, one block at a time: it may draw a block ahead of what it
+        has yielded, so drain it before drawing from ``rng`` yourself.
+        """
+        rate, start = self.rate, self.start_fraction
+        rise = 1.0 - start
+        last = max(1, n - 1)
+        random, log = rng.random, math.log
+        return chain.from_iterable(_summed(
+            [-log(1.0 - random()) / (rate * (start + rise * (i / last)))
+             for i in block]
+            for block in _blocks(n)))
 
     def draws(self, n: int) -> int:
         """RNG draws :meth:`times` consumes for ``n`` arrivals."""
@@ -280,27 +355,30 @@ class DiurnalProcess:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ConfigError("arrival rate must be positive")
+        _positive(self.rate, "arrival rate", "rate")
         if not 0.0 < self.amplitude < 1.0:
             raise ConfigError("diurnal amplitude must be in (0, 1)")
-        if self.cycles <= 0:
-            raise ConfigError("diurnal cycle count must be positive")
+        _positive(self.cycles, "diurnal cycle count", "cycles")
         if not math.isfinite(self.phase):
             raise ConfigError("diurnal phase must be finite")
 
     def times(self, n: int, rng: _random.Random) -> Iterator[float]:
-        """``n`` ascending arrival times (s), one draw per yield."""
-        t = 0.0
+        """``n`` ascending arrival times (s), one ``rng.random()`` each.
+
+        Lazy, one block at a time: it may draw a block ahead of what it
+        has yielded, so drain it before drawing from ``rng`` yourself.
+        """
+        rate, amplitude = self.rate, self.amplitude
+        # ((2 pi) * cycles) * frac: hoisting the product is exact
+        wave = 2.0 * math.pi * self.cycles
         offset = 2.0 * math.pi * self.phase
-        for i in range(n):
-            frac = i / max(1, n - 1)
-            instant = self.rate * (
-                1.0 - self.amplitude
-                * math.cos(2.0 * math.pi * self.cycles * frac + offset)
-            )
-            t += rng.expovariate(instant)
-            yield t
+        last = max(1, n - 1)
+        random, log, cos = rng.random, math.log, math.cos
+        return chain.from_iterable(_summed(
+            [-log(1.0 - random())
+             / (rate * (1.0 - amplitude * cos(wave * (i / last) + offset)))
+             for i in block]
+            for block in _blocks(n)))
 
     def draws(self, n: int) -> int:
         """RNG draws :meth:`times` consumes for ``n`` arrivals."""
@@ -315,20 +393,20 @@ def burn_draws(process, n: int, rng: _random.Random) -> None:
     """Advance ``rng`` past the draws ``process.times(n, rng)`` makes.
 
     Every arrival process consumes exactly one ``rng.random()`` call
-    per ``expovariate`` draw, so when the process can report its draw
-    count up front the burn is a tight loop of cheap state advances —
-    no logs, no generator frames, no float accumulation.  The RNG ends
-    in the bit-identical state a full :meth:`times` pass leaves it in;
+    per draw, and ``random()`` takes two 32-bit words of the Mersenne
+    Twister while ``getrandbits(64 * k)`` takes ``2 * k``, so when the
+    process can report its draw count up front the burn is one
+    ``getrandbits`` per block — no logs, no floats.  The RNG ends in
+    the bit-identical state a full :meth:`times` pass leaves it in;
     processes without a ``draws`` method fall back to the real pass.
     """
     draws = getattr(process, "draws", None)
     if draws is None:
-        for _ in process.times(n, rng):
-            pass
+        deque(process.times(n, rng), maxlen=0)
         return
-    random = rng.random
-    for _ in range(draws(n)):
-        random()
+    getrandbits = rng.getrandbits
+    for block in _blocks(draws(n)):
+        getrandbits(64 * len(block))
 
 
 ARRIVAL_SHAPES = {
@@ -450,12 +528,8 @@ def generate_trace(scenario: Scenario, rate: float, n: int,
         raise ConfigError("trace needs at least one request")
     rng = _random.Random(seed)
     times = scenario.process(rate).generate(n, rng)
-    sample = scenario.mix.sampler()
-    return tuple(
-        Request(request_id=i, model=sample(rng), arrival=t,
-                region=region)
-        for i, t in enumerate(times)
-    )
+    models = scenario.mix.draw(rng, n)
+    return tuple(map(Request, range(n), models, times, repeat(region)))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +538,7 @@ def generate_trace(scenario: Scenario, rate: float, n: int,
 def stream_trace(scenario: Scenario, rate: float, n: int,
                  seed: int = 0, *,
                  region: str = "") -> Iterator[Request]:
-    """The :func:`generate_trace` trace as a stream, O(1) memory.
+    """The :func:`generate_trace` trace as a stream, one block resident.
 
     Yields the exact same :class:`Request` objects, in the same order:
     ``tuple(stream_trace(...)) == generate_trace(...)``.
@@ -473,20 +547,30 @@ def stream_trace(scenario: Scenario, rate: float, n: int,
     all ``n`` model samples from the *same* RNG, so a single-pass
     generator cannot reproduce it.  Instead two RNGs seeded alike walk
     the stream: one is burned through the time draws up front (O(n)
-    cheap draws, no storage) so its model samples start from the state
-    the one-RNG path would have reached, while the second replays the
-    time draws live, one request of look-ahead at a time.
+    cheap state advances, no storage) so its model samples start from
+    the state the one-RNG path would have reached, while the second
+    replays the time draws live, one block of :data:`DRAW_BLOCK`
+    draws at a time.
     """
     if n < 1:
         raise ConfigError("trace needs at least one request")
     process = scenario.process(rate)
     rng_models = _random.Random(seed)
     burn_draws(process, n, rng_models)
-    sample = scenario.mix.sampler()
-    rng_times = _random.Random(seed)
-    for i, t in enumerate(process.times(n, rng_times)):
-        yield Request(request_id=i, model=sample(rng_models),
-                      arrival=t, region=region)
+    draw = scenario.mix.draw
+    times = process.times(n, _random.Random(seed))
+    tags = repeat(region)
+    for ids in _blocks(n):
+        k = len(ids)
+        yield from map(Request, ids, draw(rng_models, k),
+                       islice(times, k), tags)
+
+
+def _span(times: Iterator[float]) -> tuple[float, float]:
+    """(first, last) of a non-empty arrival iterator, draining it."""
+    first = next(times)
+    tail = deque(times, maxlen=1)
+    return (first, tail[0] if tail else first)
 
 
 def trace_span(scenario: Scenario, rate: float, n: int,
@@ -501,13 +585,7 @@ def trace_span(scenario: Scenario, rate: float, n: int,
     if n < 1:
         raise ConfigError("trace needs at least one request")
     process = scenario.process(rate)
-    rng = _random.Random(seed)
-    first = last = 0.0
-    for i, t in enumerate(process.times(n, rng)):
-        if i == 0:
-            first = t
-        last = t
-    return (first, last)
+    return _span(process.times(n, _random.Random(seed)))
 
 
 def shard_key(model: str, replicas: int, shards: int) -> int:
@@ -584,13 +662,7 @@ class TraceShard:
         self._process = scenario.process(rate)
         self._rng_models = _random.Random(seed)
         if span is None:
-            first = last = 0.0
-            for i, t in enumerate(self._process.times(n,
-                                                      self._rng_models)):
-                if i == 0:
-                    first = t
-                last = t
-            span = (first, last)
+            span = _span(self._process.times(n, self._rng_models))
         else:
             burn_draws(self._process, n, self._rng_models)
             span = (float(span[0]), float(span[1]))
@@ -604,20 +676,23 @@ class TraceShard:
         return self._requests()
 
     def _requests(self) -> Iterator[Request]:
-        sample = self.scenario.mix.sampler()
+        draw = self.scenario.mix.draw
         rng_models = self._rng_models
-        rng_times = _random.Random(self.seed)
-        keys: dict[str, int] = {}
-        replicas, shards, shard = self.replicas, self.shards, self.shard
-        region = self.region
-        for i, t in enumerate(self._process.times(self.n, rng_times)):
-            model = sample(rng_models)
-            key = keys.get(model)
-            if key is None:
-                key = keys[model] = shard_key(model, replicas, shards)
-            if key == shard:
-                yield Request(request_id=i, model=model, arrival=t,
-                              region=region)
+        times = self._process.times(self.n, _random.Random(self.seed))
+        owned = {model: shard_key(model, self.replicas,
+                                  self.shards) == self.shard
+                 for model in self.scenario.mix.models()}
+        tags = repeat(self.region)
+        for ids in _blocks(self.n):
+            k = len(ids)
+            models = draw(rng_models, k)
+            # take the whole block before filtering: arrivals left in
+            # ``times`` past the last kept one would shift later blocks
+            arrivals = list(islice(times, k))
+            keep = list(map(owned.__getitem__, models))
+            yield from map(Request, compress(ids, keep),
+                           compress(models, keep),
+                           compress(arrivals, keep), tags)
 
 
 def shard_trace(scenario: Scenario, rate: float, n: int, seed: int = 0,

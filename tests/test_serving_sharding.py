@@ -71,10 +71,9 @@ class TestStreamTrace:
 
     def test_mix_sampler_replays_choices(self):
         mix = get_scenario("hot-model").mix
-        sample = mix.sampler()
         a, b = random.Random(3), random.Random(3)
-        assert [sample(a) for _ in range(500)] == \
-               [mix.sample(b) for _ in range(500)]
+        assert mix.draw(a, 500) == [mix.sample(b) for _ in range(500)]
+        assert a.getstate() == b.getstate()
 
 
 class TestShardSplit:

@@ -88,6 +88,20 @@ class TestArrivalProcesses:
         with pytest.raises(ConfigError):
             DiurnalProcess(100.0, phase=float("nan"))
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: PoissonProcess(float("nan")), "rate=nan"),
+        (lambda: PoissonProcess(float("inf")), "rate=inf"),
+        (lambda: BurstyProcess(1000.0, burst_factor=float("inf")),
+         "burst_factor=inf"),
+        (lambda: DiurnalProcess(1000.0, cycles=float("inf")),
+         "cycles=inf"),
+    ], ids=["poisson-nan-rate", "poisson-inf-rate", "bursty-inf-factor",
+            "diurnal-inf-cycles"])
+    def test_non_finite_parameters_rejected(self, build, field):
+        # NaN slips past a bare ``<= 0`` check and inf past ``> 1``
+        with pytest.raises(ConfigError, match=field):
+            build()
+
 
 class TestRegionsAndPhases:
     """The geo tier's workload hooks: timezone-shifted waves and
@@ -174,6 +188,18 @@ class TestModelMix:
             ModelMix(())
         with pytest.raises(ConfigError):
             ModelMix((("AlexNet", -1.0),))
+
+    @pytest.mark.parametrize("weights, named", [
+        ((("AlexNet", 1.0), ("VGG16", float("nan"))), "nan for 'VGG16'"),
+        ((("AlexNet", float("inf")), ("VGG16", 1.0)), "inf for 'AlexNet'"),
+    ], ids=["nan-weight", "inf-weight"])
+    def test_non_finite_weights_rejected(self, weights, named):
+        with pytest.raises(ConfigError, match=named):
+            ModelMix(weights)
+
+    def test_overflowing_weight_total_rejected(self):
+        with pytest.raises(ConfigError, match="finite total"):
+            ModelMix((("AlexNet", 1e308), ("VGG16", 1e308)))
 
 
 class TestScenarios:
