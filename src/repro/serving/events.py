@@ -63,8 +63,27 @@ materialised trace and a lazily pulled stream alike — per-(replica
 configuration, model, batch-size) service/energy rates are memoised
 outside the dispatch inner loop, and the windowed-p95 autoscale metric
 is maintained incrementally (:class:`_LatencyWindow`) instead of
-re-sorting the window every control tick.  None of this changes a
-single emitted float: ``repro.serving.reference`` retains the
+re-sorting the window every control tick.
+
+The heap also holds only events that could fire next, so it stays
+about as small as the replica pool however deep the backlogs grow.
+Events that come due in an order known when they are scheduled wait
+off the heap, holding the insertion ``seq`` an immediate push would
+have given them (:meth:`EventQueue.next_seq`), and are pushed when
+their predecessor fires:
+
+- a replica's completions: each replica's ``pending`` batches finish
+  in dispatch order, so only the head's BATCH_DONE is on the heap
+  (the rest keep just their seq in ``_chained``); a batch that dies
+  behind the head (failed over, cancelled, stolen) never reaches the
+  heap at all;
+- deadline checks: every TIMEOUT check and HEDGE launch lands one
+  fixed delay after the never-decreasing clock, so they wait in one
+  FIFO (``_checks``) with only its head on the heap.
+
+Flushes, outages, control ticks, backoff-delayed retries and cancels
+stay on the heap.  None of this changes a single emitted float or the
+order of a single event: ``repro.serving.reference`` retains the
 straightforward pre-optimisation engine as a test oracle, and the
 equivalence suite holds every stock scenario x policy x dispatch cell
 to exact per-request tuple equality.
@@ -132,9 +151,13 @@ class EventKind(IntEnum):
     CANCEL = 9
 
 
-# Hot-loop alias: the run loop compares heap heads against a plain-int
-# (arrival, ARRIVAL) tuple, never touching the enum machinery.
+# Hot-loop aliases: the run loop compares heap heads against a plain-int
+# (arrival, ARRIVAL) tuple, and held-back events are built with plain
+# ints, never touching the enum machinery.
 _ARRIVAL = int(EventKind.ARRIVAL)
+_BATCH_DONE = int(EventKind.BATCH_DONE)
+_TIMEOUT = int(EventKind.TIMEOUT)
+_HEDGE = int(EventKind.HEDGE)
 
 
 class EventQueue:
@@ -161,6 +184,18 @@ class EventQueue:
         heapq.heappush(self._heap,
                        (time, int(kind), key, self._seq, payload))
         self._seq += 1
+
+    def next_seq(self) -> int:
+        """Take the next insertion seq for an event queued later.
+
+        An entry built with it and ``heappush``-ed onto ``_heap`` later
+        pops exactly where an immediate :meth:`push` would have put
+        it: the order is fixed by the tuple, not by when it reached
+        the heap.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
 
 
 class _LatencyWindow:
@@ -342,7 +377,9 @@ class Replica:
             matching recovery revives it — a recovery must not
             resurrect a replica the autoscaler retired).
         draining: finishing in-flight work before retirement.
-        pending: in-flight batch ids (dispatch order).
+        pending: in-flight batch ids, in dispatch order, which is also
+            completion order (only the first one's BATCH_DONE is on
+            the event heap).
         last_model: model whose weights the array holds once pending
             work completes (None after a cold start / power cycle);
             dispatching a different model charges the switch fee.
@@ -556,6 +593,14 @@ class ClusterEngine:
         self._queues: dict[str, list[Request]] = {}
         self._armed: dict[str, float] = {}
         self._inflight: dict[int, _InFlight] = {}
+        # insertion seqs of the BATCH_DONEs of batches queued behind
+        # their replica's head, by batch id; each entry is rebuilt
+        # and heaped when its batch becomes the head, and dropped if
+        # the batch dies first
+        self._chained: dict[int, int] = {}
+        # deadline checks (TIMEOUT checks / HEDGE launches) in the
+        # order they come due; only the first is on the heap
+        self._checks: deque[tuple] = deque()
         self._batch_order: list[int] = []
         self._next_batch = 0
         self._waiting: deque[tuple[str, tuple[Request, ...], float]] = deque()
@@ -733,12 +778,15 @@ class ClusterEngine:
 
         # Arrivals stay in the (time-ordered) source and are merge-
         # scanned against the heap, which only ever holds the sparse
-        # flush/done/control events.  No heap entry is an ARRIVAL, so
-        # comparing the head against (arrival, ARRIVAL) fires a
-        # same-instant FLUSH before the arrival and every other kind
-        # after it, in EventKind order.  The DRAIN, pushed up front at
-        # the span's end, sorts after every same-instant arrival,
-        # flush, completion, outage and control tick.
+        # flush/control/outage events plus, per replica, its head
+        # completion and, per run, its next deadline check (the rest
+        # wait off the heap until their predecessor fires).  No heap
+        # entry is an ARRIVAL, so comparing the head against (arrival,
+        # ARRIVAL) fires a same-instant FLUSH before the arrival and
+        # every other kind after it, in EventKind order.  The DRAIN,
+        # pushed up front at the span's end, sorts after every
+        # same-instant arrival, flush, completion, outage and control
+        # tick.
         events = EventQueue()
         self._events = events
         events.push(t_cap, EventKind.DRAIN)
@@ -829,14 +877,10 @@ class ClusterEngine:
         if self._res is not None and self._res_timeout is not None:
             # arm the per-request deadline: a TIMEOUT "check" for the
             # retry / degrade policies, a HEDGE launch for hedging
-            kind = self._res_kind
-            if kind == "hedge":
-                self._events.push(time + self._res_timeout,
-                                  EventKind.HEDGE, payload=request)
+            if self._res_kind == "hedge":
+                self._check(time, _HEDGE, request)
             else:
-                self._events.push(time + self._res_timeout,
-                                  EventKind.TIMEOUT,
-                                  payload=(False, request, 0))
+                self._check(time, _TIMEOUT, (False, request, 0))
 
     def _on_flush(self, time: float, model: str) -> None:
         # a FLUSH fires at its own deadline, so ``time`` *is* the
@@ -883,9 +927,13 @@ class ClusterEngine:
             # stealing may empty ``pending`` and needs to know which
             # model's weights the idle array is left holding
             replica.done_model = record.model
-        if batch_id in replica.pending:
-            replica.pending.remove(batch_id)
-        if replica.draining and not replica.pending:
+        # only a head's BATCH_DONE is ever heaped, and a head leaves
+        # ``pending`` only here or by dying, so a live completion is
+        # always its replica's head
+        pending = replica.pending
+        del pending[0]
+        self._push_head(pending)
+        if replica.draining and not pending:
             replica.draining = False
             replica.up = False
             self._trace.append((time, self._n_up()))
@@ -899,6 +947,9 @@ class ClusterEngine:
         replica.draining = False
         self._trace.append((time, self._n_up()))
         victims, replica.pending = list(replica.pending), []
+        chained = self._chained
+        for batch_id in victims[1:]:
+            del chained[batch_id]  # queued behind the head, never heaped
         for batch_id in victims:
             batch = self._inflight[batch_id]
             batch.alive = False
@@ -1008,12 +1059,15 @@ class ClusterEngine:
         """A retry/degrade deadline check, or a backoff-delayed retry.
 
         The payload is ``(fire, request, attempts)``: a check
-        (``fire=False``) that finds the request unfinished counts a
-        timeout and — within the retry budget — schedules the actual
-        retry after the policy's seeded backoff; the fire event
-        dispatches the duplicate and arms the next check.
+        (``fire=False``, the head of the check FIFO) that finds the
+        request unfinished counts a timeout and — within the retry
+        budget — schedules the actual retry after the policy's seeded
+        backoff; the fire event (heaped directly, since backoffs
+        differ) dispatches the duplicate and arms the next check.
         """
         fire, request, attempts = payload
+        if not fire:
+            self._next_check()
         rid = request.request_id
         if rid in self._done:
             return  # completed in the meantime; nothing to do
@@ -1046,11 +1100,11 @@ class ClusterEngine:
                              now=time, cause="retry")
         if dup is not None:
             self._solo[rid] = dup
-        self._events.push(time + self._res_timeout, EventKind.TIMEOUT,
-                          payload=(False, request, attempts))
+        self._check(time, _TIMEOUT, (False, request, attempts))
 
     def _on_hedge(self, time: float, request: Request) -> None:
         """Launch a hedged duplicate on the second-best replica."""
+        self._next_check()
         rid = request.request_id
         if rid in self._done or rid in self._solo:
             return  # answered, or already hedged
@@ -1103,7 +1157,14 @@ class ClusterEngine:
         pending = replica.pending
         if batch_id in pending:
             was_tail = pending[-1] == batch_id
-            pending.remove(batch_id)
+            if pending[0] == batch_id:
+                # its BATCH_DONE is on the heap and pops as dead; the
+                # next batch's takes its place
+                del pending[0]
+                self._push_head(pending)
+            else:
+                pending.remove(batch_id)
+                del self._chained[batch_id]
             if was_tail:
                 if pending:
                     tail = self._inflight[pending[-1]].record
@@ -1156,6 +1217,36 @@ class ClusterEngine:
                           key=(model if flush_key is None
                                else flush_key(model, deadline)),
                           payload=model)
+
+    def _push_head(self, pending: list[int]) -> None:
+        """Heap the BATCH_DONE of ``pending``'s new head, if any."""
+        if pending:
+            head = pending[0]
+            heapq.heappush(self._events._heap,
+                           (self._inflight[head].record.done, _BATCH_DONE,
+                            "", self._chained.pop(head), head))
+
+    def _check(self, now: float, kind: int, payload: object) -> None:
+        """Schedule a deadline check ``_res_timeout`` after ``now``.
+
+        Every check lands the same fixed delay after the never-
+        decreasing clock, and a run arms checks of one kind only, so
+        they come due in the order they were scheduled: they wait in a
+        FIFO and only its head is on the heap.
+        """
+        entry = (now + self._res_timeout, kind, "",
+                 self._events.next_seq(), payload)
+        checks = self._checks
+        checks.append(entry)
+        if len(checks) == 1:
+            heapq.heappush(self._events._heap, entry)
+
+    def _next_check(self) -> None:
+        """Retire the check that just fired and heap the next one."""
+        checks = self._checks
+        checks.popleft()
+        if checks:
+            heapq.heappush(self._events._heap, checks[0])
 
     def _rate(self, accelerator, model: str,
               size: int) -> tuple[float, float]:
@@ -1259,8 +1350,18 @@ class ClusterEngine:
                              start=start, done=done, energy=energy)
         self._inflight[batch_id] = _InFlight(record=record, requests=batch)
         self._batch_order.append(batch_id)
-        replica.pending.append(batch_id)
-        self._events.push(done, EventKind.BATCH_DONE, payload=batch_id)
+        seq = self._events.next_seq()
+        pending = replica.pending
+        if pending:
+            # ``pending`` is sorted by completion (a batch starts at or
+            # after ``free_at``), so this one cannot fire before the
+            # head; it waits off the heap until it becomes the head,
+            # keeping only its seq (the rest is on its record)
+            self._chained[batch_id] = seq
+        else:
+            heapq.heappush(self._events._heap,
+                           (done, _BATCH_DONE, "", seq, batch_id))
+        pending.append(batch_id)
         if self._tel is not None:
             self._tel.flush(floor, record, batch_id, cause)
         return batch_id
@@ -1318,10 +1419,12 @@ class ClusterEngine:
             victim.pending.pop()
             entry.alive = False
             if victim.pending:
+                del self._chained[batch_id]  # queued behind the head
                 tail = self._inflight[victim.pending[-1]].record
                 victim.free_at = tail.done
                 victim.last_model = tail.model
             else:
+                # it was the head: its BATCH_DONE pops as dead
                 victim.free_at = now
                 victim.last_model = victim.done_model
             self._stolen += 1

@@ -4,8 +4,11 @@ Hypothesis draws small serving cells over toy networks: arrival gaps
 from a handful of values (zero included, so exact ties occur), one or
 two models, fixed or timeout batching, 1-3 replicas on any stock
 dispatch, and optionally an SLO with a shed depth, queue or p95
-reactive scaling, a failure plan and deadline retries.  Every cell is
-served three ways, which must agree exactly:
+reactive scaling, a failure plan and one resilience policy: deadline
+retries, hedging or degradation.  Hedge delays and deadlines sit
+below a toy batch's service time, so duplicates really launch and a
+winner cancels its loser, often while the loser heads its replica's
+schedule.  Every cell is served three ways, which must agree exactly:
 
 - the optimised engine over a materialised tuple;
 - the same engine over a one-pass iterator pinned to the trace's span;
@@ -16,7 +19,8 @@ convention only (a slots dataclass, not a frozen one), so every drawn
 request's fields are snapshotted and compared after the runs.
 
 Run with ``--hypothesis-show-statistics`` to see how often the drawn
-cells scaled, shed, re-dispatched, retried and carried arrival ties.
+cells scaled, shed, re-dispatched, retried, hedged, degraded,
+cancelled and carried arrival ties.
 """
 
 from dataclasses import astuple
@@ -26,8 +30,10 @@ from hypothesis import event, given, settings, strategies as st
 from repro.core import make_smart
 from repro.serving import (
     DISPATCH_STRATEGIES,
+    DegradePolicy,
     FailurePlan,
     FixedSizeBatching,
+    HedgePolicy,
     LayerMemoCache,
     ReactiveScalePolicy,
     RetryPolicy,
@@ -91,11 +97,20 @@ SCALES = st.none() | st.builds(
 FAILURES = st.none() | st.builds(
     FailurePlan, count=st.integers(1, 3),
     downtime_frac=st.sampled_from((0.1, 0.3)), seed=st.integers(0, 3))
-# deadlines below a toy batch's service time, so retries really fire
-RETRIES = st.none() | st.builds(
+# deadlines and hedge delays below a toy batch's service time, so
+# retries, hedges and degraded rescues really fire; degrade without a
+# timeout (0 with no SLO) runs on shed rescue alone
+RESILIENCE = st.none() | st.builds(
     RetryPolicy, timeout_us=st.sampled_from((0.1, 0.2, 0.3)),
     budget=st.integers(1, 2), backoff_us=st.sampled_from((0.0, 0.05)),
-    seed=st.integers(0, 3))
+    seed=st.integers(0, 3),
+) | st.builds(
+    HedgePolicy, delay_us=st.sampled_from((0.05, 0.1, 0.2)),
+) | st.builds(
+    DegradePolicy, timeout_us=st.sampled_from((0.0, 0.1, 0.3)),
+    service_scale=st.sampled_from((0.5, 1.0)),
+    energy_scale=st.sampled_from((0.5, 1.0)),
+)
 CELLS = st.fixed_dictionaries({
     "replicas": st.integers(1, 3),
     "dispatch": st.sampled_from(DISPATCH_STRATEGIES),
@@ -103,7 +118,7 @@ CELLS = st.fixed_dictionaries({
     "slo": SLOS,
     "autoscale": SCALES,
     "failures": FAILURES,
-    "resilience": RETRIES,
+    "resilience": RESILIENCE,
 })
 
 
@@ -112,7 +127,8 @@ def observables(run):
     reference does not implement it and no cell draws it)."""
     return (run.done, run.batches, run.shed, run.replica_trace,
             run.scale_events, run.redispatched, run.wasted_energy,
-            run.timeouts, run.retries, run.cancels)
+            run.timeouts, run.retries, run.hedges, run.cancels,
+            run.degraded)
 
 
 @given(trace=traces(), cell=CELLS)
@@ -122,7 +138,11 @@ def test_tuple_stream_and_reference_agree(trace, cell):
                            **cell)
     span = (trace[0].arrival, trace[-1].arrival)
     drawn = [astuple(request) for request in trace]
-    materialised = sim.make_engine(NETWORKS).run(trace)
+    engine = sim.make_engine(NETWORKS)
+    materialised = engine.run(trace)
+    # every completion and deadline check held off the heap was
+    # pushed or dropped with its batch
+    assert engine._chained == {} and not engine._checks
     streamed = sim.make_engine(NETWORKS).run(iter(trace), span=span)
     reference = run_reference(sim, trace)
     expected = observables(materialised)
@@ -132,7 +152,10 @@ def test_tuple_stream_and_reference_agree(trace, cell):
     for label, hit in (("scaled", materialised.scale_events),
                        ("shed", materialised.shed),
                        ("redispatched", materialised.redispatched),
-                       ("retried", materialised.retries)):
+                       ("retried", materialised.retries),
+                       ("hedged", materialised.hedges),
+                       ("degraded", materialised.degraded),
+                       ("cancelled", materialised.cancels)):
         if hit:
             event(label)
     if len({request.arrival for request in trace}) < len(trace):

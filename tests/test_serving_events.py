@@ -83,6 +83,20 @@ class TestEventQueue:
         q.push(1.0, EventKind.ARRIVAL, payload=2)
         assert [pop(q)[-1], pop(q)[-1]] == [1, 2]
 
+    def test_an_event_pushed_late_pops_where_a_push_would(self):
+        """``next_seq`` takes the seq at schedule time, so an event
+        held off the heap and pushed after later-scheduled ones still
+        pops in schedule order at equal (time, kind, key)."""
+        q = EventQueue()
+        seq = q.next_seq()
+        q.push(1.0, EventKind.BATCH_DONE, payload="pushed")
+        q.push(1.0, EventKind.ARRIVAL, payload="arrival")
+        heapq.heappush(q._heap, (1.0, int(EventKind.BATCH_DONE), "", seq,
+                                 "held"))
+        assert [pop(q)[-1] for _ in range(3)] == ["arrival", "held",
+                                                   "pushed"]
+        assert seq == 0 and q._seq == 3
+
     def test_thousands_of_same_timestamp_events_pop_stably(self):
         """Tie-break stress: with every event at the same instant, the
         pop order must be exactly a stable sort by (kind, key,
