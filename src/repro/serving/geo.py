@@ -762,10 +762,10 @@ class GeoRouter:
         warm_cells: Optional[tuple] = None
         if self.prewarm:
             # warm every region backend's layer cells through the
-            # shared memo once, instead of once per worker
+            # shared memo once, instead of once per worker; the regions
+            # share that memo, so the last snapshot holds every cell
             for cal in calibrators:
-                cal.prewarm(scenario)
-            snapshot = MemoSnapshot.from_cache(self._warm_cache)
+                snapshot = cal.prewarm(scenario)
             warm_cells = _warm_cells(scenario, batch)
         spec = _spec(
             self, scenario,

@@ -42,7 +42,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repro.core import make_energy_model
 from repro.errors import ConfigError
+from repro.systolic.energy import EnergyModel
 from repro.systolic.layers import ConvLayer, Network
 from repro.systolic.simulator import AcceleratorModel, LayerResult, RunResult
 
@@ -138,6 +140,9 @@ class LayerMemoCache:
         self._energy: dict[tuple[int, int, int], float] = {}
         self._latency: dict[tuple[int, int, int], float] = {}
         self._deploy: dict[tuple[int, int, int], float] = {}
+        # one energy model per interned accelerator: building a
+        # SMART-class model re-runs the RANDOM array's sub-bank search
+        self._energy_models: dict[int, EnergyModel] = {}
         # persisted totals keyed by stable structural fingerprints,
         # consulted once per (accelerator, network, batch) miss and
         # then promoted into the interned-key dicts above
@@ -200,12 +205,22 @@ class LayerMemoCache:
             self.stats.energy_hits += 1
             return self._energy[key]
         self.stats.energy_misses += 1
-        from repro.core import make_energy_model
         run = self.simulate(accelerator, network, batch)
-        total = make_energy_model(accelerator).evaluate(run).total
-        if self.enabled:
-            self._energy[key] = total
+        if not self.enabled:
+            return make_energy_model(accelerator).evaluate(run).total
+        total = self._energy_model(key[0], accelerator).evaluate(run).total
+        self._energy[key] = total
         return total
+
+    def _energy_model(self, token: int,
+                      accelerator: AcceleratorModel) -> EnergyModel:
+        """The energy model of the accelerator interned as ``token``,
+        built on first use."""
+        model = self._energy_models.get(token)
+        if model is None:
+            model = self._energy_models[token] = make_energy_model(
+                accelerator)
+        return model
 
     def latency_total(self, accelerator: AcceleratorModel,
                       network: Network, batch: int) -> float:
@@ -318,9 +333,8 @@ class LayerMemoCache:
                 # total exists — evaluate it off the cached run now
                 # (cheap: no layer re-simulation) or the warm start
                 # would re-simulate exactly these keys
-                from repro.core import make_energy_model
-                energy = self._energy[key] = make_energy_model(
-                    tokens[a_token]).evaluate(run).total
+                energy = self._energy[key] = self._energy_model(
+                    a_token, tokens[a_token]).evaluate(run).total
             if latency is None or energy is None or deploy is None:
                 continue
             fp_key = (self._fingerprint(a_token, tokens[a_token]),

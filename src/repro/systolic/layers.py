@@ -19,6 +19,7 @@ quantities, as SuperNPU assumes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import ConfigError
 
@@ -83,24 +84,25 @@ class ConvLayer:
         return h
 
     # ------------------------------------------------------------------
-    # Geometry
+    # Geometry, computed once per instance: the dataclass is frozen, and
+    # its ==, hash and repr read only the fields
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def out_h(self) -> int:
         """Output feature-map height."""
         return (self.in_h + 2 * self.padding - self.kernel_h) // self.stride + 1
 
-    @property
+    @cached_property
     def out_w(self) -> int:
         """Output feature-map width."""
         return (self.in_w + 2 * self.padding - self.kernel_w) // self.stride + 1
 
-    @property
+    @cached_property
     def out_pixels(self) -> int:
         """Output pixels per image (H' * W')."""
         return self.out_h * self.out_w
 
-    @property
+    @cached_property
     def kernel_volume(self) -> int:
         """Weights contributing to one output element.
 
@@ -115,7 +117,7 @@ class ConvLayer:
             return self.in_h * self.in_w * self.in_c
         return 0
 
-    @property
+    @cached_property
     def groups(self) -> int:
         """Independent filter groups (in_c for depthwise, else 1)."""
         return self.in_c if self.kind == "dwconv" else 1
@@ -123,7 +125,7 @@ class ConvLayer:
     # ------------------------------------------------------------------
     # Work and footprints (per image)
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def macs(self) -> int:
         """Multiply-accumulate operations per image."""
         if self.kind == "pool":
@@ -134,7 +136,7 @@ class ConvLayer:
             return self.out_pixels * self.kernel_volume * self.in_c
         return self.out_pixels * self.kernel_volume * self.out_c
 
-    @property
+    @cached_property
     def weight_bytes(self) -> int:
         """Weight footprint (bytes)."""
         if self.kind == "pool":
@@ -143,12 +145,12 @@ class ConvLayer:
             return self.kernel_h * self.kernel_w * self.in_c * WORD_BYTES
         return self.kernel_volume * self.out_c * WORD_BYTES
 
-    @property
+    @cached_property
     def input_bytes(self) -> int:
         """Input activation footprint per image (bytes)."""
         return self.in_h * self.in_w * self.in_c * WORD_BYTES
 
-    @property
+    @cached_property
     def output_bytes(self) -> int:
         """Output activation footprint per image (bytes)."""
         if self.kind == "fc":

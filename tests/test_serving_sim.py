@@ -200,6 +200,36 @@ class TestMemoCache:
         assert cache.energy_total(make_smart(), TOY, 4) == first
         assert cache.stats.energy_hits == 2
 
+    def test_energy_model_built_once_per_accelerator(self, monkeypatch):
+        """A memo builds each accelerator's energy model once, not once
+        per energy miss: a SMART-class build re-runs the RANDOM array's
+        sub-bank search."""
+        from repro.core import make_accelerator, make_energy_model
+        from repro.models import get_model
+        from repro.serving import memo, prewarm_cache
+
+        built = []
+
+        def spy(accelerator):
+            built.append(accelerator.name)
+            return make_energy_model(accelerator)
+
+        monkeypatch.setattr(memo, "make_energy_model", spy)
+        cache = LayerMemoCache()
+        networks = [get_model(model)
+                    for model in get_scenario("diurnal").mix.fractions()]
+        fleet = [make_accelerator(scheme)
+                 for scheme in ("SMART", "SNN", "AQFP")]
+        for accelerator in fleet:
+            prewarm_cache(cache, accelerator, networks, 8)
+        assert cache.stats.energy_misses == 144
+        assert sorted(built) == ["AQFP", "SMART", "SNN"]
+        # a calibration-only key (a latency never dispatched) gets its
+        # export-time energy from the model the memo already holds
+        cache.latency_total(make_accelerator("SNN"), networks[0], 9)
+        assert len(cache.export_totals()) == 145
+        assert len(built) == 3
+
     def test_disabled_cache_energy_always_misses(self):
         cache = LayerMemoCache(enabled=False)
         acc = make_smart()

@@ -188,6 +188,26 @@ class TestWarmGeo:
         assert warm.cache.misses == 0
         assert cold.cache.misses > 0
 
+    def test_last_region_snapshot_holds_every_region(self, monkeypatch):
+        """The regions warm one shared memo, so the snapshot the last
+        region's prewarm exports, the one shipped, holds all their
+        cells."""
+        exported = []
+        from_cache = MemoSnapshot.from_cache
+
+        def spy(cache):
+            exported.append(from_cache(cache))
+            return exported[-1]
+
+        monkeypatch.setattr(MemoSnapshot, "from_cache", staticmethod(spy))
+        router = GeoRouter(4, topology="ring", geo="follow_sun",
+                           mode="inline")
+        result = router.run_scenario("diurnal", 300, seed=SEED)
+        assert len(exported) == 4
+        # SMART, SNN and AQFP over the six-model mix at batches 1..8
+        assert len(exported[-1]) == 3 * 6 * 8
+        assert result.cache.misses == 0
+
 
 class TestWarmChaos:
     @pytest.mark.skipif(
