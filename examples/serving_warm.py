@@ -4,11 +4,11 @@ Walks the PR 10 warm path end to end:
 
 1. **prewarm** — `ServingSimulator.prewarm` fills every memo totals
    cell a run can ask for and returns a picklable `MemoSnapshot`;
-2. **broadcast** — a warm `ShardedEngine` ships that snapshot to its
-   worker pool once via the pool initializer; warm workers serve the
-   whole trace with zero layer simulations (`misses == 0`);
-3. **exactness** — the warm run is bit-identical (latencies AND
-   energies) to a cold one: warmth moves work, never answers;
+2. **broadcast** — every `ShardedEngine` run ships that snapshot to
+   its worker pool once via the pool initializer; warm workers serve
+   the whole trace with zero layer simulations (`misses == 0`);
+3. **exactness** — the sharded run is bit-identical (latencies AND
+   energies) to one plain engine: warmth moves work, never answers;
 4. **pool reuse** — consecutive runs are served by the same resident
    worker pool instead of forking a fresh one per call;
 5. **warm geo** — the same snapshot machinery warms every region of a
@@ -44,32 +44,30 @@ def main() -> None:
     assert MemoSnapshot.from_cache(fresh).rows == snapshot.rows
     print("round-trip through a fresh cache: exact")
 
-    # -- 2 + 3. warm == cold, and warm workers never simulate ---------
-    def run(prewarm):
+    # -- 2 + 3. warm workers never simulate, and match one engine -----
+    def run():
         engine = ShardedEngine(2, replicas=2, policy="timeout",
                                batch_size=8, detail=True,
-                               mode="process", prewarm=prewarm)
+                               mode="process")
         return engine.run_scenario("steady", N, seed=SEED)
 
-    cold = run(False)
-    warm = run(True)
-    assert warm.detail.latencies == cold.detail.latencies
-    assert warm.detail.energy_per_request == \
-        cold.detail.energy_per_request
+    warm = run()
+    plain = calibrator.run_scenario("steady", N, seed=SEED)
+    assert warm.detail.latencies == plain.latencies
+    assert warm.detail.energy_per_request == plain.energy_per_request
     assert warm.cache.misses == 0
     print("\n=== warm sharded run ===")
-    print(f"cold workers simulated {cold.cache.misses} layer cells; "
-          f"warm workers simulated {warm.cache.misses}")
+    print(f"warm workers simulated {warm.cache.misses} layer cells")
     print(f"warm fleet: {warm.cache.seeded} cells shipped, "
           f"{warm.cache.seed_hits} warm hits")
-    print(f"{N:,} per-request latencies and energies: bit-identical")
-    print(f"cold wall {cold.wall_s:.2f}s -> warm wall "
-          f"{warm.wall_s:.2f}s")
+    print(f"{N:,} per-request latencies and energies: bit-identical "
+          f"to one plain engine")
+    print(f"sharded wall {warm.wall_s:.2f}s")
 
     # -- 4. the pool persists across runs -----------------------------
     from repro.runtime import executor
     pools_before = dict(executor._POOLS)
-    again = run(True)
+    again = run()
     assert again.requests == warm.requests
     reused = any(executor._POOLS.get(k) is v
                  for k, v in pools_before.items())
@@ -77,22 +75,14 @@ def main() -> None:
     print(f"second warm run reused a resident worker pool: {reused}")
 
     # -- 5. warm geo: every region's workers start hot ----------------
-    def run_geo(prewarm):
-        router = GeoRouter(3, topology="ring", storms=2,
-                           mode="process", prewarm=prewarm)
-        return router.run_scenario("diurnal", N, seed=SEED)
-
-    cold_geo = run_geo(False)
-    warm_geo = run_geo(True)
-    assert warm_geo.energy == cold_geo.energy
+    warm_geo = GeoRouter(3, topology="ring", storms=2, mode="process") \
+        .run_scenario("diurnal", N, seed=SEED)
+    assert warm_geo.requests == N
     assert warm_geo.cache.misses == 0
     print("\n=== warm geo (3 regions, 2 storms) ===")
     print(f"warm fleet: {warm_geo.cache.seeded} cells shipped, "
           f"{warm_geo.cache.seed_hits} warm hits, "
-          f"0 layer simulations in region workers")
-    print(f"energy/requests identical to cold: "
-          f"{warm_geo.energy == cold_geo.energy} / "
-          f"{warm_geo.requests == cold_geo.requests}")
+          f"{warm_geo.cache.misses} layer simulations in region workers")
 
 
 if __name__ == "__main__":

@@ -403,6 +403,7 @@ def _cmd_serve_sim(argv: list[str], opts: argparse.Namespace) -> int:
         return 2
     from repro.serving import (SCENARIOS, GeoRouter, LayerMemoCache,
                                ShardedEngine, Telemetry)
+    from repro.serving.telemetry import TIMELINE_TICK
     from repro.serving.experiments import serving_grid
     from repro.serving.memo import (load_persistent_memo,
                                     store_persistent_memo)
@@ -448,9 +449,7 @@ def _cmd_serve_sim(argv: list[str], opts: argparse.Namespace) -> int:
                     telemetry.rows.extend(result.region_trace_rows())
             telemetry.counters.update(counters)
     else:
-        # 200us matches the autoscaler's default control-loop interval,
-        # so a traced run without --scale still gets a metrics timeline
-        telemetry = Telemetry(tick=200e-6) if args.trace else None
+        telemetry = Telemetry(tick=TIMELINE_TICK) if args.trace else None
         rows = serving_grid(
             requests=args.requests, accelerator=args.accelerator,
             replicas=args.replicas, batch_size=args.batch_size,

@@ -42,8 +42,11 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from repro.errors import ConfigError
 from repro.runtime.spec import Job
 
-#: Recognised execution modes.
-MODES = ("auto", "process", "thread", "inline")
+#: The modes :func:`parallel_map` runs in.
+MAP_MODES = ("process", "thread", "inline")
+
+#: The modes :func:`execute` runs in: ``auto`` picks one per batch.
+MODES = ("auto", *MAP_MODES)
 
 
 @dataclass
@@ -94,6 +97,18 @@ def resolve_mode(jobs: Sequence[Job], mode: str = "auto") -> str:
     if mode != "auto":
         return mode
     return "inline" if len(jobs) <= 1 else "process"
+
+
+def check_map_mode(mode: str) -> str:
+    """``mode`` itself when :func:`parallel_map` runs in it.
+
+    Raises:
+        ConfigError: for any other mode, ``auto`` included.
+    """
+    if mode not in MAP_MODES:
+        raise ConfigError(f"unknown execution mode {mode!r}; use one of "
+                          f"{', '.join(MAP_MODES)}")
+    return mode
 
 
 def default_workers(n_jobs: int) -> int:
@@ -321,8 +336,10 @@ def parallel_map(func: Callable[..., Any],
     """Order-preserving parallel map over argument tuples.
 
     Unlike :func:`execute`, exceptions propagate to the caller (the
-    first failing item in submission order wins).  ``func`` must be a
-    module-level callable when ``mode="process"``.
+    first failing item in submission order wins).  ``mode`` is one of
+    :data:`MAP_MODES` (:func:`check_map_mode`), whatever the item
+    count.  ``func`` must be a module-level callable when
+    ``mode="process"``.
 
     ``payload``, if given, is broadcast to every worker once via the
     pool initializer — workers read it back with
@@ -336,6 +353,7 @@ def parallel_map(func: Callable[..., Any],
     counts the items that needed re-running, and
     ``stats["pool_reused"]`` the calls served by an already-warm pool.
     """
+    check_map_mode(mode)
     items = list(argtuples)
     if stats is not None:
         stats.setdefault("retried", 0)
@@ -346,10 +364,8 @@ def parallel_map(func: Callable[..., Any],
         # payload, never a stale one from an earlier map
         _init_worker(payload)
         return [func(*args) for args in items]
-    pool_cls = {"process": ProcessPoolExecutor,
-                "thread": ThreadPoolExecutor}.get(mode)
-    if pool_cls is None:
-        raise ConfigError(f"unknown execution mode {mode!r}")
+    pool_cls = (ProcessPoolExecutor if mode == "process"
+                else ThreadPoolExecutor)
     if pool_cls is ThreadPoolExecutor:
         # thread workers share this module's globals with the caller;
         # the pool initializer only re-sets the same global, so pin it

@@ -530,7 +530,7 @@ class ClusterEngine:
             engine never pushes a TIMEOUT / HEDGE / CANCEL event and
             every hot path is byte-identical to the pre-resilience
             engine.
-        prewarm: (model, batch size) cells to resolve through the
+        warm_cells: (model, batch size) cells to resolve through the
             service/energy/switch fns up front, at the end of every
             per-run reset, so the dispatch inner loop starts with a
             fully warm rate memo.  The fns are deterministic and the
@@ -556,7 +556,7 @@ class ClusterEngine:
                  telemetry: Optional[Telemetry] = None,
                  resilience: Optional[str | ResiliencePolicy]
                  = None,
-                 prewarm: Optional[Sequence[tuple[str, int]]]
+                 warm_cells: Optional[Sequence[tuple[str, int]]]
                  = None) -> None:
         if not replicas:
             raise ConfigError("cluster needs at least one replica")
@@ -580,7 +580,7 @@ class ClusterEngine:
         self.resilience = make_resilience(resilience)
         self.failures = failures
         self.memoize_rates = memoize_rates
-        self.prewarm = tuple(prewarm) if prewarm else ()
+        self.warm_cells = tuple(warm_cells) if warm_cells else ()
         self._initial = list(replicas)
 
     # -- per-run state ---------------------------------------------------
@@ -690,11 +690,11 @@ class ClusterEngine:
         # warm the per-run rate memo before the first arrival: each
         # cell lands exactly where a cold run's first dispatch would
         # put it, so warm and cold runs emit identical floats
-        if self.prewarm and self.memoize_rates:
+        if self.warm_cells and self.memoize_rates:
             switch_fn = self.switch_fn
             for replica in self._replicas:
                 acc = replica.accelerator
-                for model, size in self.prewarm:
+                for model, size in self.warm_cells:
                     self._rate(acc, model, size)
                     if switch_fn is not None:
                         self._switch(acc, model, size)

@@ -10,8 +10,10 @@ region is its admission instant plus the deterministic comm-time.
 Each region then runs as an independent
 :class:`~repro.serving.events.ClusterEngine` in its own worker
 process.  Region == shard, literally: the fan-out is the sharded core
-in :mod:`repro.serving.sharding` — the same partition worker body,
-the same crash-safe driver (a raising or killed region worker is
+in :mod:`repro.serving.sharding` — the same warm start (the parent
+prewarms every region backend's layer cells through one shared memo
+and ships its snapshot to the workers), the same partition worker
+body, the same crash-safe driver (a raising or killed region worker is
 re-run with capped backoff), and the same exact merge of
 :class:`~repro.serving.sharding.ShardOutcome` summaries.  A region's
 only own parts are its request source (its routed delivery columns),
@@ -54,10 +56,11 @@ from time import perf_counter
 from typing import Optional, Sequence
 
 from repro.errors import ConfigError
+from repro.runtime.executor import check_map_mode
 from repro.serving.batching import make_policy
 from repro.serving.events import FailurePlan
-from repro.serving.interconnect import REQUEST_BYTES, Interconnect
-from repro.serving.memo import LayerMemoCache, MemoSnapshot
+from repro.serving.interconnect import Interconnect
+from repro.serving.memo import LayerMemoCache
 from repro.serving.policies import GeoDispatchPolicy, make_geo, make_resilience
 from repro.serving.sharding import (
     ShardedResult,
@@ -151,10 +154,7 @@ def default_regions(count: int) -> tuple[RegionSpec, ...]:
 
 
 def validate_geo(regions: Sequence[RegionSpec], *, geo: object = "home",
-                 topology: str = "mesh", bandwidth_gbps: float = 10.0,
-                 base_latency_us: float = 50.0,
-                 payload_bytes: int = REQUEST_BYTES,
-                 storms: int = 0) -> None:
+                 topology: str = "mesh", storms: int = 0) -> None:
     """Reject malformed geo fleets with clean :class:`ConfigError`\\ s.
 
     The CLI surfaces these as exit-2 usage errors, matching the
@@ -167,12 +167,8 @@ def validate_geo(regions: Sequence[RegionSpec], *, geo: object = "home",
         raise ConfigError("region names must be unique: "
                           + ", ".join(sorted(names)))
     # both constructors carry the real validation
-    Interconnect(regions=len(regions), topology=topology,
-                 bandwidth_gbps=bandwidth_gbps,
-                 base_latency_us=base_latency_us)
+    Interconnect(regions=len(regions), topology=topology)
     make_geo(geo)
-    if payload_bytes < 0:
-        raise ConfigError("payload size must be >= 0")
     if storms < 0:
         raise ConfigError("storm count must be >= 0")
 
@@ -223,8 +219,8 @@ class _RouterView:
     """
 
     __slots__ = ("regions", "slo", "_capacities", "_prices",
-                 "_energies", "_batch_lats", "_tz", "_icx", "_payload",
-                 "_hops", "_delays", "_amp", "_cycles", "_base_phase",
+                 "_energies", "_batch_lats", "_tz", "_icx", "_hops",
+                 "_delays", "_amp", "_cycles", "_base_phase",
                  "_duration", "_window", "_assigned")
 
     def __init__(self, spec: dict, icx: Interconnect) -> None:
@@ -237,12 +233,10 @@ class _RouterView:
         self._batch_lats = spec["batch_lats"]
         self._tz = tuple(r[4] for r in regions)
         self._icx = icx
-        self._payload = spec["payload_bytes"]
         pairs = [(a, b) for a in range(self.regions)
                  for b in range(self.regions)]
         self._hops = {pair: icx.hops(*pair) for pair in pairs}
-        self._delays = {pair: icx.delay(*pair, self._payload)
-                        for pair in pairs}
+        self._delays = {pair: icx.delay(*pair) for pair in pairs}
         scenario = spec["scenario"]
         if scenario.shape == "diurnal":
             process = scenario.process(1.0)
@@ -276,8 +270,7 @@ class _RouterView:
 
     def delay(self, src: int, dst: int) -> float:
         delay = self._delays.get((src, dst))
-        return (self._icx.delay(src, dst, self._payload)
-                if delay is None else delay)
+        return self._icx.delay(src, dst) if delay is None else delay
 
     def wave(self, i: int, t: float) -> float:
         """Instantaneous diurnal load factor at region-local time."""
@@ -361,10 +354,8 @@ def _route_once(spec: dict, geo: GeoDispatchPolicy, outages,
     delivery order); and the global (first, last) delivery instant.
     """
     regions = len(spec["regions"])
-    view = _RouterView(spec, Interconnect(
-        regions=regions, topology=spec["topology"],
-        bandwidth_gbps=spec["bandwidth_gbps"],
-        base_latency_us=spec["base_latency_us"]))
+    view = _RouterView(spec, Interconnect(regions=regions,
+                                          topology=spec["topology"]))
     hops, delays = view._hops, view._delays
     geo.reset(view)
     route, record = geo.route, view.record
@@ -608,9 +599,8 @@ class GeoRouter:
     Args:
         regions: a region count (drawn from :data:`STOCK_REGIONS`) or
             an explicit sequence of :class:`RegionSpec`.
-        topology / bandwidth_gbps / base_latency_us / payload_bytes:
-            the interconnect (:class:`~repro.serving.interconnect.
-            Interconnect`).
+        topology: the interconnect's link topology (:class:`~repro.
+            serving.interconnect.Interconnect`, default links).
         geo: region-routing policy — a :data:`~repro.serving.policies.
             GEO_POLICIES` name or a :class:`~repro.serving.policies.
             GeoDispatchPolicy` instance.
@@ -623,7 +613,8 @@ class GeoRouter:
             batching, replica dispatch and SLO — identical across
             regions so cells stay comparable.
         mode / max_workers: the :func:`~repro.runtime.executor.
-            parallel_map` pool (one worker per region).  A region
+            parallel_map` pool (one worker per region); ``mode`` is one
+            of :data:`~repro.runtime.executor.MAP_MODES`.  A region
             worker that raises or dies is re-run by the sharded
             fan-out loop with the budget every fan-out shares (2
             retries, capped exponential backoff from 0.05 s); geo runs
@@ -631,21 +622,13 @@ class GeoRouter:
         detail: keep per-request arrays and merge a full bit-exact
             :class:`~repro.serving.simulator.ServingResult` (the
             zero-drift proof path).
-        trace / tick / trace_events: per-region telemetry, rows tagged
-            with their region name.
+        trace / trace_events: per-region telemetry, rows tagged with
+            their region name.
         resilience: client resilience policy spec (``"retry"`` /
             ``"hedge"`` / ``"degrade"``, with ``name:key=value``
             options) applied inside every region engine; a storm
             reroute then also charges the failed network leg as a
             cross-region failover retry.
-        prewarm: warm-start the fleet (the default).  The parent
-            resolves every region backend's layer cells once through
-            a shared memo, snapshots the totals, and broadcasts the
-            snapshot to region workers through the pool initializer,
-            so no worker simulates a layer.  It governs only the memo:
-            warm or cold, the parent resolves the outage windows and
-            routes every request once, and workers serve only their
-            own deliveries.  Warm results are bit-identical to cold.
         memo_cache: the shared parent-side
             :class:`~repro.serving.memo.LayerMemoCache` to calibrate
             and prewarm through across runs (the ``--persist-memo``
@@ -658,35 +641,26 @@ class GeoRouter:
     """
 
     def __init__(self, regions: int | Sequence[RegionSpec], *,
-                 topology: str = "mesh", bandwidth_gbps: float = 10.0,
-                 base_latency_us: float = 50.0,
-                 payload_bytes: int = REQUEST_BYTES,
+                 topology: str = "mesh",
                  geo: object = "home", storms: int = 0,
                  policy: str = "timeout", batch_size: int = 8,
                  dispatch: str = "round_robin", slo_us: float = 0.0,
                  mode: str = "process",
                  max_workers: Optional[int] = None,
                  detail: bool = False, trace: bool = False,
-                 tick: float = 200e-6,
                  trace_events: bool = False,
                  resilience: str = "",
-                 prewarm: bool = True,
                  memo_cache: Optional[LayerMemoCache] = None) -> None:
         if isinstance(regions, int):
             regions = default_regions(regions)
         self.regions: tuple[RegionSpec, ...] = tuple(regions)
         validate_geo(self.regions, geo=geo, topology=topology,
-                     bandwidth_gbps=bandwidth_gbps,
-                     base_latency_us=base_latency_us,
-                     payload_bytes=payload_bytes, storms=storms)
+                     storms=storms)
         make_policy(policy, batch_size=batch_size)  # fail fast
         # fail fast on a bad spec; normalise "none"/"" to the empty spec
         self.resilience = \
             resilience if make_resilience(resilience) is not None else ""
         self.topology = topology
-        self.bandwidth_gbps = bandwidth_gbps
-        self.base_latency_us = base_latency_us
-        self.payload_bytes = payload_bytes
         # route with the instance itself: a custom policy (or a
         # subclass reusing a stock name) is what the scan must call
         self._geo = make_geo(geo)
@@ -696,21 +670,19 @@ class GeoRouter:
         self.batch_size = batch_size
         self.dispatch = dispatch
         self.slo_us = slo_us
-        self.mode = mode
+        self.mode = check_map_mode(mode)
         self.max_workers = max_workers
         self.detail = detail
         self.trace = trace
-        self.tick = tick
         self.trace_events = trace_events
-        self.prewarm = prewarm
         self._warm_cache = (memo_cache if memo_cache is not None
                             else LayerMemoCache())
 
     @_gc_headroom()
     def run_scenario(self, scenario: Scenario | str, n_requests: int,
                      seed: int = 0) -> GeoResult:
-        """Calibrate regions, route every request once, fan the
-        regions out, and merge.  ``wall_s`` times all of it."""
+        """Calibrate and prewarm regions, route every request once, fan
+        the regions out, and merge.  ``wall_s`` times all of it."""
         t_start = perf_counter()
         if isinstance(scenario, str):
             scenario = get_scenario(scenario)
@@ -758,29 +730,22 @@ class GeoRouter:
             for i in range(count)
         )
         total_rate = sum(rates)
-        snapshot: Optional[MemoSnapshot] = None
-        warm_cells: Optional[tuple] = None
-        if self.prewarm:
-            # warm every region backend's layer cells through the
-            # shared memo once, instead of once per worker; the regions
-            # share that memo, so the last snapshot holds every cell
-            for cal in calibrators:
-                snapshot = cal.prewarm(scenario)
-            warm_cells = _warm_cells(scenario, batch)
+        # warm every region backend's layer cells through the shared
+        # memo once, instead of once per worker; the regions share that
+        # memo, so the last snapshot holds every cell
+        for cal in calibrators:
+            snapshot = cal.prewarm(scenario)
         spec = _spec(
             self, scenario,
             regions=tuple((s.name, s.accelerator, s.replicas, s.price,
                            s.tz) for s in fleet),
-            topology=self.topology, bandwidth_gbps=self.bandwidth_gbps,
-            base_latency_us=self.base_latency_us,
-            payload_bytes=self.payload_bytes,
-            geo=self.geo, rates=rates, counts=counts, seeds=seeds,
+            topology=self.topology, geo=self.geo, rates=rates, counts=counts, seeds=seeds,
             bases=bases, capacities=capacities, energies=energies,
             batch_lats=batch_lats,
             # a ~100-request observation window for spillover's
             # assigned-rate estimate, scaled to the offered rate
             window_s=100.0 / max(total_rate, 1e-12),
-            warm_cells=warm_cells,
+            warm_cells=_warm_cells(scenario, batch),
         )
         admissions = _admissions(spec)
         outages: tuple = ()

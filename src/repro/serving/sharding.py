@@ -2,16 +2,20 @@
 
 One :class:`ShardedEngine` run simulates a single logical trace —
 millions of requests — by fanning deterministic shards out through the
-:mod:`repro.runtime` process-pool executor.  Each worker streams its
-own slice of the global seeded trace (:func:`~repro.serving.workload.
-shard_trace`: no process ever materialises the full request list),
-serves it on an independent :class:`~repro.serving.events.
-ClusterEngine`, and ships back a compact :class:`ShardOutcome`; the
-parent merge-reduces those into one :class:`ShardedResult` with exact
-counters (the engine's retries, timeouts, hedges, cancels and
-re-dispatches included) and energy sums, a mergeable
-:class:`LatencyDigest` for percentiles, and per-shard telemetry rows
-tagged with their shard id.
+:mod:`repro.runtime` process-pool executor.  The parent calibrates the
+offered rate, prewarms one layer memo with every (model, batch) cell
+the run can ask for, and computes the global trace span, once.  Its
+:class:`~repro.serving.memo.MemoSnapshot` reaches each worker through
+the pool initializer and is installed into the worker's fresh memo, so
+no worker simulates a layer.  Each worker streams its own slice of the
+global seeded trace (:func:`~repro.serving.workload.shard_trace`: no
+process ever materialises the full request list), serves it on an
+independent :class:`~repro.serving.events.ClusterEngine`, and ships
+back a compact :class:`ShardOutcome`; the parent merge-reduces those
+into one :class:`ShardedResult` with exact counters (the engine's
+retries, timeouts, hedges, cancels and re-dispatches included) and
+energy sums, a mergeable :class:`LatencyDigest` for percentiles, and
+per-shard telemetry rows tagged with their shard id.
 
 Why this is exact and not merely parallel: the splitter partitions
 models by the same ``crc32(model) % replicas`` pin
@@ -20,12 +24,14 @@ each replica's entire traffic lands in exactly one shard and replica
 state (free times, resident weights, switch charges) never couples
 across workers.  Every shard engine holds the *full* replica pool
 (preserving indices and the hash fold) and drains at the *global*
-trace end via the engine's ``span`` pin.  On such shard-stable cells a
+trace end via the engine's ``span`` pin.  The memo is exact, so the
+shipped snapshot changes no value.  On such shard-stable cells a
 sharded run reproduces the monolithic engine's per-request latencies
 and energies bit for bit — ``detail=True`` merges the shards back
 into a full :class:`~repro.serving.simulator.ServingResult` and the
-equivalence suite (``tests/test_serving_sharding.py``) holds it to
-exact tuple equality.
+equivalence suites (``tests/test_serving_sharding.py``,
+``tests/test_serving_fanout_differential.py``) hold it to exact tuple
+equality.
 
 Control-plane features that inherently observe cross-shard state —
 autoscaling, work stealing, admission depth, failure re-dispatch,
@@ -59,7 +65,8 @@ from time import perf_counter
 from typing import Iterable, Optional, Sequence
 
 from repro.errors import ConfigError
-from repro.runtime.executor import parallel_map, worker_payload
+from repro.runtime.executor import (check_map_mode, parallel_map,
+                                    worker_payload)
 from repro.serving.batching import make_policy
 from repro.serving.policies import make_resilience
 from repro.serving.events import FailurePlan, SloPolicy
@@ -67,7 +74,7 @@ from repro.serving.memo import CacheStats, LayerMemoCache, MemoSnapshot
 from repro.serving.simulator import (ENGINE_COUNTERS, ServingResult,
                                      ServingSimulator, _gc_headroom,
                                      counter_columns)
-from repro.serving.telemetry import Telemetry
+from repro.serving.telemetry import TIMELINE_TICK, Telemetry
 from repro.serving.workload import (
     Request,
     Scenario,
@@ -306,8 +313,7 @@ def _spec(engine, scenario: Scenario, **extra) -> dict:
             "batch_size": engine.batch_size, "dispatch": engine.dispatch,
             "slo_us": engine.slo_us, "resilience": engine.resilience,
             "detail": engine.detail, "trace": engine.trace,
-            "tick": engine.tick, "trace_events": engine.trace_events,
-            **extra}
+            "trace_events": engine.trace_events, **extra}
 
 
 def _warm_cells(scenario: Scenario, max_batch: int) -> tuple:
@@ -330,30 +336,29 @@ def _serve_partition(spec: dict, requests: Iterable[Request],
     partitions drain at the same horizon), and folds the run into a
     :class:`ShardOutcome`.  ``tags`` label the telemetry run header;
     the first also stamps every row.  ``wall_s`` counts from the
-    worker's ``t_start``.  A warm run's :class:`MemoSnapshot` arrives
-    once per worker via the pool initializer (:func:`~repro.runtime.
+    worker's ``t_start``.  The run's :class:`MemoSnapshot` arrives
+    once per worker as the pool payload (:func:`~repro.runtime.
     executor.worker_payload`) and is installed into the fresh memo.
     """
     scenario = spec["scenario"]
     slo_target = spec["slo_us"] * 1e-6
-    telemetry = (Telemetry(events=spec["trace_events"],
-                           tick=spec["tick"] or None)
+    telemetry = (Telemetry(events=spec["trace_events"], tick=TIMELINE_TICK)
                  if spec["trace"] else None)
-    payload = worker_payload()
+    cache = LayerMemoCache()
+    worker_payload().install(cache)
     sim = ServingSimulator(
         accelerator=spec["accelerator"],
         replicas=spec["replicas"],
         policy=make_policy(spec["policy"], batch_size=spec["batch_size"]),
         dispatch=spec["dispatch"],
-        cache=LayerMemoCache(),
+        cache=cache,
         slo=SloPolicy(target=slo_target) if slo_target else None,
         telemetry=telemetry,
         resilience=spec["resilience"] or None,
-        snapshot=payload.get("memo") if isinstance(payload, dict) else None,
     )
     networks = {m: sim.network(m) for m in scenario.mix.models()}
     engine = sim.make_engine(networks, failures=failures,
-                             prewarm=spec["warm_cells"])
+                             warm_cells=spec["warm_cells"])
 
     arrivals: dict[int, float] = {}
 
@@ -377,11 +382,11 @@ def _serve_partition(spec: dict, requests: Iterable[Request],
     if first is None:
         # a legal outcome: an unlucky hash fold, or a geo policy that
         # drained this region dry — the partition's pool idles for the
-        # whole run (still reporting any snapshot cells it was shipped)
+        # whole run (still reporting the snapshot cells it was shipped)
         return ShardOutcome(
             shard=spec["shard"], requests=0, batches=0, energy=0.0,
             busy_s=0.0, first_arrival=math.inf, last_done=-math.inf,
-            digest=LatencyDigest(), slo_hits=0, cache=sim.cache.stats,
+            digest=LatencyDigest(), slo_hits=0, cache=cache.stats,
             wall_s=perf_counter() - t_start,
         )
     outcome = engine.run(chain((first,), stream), span=span)
@@ -397,7 +402,6 @@ def _serve_partition(spec: dict, requests: Iterable[Request],
             slo_hits += 1
     busy = sum(record.service for record in outcome.batches)
     last_done = max(record.done for record in outcome.batches)
-    cache = sim.cache.stats  # the partition's own, fresh memo
 
     rows: tuple = ()
     counters: tuple = ()
@@ -408,14 +412,14 @@ def _serve_partition(spec: dict, requests: Iterable[Request],
         rows = tuple(telemetry.rows)
         counters = tuple(sorted(telemetry.counters.items()))
 
-    result = (sim.make_result(kept, outcome, cache, scenario=scenario.name,
-                              rate=spec["rate"])
+    result = (sim.make_result(kept, outcome, cache.stats,
+                              scenario=scenario.name, rate=spec["rate"])
               if spec["detail"] else None)
     return ShardOutcome(
         shard=spec["shard"], requests=len(outcome.done),
         batches=len(outcome.batches), energy=energy, busy_s=busy,
         first_arrival=min(arrivals.values()), last_done=last_done,
-        digest=digest, slo_hits=slo_hits, cache=cache,
+        digest=digest, slo_hits=slo_hits, cache=cache.stats,
         wall_s=perf_counter() - t_start, telemetry_rows=rows,
         counters=counters, result=result,
         **{key: getattr(outcome, key) for key in ENGINE_COUNTERS},
@@ -502,10 +506,11 @@ def _save_checkpoint(path: Optional[str], fingerprint: str,
 
 def _fan_out(worker: tuple[str, str], specs: Sequence[dict], *,
              mode: str, max_workers: Optional[int],
-             snapshot: Optional[MemoSnapshot],
+             snapshot: MemoSnapshot,
              checkpoint: Optional[str] = None,
              ) -> tuple[tuple[ShardOutcome, ...], int]:
-    """The one crash-safe driver: serve every partition spec.
+    """The one crash-safe driver: serve every partition spec, each
+    worker warmed once with ``snapshot`` as its pool payload.
 
     Failed partitions are re-run with capped exponential backoff from
     :data:`_RETRY_BACKOFF_S`, for at most :data:`_SHARD_RETRIES` more
@@ -519,7 +524,6 @@ def _fan_out(worker: tuple[str, str], specs: Sequence[dict], *,
     # delivery columns, far too big to repr on every call
     fingerprint = _spec_fingerprint(specs[0]) if checkpoint else ""
     done = _load_checkpoint(checkpoint, fingerprint)
-    payload = {"memo": snapshot} if snapshot is not None else None
     retried = 0
     attempt = 0
     while True:
@@ -532,7 +536,7 @@ def _fan_out(worker: tuple[str, str], specs: Sequence[dict], *,
         stats: dict = {}
         batch = parallel_map(_serve_safe, [(worker, s) for s in pending],
                              mode=mode, max_workers=max_workers,
-                             stats=stats, payload=payload)
+                             stats=stats, payload=snapshot)
         retried += stats.get("retried", 0)
         failures = []
         for item in batch:
@@ -792,7 +796,8 @@ class ShardedEngine:
         policy: batching policy name (``fixed``/``timeout``).
         batch_size: batching policy batch size.
         slo_us: per-request latency SLO (us); 0 disables.
-        mode: executor mode (``process``/``thread``/``inline``) — the
+        mode: executor mode, one of :data:`~repro.runtime.executor.
+            MAP_MODES` (``process``/``thread``/``inline``) — the
             runtime executor falls back to threads transparently where
             process pools are unavailable.
         max_workers: pool width cap (default: executor's own).
@@ -800,8 +805,8 @@ class ShardedEngine:
             :class:`ServingResult` (the equivalence-test path; costs
             O(n) parent memory, leave off at million-request scale).
         trace: record per-shard telemetry (shard-tagged rows on
-            ``result.telemetry_rows``).
-        tick: telemetry timeline sampling interval (s), when tracing.
+            ``result.telemetry_rows``), its timeline sampled every
+            :data:`~repro.serving.telemetry.TIMELINE_TICK`.
         trace_events: include per-request event rows in the trace
             (off keeps only timeline samples — the scale default).
         resilience: client resilience spec string; only shard-stable
@@ -811,15 +816,6 @@ class ShardedEngine:
             with the same configuration resumes from them, serving
             only the missing shards.  A checkpoint written by a
             different configuration is ignored and overwritten.
-        prewarm: warm-start the fleet (the default).  The parent
-            resolves every (config, model, batch) layer cell once,
-            snapshots the totals, and broadcasts the snapshot to the
-            workers through the pool initializer; the global trace
-            span is computed once in the parent and shipped in the
-            spec so no worker repeats the span-recording pass.  The
-            memo is exact, so warm results are bit-identical to cold
-            — pass ``False`` for the cold reference path (the bench
-            baseline).
         memo_cache: the parent-side :class:`LayerMemoCache` to
             calibrate and prewarm through; pass a shared instance to
             accumulate warm totals across runs (the ``--persist-memo``
@@ -839,11 +835,9 @@ class ShardedEngine:
                  mode: str = "process",
                  max_workers: Optional[int] = None,
                  detail: bool = False, trace: bool = False,
-                 tick: float = 200e-6,
                  trace_events: bool = False,
                  resilience: str = "",
                  checkpoint: Optional[str] = None,
-                 prewarm: bool = True,
                  memo_cache: Optional[LayerMemoCache] = None) -> None:
         validate_sharding(shards, replicas=replicas, resilience=resilience)
         make_policy(policy, batch_size=batch_size)  # fail fast
@@ -853,25 +847,23 @@ class ShardedEngine:
         self.policy = policy
         self.batch_size = batch_size
         self.slo_us = slo_us
-        self.mode = mode
+        self.mode = check_map_mode(mode)
         self.max_workers = max_workers
         self.detail = detail
         self.trace = trace
-        self.tick = tick
         self.trace_events = trace_events
         # normalise "none"/"" to the empty spec so rows stay clean
         self.resilience = \
             resilience if make_resilience(resilience) is not None else ""
         self.checkpoint = checkpoint
-        self.prewarm = prewarm
         self._warm_cache = (memo_cache if memo_cache is not None
                             else LayerMemoCache())
 
     @_gc_headroom()
     def run_scenario(self, scenario: Scenario | str, n_requests: int,
                      seed: int = 0) -> ShardedResult:
-        """Calibrate, shard, fan out, and merge one scenario run.
-        ``wall_s`` times all of it."""
+        """Calibrate, prewarm, shard, fan out, and merge one scenario
+        run.  ``wall_s`` times all of it."""
         t_start = perf_counter()
         if isinstance(scenario, str):
             scenario = get_scenario(scenario)
@@ -891,20 +883,15 @@ class ShardedEngine:
             cache=self._warm_cache,
         )
         rate = scenario.load * calibrator.capacity_rps(scenario)
-        snapshot: Optional[MemoSnapshot] = None
-        span: Optional[tuple[float, float]] = None
-        warm_cells: Optional[tuple] = None
-        if self.prewarm:
-            # one parent-side pass resolves every layer cell and the
-            # global trace span; workers then skip both — the memo is
-            # exact, so nothing downstream changes bit-wise
-            snapshot = calibrator.prewarm(scenario)
-            span = trace_span(scenario, rate, n_requests, seed)
-            warm_cells = _warm_cells(scenario, calibrator.policy.max_batch)
+        # one parent-side pass resolves every layer cell and the
+        # global trace span; workers then skip both
+        snapshot = calibrator.prewarm(scenario)
         spec = _spec(self, scenario, rate=rate, n=n_requests, seed=seed,
                      shards=self.shards, replicas=self.replicas,
-                     accelerator=self.accelerator, span=span,
-                     warm_cells=warm_cells)
+                     accelerator=self.accelerator,
+                     span=trace_span(scenario, rate, n_requests, seed),
+                     warm_cells=_warm_cells(scenario,
+                                            calibrator.policy.max_batch))
         outcomes, retried = _fan_out(
             (__name__, "_serve_shard"),
             [dict(spec, shard=shard) for shard in range(self.shards)],

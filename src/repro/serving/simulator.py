@@ -355,12 +355,6 @@ class ServingSimulator:
             :func:`~repro.serving.policies.make_resilience` spec
             string ("retry", "hedge:delay_us=800", ...), or None /
             "none" for the stock (bit-identical) behaviour.
-        snapshot: a :class:`~repro.serving.memo.MemoSnapshot` of
-            layer totals to install into the cache up front — the
-            warm-start path for shard/region workers.  The memo is
-            exact, so a snapshot-warmed run emits floats bit-identical
-            to a cold one; it only skips re-simulating layers the
-            snapshot already carries.
     """
 
     def __init__(self, accelerator: AcceleratorModel | str = "SMART",
@@ -379,8 +373,7 @@ class ServingSimulator:
                  steal: Optional[WorkStealPolicy] = None,
                  telemetry: Optional[Telemetry] = None,
                  resilience: Optional[str | ResiliencePolicy]
-                 = None,
-                 snapshot: Optional[MemoSnapshot] = None) -> None:
+                 = None) -> None:
         if isinstance(accelerator, str):
             accelerator = make_accelerator(accelerator)
         if accelerators is not None:
@@ -410,8 +403,6 @@ class ServingSimulator:
         self.telemetry = telemetry
         self.resilience = make_resilience(resilience)
         self._networks = networks
-        if snapshot is not None:
-            snapshot.install(self.cache)
 
     @property
     def heterogeneous(self) -> bool:
@@ -573,7 +564,7 @@ class ServingSimulator:
 
     def make_engine(self, networks: Mapping[str, Network],
                     failures: Optional[FailurePlan] = None,
-                    prewarm: Optional[Sequence[tuple[str, int]]]
+                    warm_cells: Optional[Sequence[tuple[str, int]]]
                     = None) -> ClusterEngine:
         """The configured :class:`ClusterEngine` over resolved models.
 
@@ -581,7 +572,7 @@ class ServingSimulator:
         :class:`Network` — callers resolve names up front so the
         engine's dispatch path never does.  Shared by :meth:`run` and
         the sharded runner (each shard builds its own engine in its
-        worker process).  ``prewarm`` (model, batch) cells are handed
+        worker process).  ``warm_cells`` (model, batch) are handed
         to the engine to resolve at run start — see
         :class:`~repro.serving.events.ClusterEngine`.
         """
@@ -602,7 +593,7 @@ class ServingSimulator:
             # with the memo disabled the run is the uncached reference
             # path: every dispatch must reach the fns (and count)
             memoize_rates=cache.enabled,
-            prewarm=prewarm,
+            warm_cells=warm_cells,
         )
 
     def _mix_capacity_rps(self, requests: Sequence[Request]) -> float:

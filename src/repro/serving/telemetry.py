@@ -49,6 +49,11 @@ EVENT_KINDS = ("run", "arrival", "shed", "flush", "batch_done", "fail",
                "recover", "steal", "scale", "park", "sample", "region",
                "timeout", "retry", "hedge", "cancel", "degrade")
 
+#: Timeline sampling interval (s) of the CLI's traced runs and of every
+#: traced fan-out partition: the autoscaler's default control-loop
+#: interval, so a traced run without one still gets a metrics timeline.
+TIMELINE_TICK = 200e-6
+
 
 class Telemetry:
     """Opt-in observability sink for one or more engine runs.

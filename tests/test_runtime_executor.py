@@ -179,8 +179,11 @@ class TestParallelMap:
                          mode=mode)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            parallel_map(pow, [(1, 1), (2, 2)], mode="warp")
+        # "auto" is execute()'s alone; a single item is checked too
+        for mode in ("warp", "auto"):
+            for items in ([(1, 1), (2, 2)], [(1, 1)]):
+                with pytest.raises(ConfigError):
+                    parallel_map(pow, items, mode=mode)
 
     def test_stats_stay_zero_on_a_clean_run(self):
         stats: dict = {}

@@ -183,7 +183,7 @@ def test_cell_matches_golden(cell, golden):
     got, want = _golden_outcome(cell), golden[cell]
     assert got["counters"] == want["counters"]
     assert got["replica_batches"] == want["replica_batches"]
-    assert got["floats"] == pytest.approx(want["floats"], rel=1e-12)
+    assert got["floats"] == pytest.approx(want["floats"], rel=1e-12, abs=0)
 
 
 def test_cells_exercise_what_they_pin(golden):

@@ -1,0 +1,139 @@
+"""Generated differential tests: every fan-out cell the validators
+accept serves exactly what the monolithic engine serves.
+
+Hypothesis draws two kinds of cells:
+
+- **sharded** cells that :func:`~repro.serving.sharding.validate_sharding`
+  accepts: a fault-free stock scenario, fixed or timeout batching at
+  batch 1-8, 1-4 replicas split over 1..replicas shards, an SLO of 0,
+  400 or 2000 us, and either no resilience or deadline retries.  The
+  reference is one ``ServingSimulator`` with ``shard`` dispatch.
+- **one-region geo** cells over every stock scenario (failure-storm
+  included), every dispatch, a SMART, SNN or AQFP region and no, retry,
+  hedge or degrade resilience.  The reference is the plain engine on
+  the region's pool.
+
+Per-request latencies and energies, the integer counters and SLO
+attainment must match exactly.  Wasted energy must match exactly for
+one partition and to 1e-12 relative across shards, where summing the
+shards' floats may round (sharded bursty, fixed batching at 3, 2
+replicas over 2 shards, ``retry:timeout_us=300,budget=1``, seed 0, 21
+requests reads 0.12632280770097234 against 0.12632280770097237).
+
+Every fan-out ships its prewarmed memo snapshot to the workers, so
+these cells also hold the warm path to the answer a fresh memo gives.
+"""
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.serving import (
+    DISPATCH_STRATEGIES,
+    GeoRouter,
+    LayerMemoCache,
+    POLICIES,
+    RegionSpec,
+    SCENARIOS,
+    ServingSimulator,
+    ShardedEngine,
+    SloPolicy,
+    make_policy,
+    validate_sharding,
+)
+
+#: Layer totals are identical across draws; one memo per side serves
+#: them all.  The fan-out workers still start from fresh memos seeded
+#: with the parent's snapshot.
+FANOUT_MEMO = LayerMemoCache()
+PLAIN_MEMO = LayerMemoCache()
+
+RETRIES = ("retry:timeout_us=300,budget=1",
+           "retry:timeout_us=1000,budget=2")
+
+COMMON = {
+    "scenario": st.sampled_from(sorted(SCENARIOS)),
+    "policy": st.sampled_from(sorted(POLICIES)),
+    "batch": st.integers(1, 8),
+    "slo_us": st.sampled_from((0.0, 400.0, 2000.0)),
+    "n": st.integers(1, 300),
+    "seed": st.integers(0, 3),
+}
+
+SHARDED_CELLS = st.fixed_dictionaries({
+    **COMMON,
+    "scenario": st.sampled_from(sorted(
+        name for name, scenario in SCENARIOS.items()
+        if not scenario.faults)),
+    "resilience": st.sampled_from(("",) + RETRIES),
+}).flatmap(lambda cell: st.integers(1, 4).flatmap(
+    lambda replicas: st.integers(1, replicas).map(
+        lambda shards: dict(cell, replicas=replicas, shards=shards))))
+
+GEO_CELLS = st.fixed_dictionaries({
+    **COMMON,
+    "dispatch": st.sampled_from(DISPATCH_STRATEGIES),
+    "accelerator": st.sampled_from(("SMART", "SNN", "AQFP")),
+    "replicas": st.integers(1, 3),
+    "resilience": st.sampled_from(
+        ("", RETRIES[0], "hedge:delay_us=200", "degrade:timeout_us=300")),
+})
+
+#: ``assert_counters_match`` is a stateless checker, safe to share
+#: across examples.
+SETTINGS = settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _plain(cell, accelerator, dispatch):
+    return ServingSimulator(
+        accelerator, replicas=cell["replicas"],
+        policy=make_policy(cell["policy"], batch_size=cell["batch"]),
+        dispatch=dispatch, cache=PLAIN_MEMO,
+        slo=(SloPolicy(target=cell["slo_us"] * 1e-6)
+             if cell["slo_us"] else None),
+        resilience=cell["resilience"] or None,
+    ).run_scenario(cell["scenario"], cell["n"], cell["seed"])
+
+
+def _assert_same_run(fanned, plain):
+    """What must match exactly, whatever the partition count."""
+    merged = fanned.detail
+    assert merged.latencies == plain.latencies
+    assert merged.energy_per_request == plain.energy_per_request
+    assert fanned.requests == len(plain.requests)
+    assert fanned.batches == len(plain.batches)
+    assert fanned.slo_attainment == plain.slo_attainment
+
+
+@given(cell=SHARDED_CELLS)
+@SETTINGS
+def test_sharded_equals_monolithic(cell, assert_counters_match):
+    validate_sharding(cell["shards"], replicas=cell["replicas"],
+                      resilience=cell["resilience"],
+                      scenarios=(cell["scenario"],))
+    sharded = ShardedEngine(
+        cell["shards"], replicas=cell["replicas"], policy=cell["policy"],
+        batch_size=cell["batch"], slo_us=cell["slo_us"],
+        resilience=cell["resilience"], detail=True, mode="inline",
+        memo_cache=FANOUT_MEMO,
+    ).run_scenario(cell["scenario"], cell["n"], cell["seed"])
+    plain = _plain(cell, "SMART", "shard")
+    _assert_same_run(sharded, plain)
+    assert_counters_match(sharded, plain,
+                          rel=0.0 if cell["shards"] == 1 else 1e-12)
+
+
+@given(cell=GEO_CELLS)
+@SETTINGS
+def test_one_region_geo_equals_plain_engine(cell, assert_counters_match):
+    region = RegionSpec("solo", accelerator=cell["accelerator"],
+                        replicas=cell["replicas"])
+    geo = GeoRouter(
+        (region,), policy=cell["policy"], batch_size=cell["batch"],
+        dispatch=cell["dispatch"], slo_us=cell["slo_us"],
+        resilience=cell["resilience"], detail=True, mode="inline",
+        memo_cache=FANOUT_MEMO,
+    ).run_scenario(cell["scenario"], cell["n"], cell["seed"])
+    plain = _plain(cell, cell["accelerator"], cell["dispatch"])
+    _assert_same_run(geo, plain)
+    assert_counters_match(geo, plain)

@@ -131,7 +131,9 @@ GOLDEN_CELLS = [
         ("diurnal", "failure-storm"), sorted(GEO_POLICIES),
         ("ring", "tree"), STORM_CELLS)
 ]
-#: One worker-process cell with the cold path (no prewarm snapshot).
+#: One worker-process cell.  It was recorded on the retired cold path
+#: (workers without a memo snapshot) and keeps that golden key; it now
+#: runs warm against the same values.
 PROCESS_CELL = "diurnal/follow_sun/ring/retry"
 
 
@@ -161,7 +163,7 @@ def _record_golden() -> dict:
     routing refactors leave it untouched."""
     golden = {cell: _golden_outcome(cell) for cell in GOLDEN_CELLS}
     golden["process-cold/" + PROCESS_CELL] = _golden_outcome(
-        PROCESS_CELL, mode="process", prewarm=False)
+        PROCESS_CELL, mode="process")
     return golden
 
 
@@ -169,8 +171,9 @@ class TestMultiRegionGolden:
     """Multi-region routing pinned to recorded outcomes: 4 geo policies
     x {ring, tree} x {calm, storms, storms + retry} on diurnal and
     failure-storm, 4 regions.  Integer ledgers match exactly, float
-    aggregates to 1e-12 relative, so a drift in routing, interconnect
-    charges or delivery order cannot pass unseen."""
+    aggregates to 1e-12 relative with no absolute slack, so a drift in
+    routing, interconnect charges or delivery order cannot pass
+    unseen."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -179,8 +182,10 @@ class TestMultiRegionGolden:
     def _check(self, got, want):
         assert got["ledgers"] == want["ledgers"]
         assert got["region_floats"] == [
-            pytest.approx(row, rel=1e-12) for row in want["region_floats"]]
-        assert got["floats"] == pytest.approx(want["floats"], rel=1e-12)
+            pytest.approx(row, rel=1e-12, abs=0)
+            for row in want["region_floats"]]
+        assert got["floats"] == pytest.approx(want["floats"], rel=1e-12,
+                                              abs=0)
 
     def test_covers_every_cell(self, golden):
         assert set(golden) == set(GOLDEN_CELLS) | {
@@ -190,9 +195,8 @@ class TestMultiRegionGolden:
     def test_inline_cell(self, cell, golden):
         self._check(_golden_outcome(cell), golden[cell])
 
-    def test_process_cold_cell(self, golden):
-        self._check(_golden_outcome(PROCESS_CELL, mode="process",
-                                    prewarm=False),
+    def test_process_cell(self, golden):
+        self._check(_golden_outcome(PROCESS_CELL, mode="process"),
                     golden["process-cold/" + PROCESS_CELL])
 
 
@@ -326,9 +330,7 @@ def _reference_route(spec, geo, storms):
     if storms:
         outages = FailurePlan(count=storms, seed=SEED).resolve(
             admissions[0][0], admissions[-1][0], regions)
-    icx = Interconnect(regions, topology=spec["topology"],
-                       bandwidth_gbps=spec["bandwidth_gbps"],
-                       base_latency_us=spec["base_latency_us"])
+    icx = Interconnect(regions, topology=spec["topology"])
     policy = make_geo(geo)
     view = geo_module._RouterView(spec, icx)
     policy.reset(view)
@@ -340,13 +342,13 @@ def _reference_route(spec, geo, storms):
         delay = 0.0
         if serve in dark and len(dark) < regions:
             if spec["resilience"]:  # the failed leg is charged too
-                delay += icx.delay(home, serve, spec["payload_bytes"])
+                delay += icx.delay(home, serve)
                 retried = True
             serve = min(set(range(regions)) - dark,
                         key=lambda i: (icx.hops(home, i), i))
             rerouted = True
         view.record(serve, t)
-        delay += icx.delay(home, serve, spec["payload_bytes"])
+        delay += icx.delay(home, serve)
         routed.append((t + delay, serve, home, rerouted, retried, delay,
                        rid, model))
     routed.sort(key=lambda entry: entry[0])  # stable: admission order
@@ -694,6 +696,13 @@ class TestFleetAccounting:
         with pytest.raises(ConfigError, match="at least one request"):
             GeoRouter(5, mode="inline").run_scenario("steady", 3,
                                                      seed=SEED)
+
+    @pytest.mark.parametrize("mode", ["serial", "auto"])
+    def test_constructor_rejects_unknown_mode(self, mode):
+        """A mode the fan-out cannot run in fails at construction,
+        before any calibration, prewarm or routing."""
+        with pytest.raises(ConfigError, match="execution mode"):
+            GeoRouter(4, topology="ring", geo="follow_sun", mode=mode)
 
     def test_stock_palette_is_well_formed(self):
         names = [spec.name for spec in STOCK_REGIONS]

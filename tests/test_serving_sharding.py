@@ -321,6 +321,9 @@ class TestShardedEngineApi:
             ShardedEngine(3, replicas=2)
         with pytest.raises(ConfigError):
             ShardedEngine(2, replicas=2, policy="adaptive")
+        for mode in ("serial", "auto"):
+            with pytest.raises(ConfigError, match="execution mode"):
+                ShardedEngine(2, replicas=2, mode=mode)
 
     def test_run_rejects_fault_scenarios_and_empty_traces(self):
         engine = ShardedEngine(2, replicas=2, mode="inline")

@@ -1,13 +1,13 @@
 """Warm-fleet scale-out: memo prewarm, broadcast, and exactness.
 
-The warm contract extends the sharded/geo one: shipping a prewarmed
-:class:`MemoSnapshot` to shard and region workers changes *nothing*
-about the answer — per-request latencies AND energies stay
-bit-identical to a cold run — it only moves the layer simulations
-from every worker to the parent, once.  These tests pin the snapshot
-round-trip, the fast-forward arrival span, the zero-miss guarantee in
-warm workers, and the chaos cell (a killed warm worker still merges
-bit-exactly after retry).
+Every fan-out ships a prewarmed :class:`MemoSnapshot` to its shard and
+region workers.  That changes *nothing* about the answer — per-request
+latencies AND energies stay bit-identical to the monolithic engine and
+to workers serving from a fresh memo — it only moves the layer
+simulations from every worker to the parent, once.  These tests pin
+the snapshot round-trip, the fast-forward arrival span, the zero-miss
+guarantee in warm workers, and the chaos cell (a killed warm worker
+still merges bit-exactly after retry).
 """
 
 import multiprocessing
@@ -105,33 +105,31 @@ class TestFastForward:
 
 class TestWarmSharded:
     @pytest.mark.parametrize("name", ["steady", "hot-model", "bursty"])
-    def test_warm_is_bit_identical_to_cold(self, name):
-        cold = _sharded(name, 400, prewarm=False)
+    def test_warm_is_bit_identical_to_monolithic(self, name):
+        mono = _simulator().run_scenario(name, 400, seed=SEED)
         warm = _sharded(name, 400)
-        assert warm.detail.latencies == cold.detail.latencies
-        assert warm.detail.energy_per_request == \
-            cold.detail.energy_per_request
-        assert warm.requests == cold.requests
-        assert warm.energy == cold.energy
+        assert warm.detail.latencies == mono.latencies
+        assert warm.detail.energy_per_request == mono.energy_per_request
+        assert warm.requests == len(mono.requests)
+        assert warm.energy == pytest.approx(sum(mono.energy_per_request),
+                                            rel=1e-12, abs=0)
 
     def test_warm_workers_never_miss(self):
         warm = _sharded("steady", 400, mode="process")
         assert warm.cache.seeded > 0
         assert warm.cache.seed_hits > 0
         assert warm.cache.misses == 0
-        cold = _sharded("steady", 400, mode="process", prewarm=False)
-        assert cold.cache.seeded == 0
-        assert cold.cache.misses > 0
-        assert warm.detail.latencies == cold.detail.latencies
+        mono = _simulator().run_scenario("steady", 400, seed=SEED)
+        assert mono.cache.misses > 0
+        assert warm.detail.latencies == mono.latencies
 
     def test_external_snapshot_accepted(self):
         seeded = LayerMemoCache()
         _simulator().prewarm("steady").install(seeded)
         warm = _sharded("steady", 400, memo_cache=seeded)
-        cold = _sharded("steady", 400, prewarm=False)
-        assert warm.detail.latencies == cold.detail.latencies
-        assert warm.detail.energy_per_request == \
-            cold.detail.energy_per_request
+        mono = _simulator().run_scenario("steady", 400, seed=SEED)
+        assert warm.detail.latencies == mono.latencies
+        assert warm.detail.energy_per_request == mono.energy_per_request
 
     def test_shared_memo_cache_carries_across_engines(self):
         shared = LayerMemoCache()
@@ -154,39 +152,39 @@ class TestWarmSharded:
 class TestWarmGeo:
     SOLO = (RegionSpec("solo", accelerator="SMART", replicas=2),)
 
-    def test_solo_region_warm_matches_cold_and_monolithic(self):
+    def test_solo_region_warm_matches_monolithic(self):
         warm = GeoRouter(self.SOLO, policy="timeout", batch_size=8,
                          detail=True, mode="inline") \
-            .run_scenario("steady", 400, seed=SEED)
-        cold = GeoRouter(self.SOLO, policy="timeout", batch_size=8,
-                         detail=True, mode="inline", prewarm=False) \
             .run_scenario("steady", 400, seed=SEED)
         mono = ServingSimulator(
             "SMART", replicas=2,
             policy=make_policy("timeout", batch_size=8),
             dispatch="round_robin",
         ).run_scenario("steady", 400, seed=SEED)
-        assert warm.detail.latencies == cold.detail.latencies == \
-            mono.latencies
-        assert warm.detail.energy_per_request == \
-            cold.detail.energy_per_request == mono.energy_per_request
+        assert warm.detail.latencies == mono.latencies
+        assert warm.detail.energy_per_request == mono.energy_per_request
 
-    def test_stormy_multi_region_warm_matches_cold(self):
-        def run(**kwargs):
-            return GeoRouter(3, topology="ring", storms=2,
-                             mode="process", **kwargs) \
+    def test_stormy_multi_region_matches_fresh_memo_workers(
+            self, monkeypatch):
+        """Process workers seeded through the pool payload serve the
+        same run as inline workers whose snapshot install is dropped,
+        which start from a fresh memo and simulate every layer."""
+        def run(mode):
+            return GeoRouter(3, topology="ring", storms=2, detail=True,
+                             mode=mode) \
                 .run_scenario("diurnal", 300, seed=SEED)
-        warm = run()
-        cold = run(prewarm=False)
-        assert warm.requests == cold.requests
-        assert warm.energy == cold.energy
-        assert warm.net_delay_s == cold.net_delay_s
-        for q in (50, 95, 99):
-            assert warm.latency_percentile(q) == \
-                cold.latency_percentile(q)
+        warm = run("process")
+        monkeypatch.setattr(MemoSnapshot, "install",
+                            lambda self, cache: 0)
+        fresh = run("inline")
+        assert warm.detail.latencies == fresh.detail.latencies
+        assert warm.detail.energy_per_request == \
+            fresh.detail.energy_per_request
+        assert warm.net_delay_s == fresh.net_delay_s
         assert warm.cache.seeded > 0
         assert warm.cache.misses == 0
-        assert cold.cache.misses > 0
+        assert fresh.cache.seeded == 0
+        assert fresh.cache.misses > 0
 
     def test_last_region_snapshot_holds_every_region(self, monkeypatch):
         """The regions warm one shared memo, so the snapshot the last
@@ -217,7 +215,7 @@ class TestWarmChaos:
                                                    tmp_path):
         """A warm worker dying mid-run (``os._exit``) must not cost
         exactness: the retried shard re-installs the snapshot and the
-        merged result still matches the cold monolithic answer."""
+        merged result still matches the monolithic answer."""
         real = sharding_module._serve_shard
         sentinel = tmp_path / "killed-once"
 
