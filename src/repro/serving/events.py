@@ -79,14 +79,21 @@ their predecessor fires:
   heap at all;
 - deadline checks: every TIMEOUT check and HEDGE launch lands one
   fixed delay after the never-decreasing clock, so they wait in one
-  FIFO (``_checks``) with only its head on the heap.
+  FIFO (``_checks``) with only its head on the heap.  A check whose
+  request is answered before it reaches the head is dropped unheaped:
+  ``_done`` only grows, so it could only pop as a no-op.
 
 Flushes, outages, control ticks, backoff-delayed retries and cancels
-stay on the heap.  None of this changes a single emitted float or the
-order of a single event: ``repro.serving.reference`` retains the
-straightforward pre-optimisation engine as a test oracle, and the
-equivalence suite holds every stock scenario x policy x dispatch cell
-to exact per-request tuple equality.
+stay on the heap.  A dead batch costs nothing where it dies: it leaves
+``_inflight`` at once, and one cancelled between its replica's head
+and tail stays in ``pending`` as a dead id until it reaches either
+end, so a cancel never scans a backlog.
+
+None of this changes a single emitted float or the order of a single
+event: ``repro.serving.reference`` retains the straightforward
+pre-optimisation engine as a test oracle, and the equivalence suite
+holds every stock scenario x policy x dispatch cell to exact
+per-request tuple equality.
 """
 
 from __future__ import annotations
@@ -379,7 +386,13 @@ class Replica:
         draining: finishing in-flight work before retirement.
         pending: in-flight batch ids, in dispatch order, which is also
             completion order (only the first one's BATCH_DONE is on
-            the event heap).
+            the event heap).  The cluster engine leaves a batch
+            cancelled between the head and the tail in place, dead,
+            until it reaches either end, so a non-empty ``pending``
+            always has a live head and a live tail but may hold
+            ``dead`` ids between them; :attr:`backlog` counts the
+            live ones.
+        dead: dead ids currently in ``pending``.
         last_model: model whose weights the array holds once pending
             work completes (None after a cold start / power cycle);
             dispatching a different model charges the switch fee.
@@ -396,8 +409,14 @@ class Replica:
     failed: bool = False
     draining: bool = False
     pending: list[int] = field(default_factory=list)
+    dead: int = 0
     last_model: Optional[str] = None
     done_model: Optional[str] = None
+
+    @property
+    def backlog(self) -> int:
+        """Live batches in ``pending``."""
+        return len(self.pending) - self.dead
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -435,15 +454,6 @@ class BatchRecord:
         # rebuilt through the constructor, as Request is
         return type(self), (self.model, self.size, self.replica,
                             self.flush, self.start, self.done, self.energy)
-
-
-@dataclass(slots=True)
-class _InFlight:
-    """Engine-side bookkeeping for one dispatched batch."""
-
-    record: BatchRecord
-    requests: tuple[Request, ...]
-    alive: bool = True
 
 
 @dataclass
@@ -592,7 +602,11 @@ class ClusterEngine:
         ]
         self._queues: dict[str, list[Request]] = {}
         self._armed: dict[str, float] = {}
-        self._inflight: dict[int, _InFlight] = {}
+        # live batches, by increasing batch id: a batch leaves when it
+        # dies (failed over, cancelled or stolen), so at the end of the
+        # run the values are the served batches in dispatch order
+        self._inflight: dict[int, tuple[BatchRecord,
+                                        tuple[Request, ...]]] = {}
         # insertion seqs of the BATCH_DONEs of batches queued behind
         # their replica's head, by batch id; each entry is rebuilt
         # and heaped when its batch becomes the head, and dropped if
@@ -601,7 +615,6 @@ class ClusterEngine:
         # deadline checks (TIMEOUT checks / HEDGE launches) in the
         # order they come due; only the first is on the heap
         self._checks: deque[tuple] = deque()
-        self._batch_order: list[int] = []
         self._next_batch = 0
         self._waiting: deque[tuple[str, tuple[Request, ...], float]] = deque()
         self._done: dict[int, tuple[float, float]] = {}
@@ -716,11 +729,7 @@ class ClusterEngine:
 
     def _finish(self) -> EngineRun:
         """Collect per-run state into the immutable outcome."""
-        inflight = self._inflight
-        batches = tuple(entry.record
-                        for entry in map(inflight.__getitem__,
-                                         self._batch_order)
-                        if entry.alive)
+        batches = tuple(record for record, _ in self._inflight.values())
         return EngineRun(
             batches=batches, done=self._done, shed=tuple(self._shed),
             replica_trace=tuple(self._trace),
@@ -897,10 +906,10 @@ class ClusterEngine:
         self._arm_flush(model)
 
     def _on_batch_done(self, time: float, batch_id: int) -> None:
-        batch = self._inflight[batch_id]
-        if not batch.alive:
-            return  # aborted by a failure and re-dispatched
-        record = batch.record
+        entry = self._inflight.get(batch_id)
+        if entry is None:
+            return  # died as its replica's head
+        record, requests = entry
         self._in_system -= record.size
         done = self._done
         outcome = (record.done, record.energy / record.size)
@@ -911,13 +920,13 @@ class ClusterEngine:
             # waste, and a still-outstanding cancellable duplicate is
             # cancelled the instant its original completes
             self._finish_with_duplicates(time, batch_id, record,
-                                         batch.requests, outcome)
+                                         requests, outcome)
         elif window is None:
-            for request in batch.requests:
+            for request in requests:
                 done[request.request_id] = outcome
         else:
             record_done = record.done
-            for request in batch.requests:
+            for request in requests:
                 done[request.request_id] = outcome
                 window.append(record_done - request.arrival)
         if self._tel is not None:
@@ -930,10 +939,8 @@ class ClusterEngine:
         # only a head's BATCH_DONE is ever heaped, and a head leaves
         # ``pending`` only here or by dying, so a live completion is
         # always its replica's head
-        pending = replica.pending
-        del pending[0]
-        self._push_head(pending)
-        if replica.draining and not pending:
+        self._next_head(replica)
+        if replica.draining and not replica.pending:
             replica.draining = False
             replica.up = False
             self._trace.append((time, self._n_up()))
@@ -946,26 +953,25 @@ class ClusterEngine:
         replica.failed = True
         replica.draining = False
         self._trace.append((time, self._n_up()))
-        victims, replica.pending = list(replica.pending), []
+        inflight = self._inflight
+        live = [b for b in replica.pending if b in inflight]
+        replica.pending = []
+        replica.dead = 0
         chained = self._chained
-        for batch_id in victims[1:]:
+        for batch_id in live[1:]:
             del chained[batch_id]  # queued behind the head, never heaped
-        for batch_id in victims:
-            batch = self._inflight[batch_id]
-            batch.alive = False
-            record = batch.record
+        victims = [inflight.pop(batch_id) for batch_id in live]
+        for record, _ in victims:
             if record.start < time and record.service > 0:
                 progress = min(1.0, (time - record.start)
                                / record.service)
                 self._wasted += record.energy * progress
         if self._tel is not None:
             self._tel.fail(time, index, len(victims))
-        for batch_id in victims:
-            batch = self._inflight[batch_id]
+        for record, requests in victims:
             self._redispatched += 1
-            self._dispatch(batch.record.model, batch.requests,
-                           flush=batch.record.flush, now=time,
-                           cause="redispatch")
+            self._dispatch(record.model, requests, flush=record.flush,
+                           now=time, cause="redispatch")
 
     def _on_recover(self, time: float, index: int) -> None:
         replica = self._replicas[index]
@@ -1138,16 +1144,19 @@ class ClusterEngine:
         waste (exactly the failure-abort accounting).  The replica's
         schedule is reclaimed only when the cancelled batch was its
         pending tail — earlier-promised start times never move; a
-        mid-schedule cancellation leaves the gap in place.
+        mid-schedule cancellation leaves the gap in place, and the
+        dead id in ``pending`` until it reaches the head or the tail.
         """
-        entry = self._inflight.get(batch_id)
-        if entry is None or not entry.alive:
-            return
-        record = entry.record
+        inflight = self._inflight
+        entry = inflight.get(batch_id)
+        if entry is None:
+            return  # already dead
+        record = entry[0]
         if record.done <= time:
             return  # completed at this very instant; BATCH_DONE
                     # (lower kind) already ran and recorded it
-        entry.alive = False
+        # still in flight, so still in its replica's ``pending``
+        del inflight[batch_id]
         self._cancels += 1
         self._in_system -= record.size
         if record.start < time and record.service > 0:
@@ -1155,25 +1164,18 @@ class ClusterEngine:
             self._wasted += record.energy * progress
         replica = self._replicas[record.replica]
         pending = replica.pending
-        if batch_id in pending:
-            was_tail = pending[-1] == batch_id
-            if pending[0] == batch_id:
-                # its BATCH_DONE is on the heap and pops as dead; the
-                # next batch's takes its place
-                del pending[0]
-                self._push_head(pending)
-            else:
-                pending.remove(batch_id)
-                del self._chained[batch_id]
-            if was_tail:
-                if pending:
-                    tail = self._inflight[pending[-1]].record
-                    replica.free_at = tail.done
-                    replica.last_model = tail.model
-                else:
-                    # everything previously scheduled has completed by
-                    # now, so the replica is genuinely free
-                    replica.free_at = time
+        if pending[-1] == batch_id:
+            if not self._pop_tail(replica):
+                # everything previously scheduled has completed by
+                # now, so the replica is genuinely free
+                replica.free_at = time
+        elif pending[0] == batch_id:
+            # its BATCH_DONE is on the heap and pops as dead; the next
+            # live batch's takes its place
+            self._next_head(replica)
+        else:
+            del self._chained[batch_id]
+            replica.dead += 1
         if self._tel is not None:
             self._tel.cancel(time, record, batch_id)
 
@@ -1218,13 +1220,46 @@ class ClusterEngine:
                                else flush_key(model, deadline)),
                           payload=model)
 
-    def _push_head(self, pending: list[int]) -> None:
-        """Heap the BATCH_DONE of ``pending``'s new head, if any."""
+    def _next_head(self, replica: Replica) -> None:
+        """Retire ``replica``'s head and heap the BATCH_DONE of the next
+        live batch, dropping the dead ids in front of it."""
+        pending = replica.pending
+        inflight = self._inflight
+        drop = 1
+        if replica.dead:
+            # the tail is live, so this stops inside the list
+            while pending[drop] not in inflight:
+                drop += 1
+            replica.dead -= drop - 1
+        del pending[:drop]
         if pending:
             head = pending[0]
             heapq.heappush(self._events._heap,
-                           (self._inflight[head].record.done, _BATCH_DONE,
-                            "", self._chained.pop(head), head))
+                           (inflight[head][0].done, _BATCH_DONE, "",
+                            self._chained.pop(head), head))
+
+    def _pop_tail(self, replica: Replica) -> bool:
+        """Drop ``replica``'s dead tail and the dead ids it uncovers,
+        and roll ``free_at``/``last_model`` back to the new live tail.
+
+        False when ``pending`` is left empty: the tail was the head,
+        and the caller decides when the replica is free.
+        """
+        pending = replica.pending
+        batch_id = pending.pop()
+        if not pending:
+            return False  # it was the head: its BATCH_DONE pops as dead
+        del self._chained[batch_id]  # queued behind the head
+        inflight = self._inflight
+        if replica.dead:
+            # the head is live, so this stops inside the list
+            while pending[-1] not in inflight:
+                pending.pop()
+                replica.dead -= 1
+        tail = inflight[pending[-1]][0]
+        replica.free_at = tail.done
+        replica.last_model = tail.model
+        return True
 
     def _check(self, now: float, kind: int, payload: object) -> None:
         """Schedule a deadline check ``_res_timeout`` after ``now``.
@@ -1242,11 +1277,24 @@ class ClusterEngine:
             heapq.heappush(self._events._heap, entry)
 
     def _next_check(self) -> None:
-        """Retire the check that just fired and heap the next one."""
+        """Retire the check that just fired and heap the next one.
+
+        Checks whose request has been answered meanwhile are dropped
+        on the way: ``_done`` only grows, so each would pop as a no-op.
+        """
         checks = self._checks
         checks.popleft()
-        if checks:
-            heapq.heappush(self._events._heap, checks[0])
+        done = self._done
+        while checks:
+            entry = checks[0]
+            payload = entry[4]
+            # a HEDGE launch carries the request, a TIMEOUT check
+            # (False, request, attempts)
+            request = payload if entry[1] == _HEDGE else payload[1]
+            if request.request_id not in done:
+                heapq.heappush(self._events._heap, entry)
+                return
+            checks.popleft()
 
     def _rate(self, accelerator, model: str,
               size: int) -> tuple[float, float]:
@@ -1348,8 +1396,7 @@ class ClusterEngine:
         record = BatchRecord(model=model, size=size,
                              replica=replica.index, flush=flush,
                              start=start, done=done, energy=energy)
-        self._inflight[batch_id] = _InFlight(record=record, requests=batch)
-        self._batch_order.append(batch_id)
+        self._inflight[batch_id] = (record, batch)
         seq = self._events.next_seq()
         pending = replica.pending
         if pending:
@@ -1398,9 +1445,8 @@ class ClusterEngine:
             victim = max(candidates, key=lambda r: (r.free_at, r.index))
             if not victim.pending:
                 return
-            batch_id = victim.pending[-1]
-            entry = self._inflight[batch_id]
-            record = entry.record
+            batch_id = victim.pending[-1]  # always live
+            record, requests = self._inflight[batch_id]
             if record.start <= now:
                 return  # already running; nothing movable
             model, size = record.model, record.size
@@ -1416,22 +1462,15 @@ class ClusterEngine:
                     best, best_done = replica, done
             if best is None:
                 return
-            victim.pending.pop()
-            entry.alive = False
-            if victim.pending:
-                del self._chained[batch_id]  # queued behind the head
-                tail = self._inflight[victim.pending[-1]].record
-                victim.free_at = tail.done
-                victim.last_model = tail.model
-            else:
-                # it was the head: its BATCH_DONE pops as dead
+            del self._inflight[batch_id]
+            if not self._pop_tail(victim):
                 victim.free_at = now
                 victim.last_model = victim.done_model
             self._stolen += 1
             if self._tel is not None:
                 self._tel.steal(now, record, batch_id, victim.index,
                                 best.index)
-            self._dispatch(model, entry.requests, flush=record.flush,
+            self._dispatch(model, requests, flush=record.flush,
                            now=now, to=best, cause="steal")
 
     def _scale_up(self, now: float) -> None:
@@ -1474,7 +1513,7 @@ class ClusterEngine:
 
     def _scale_down(self, now: float,
                     alive: Sequence[Replica]) -> None:
-        victim = min(alive, key=lambda r: (len(r.pending), -r.index))
+        victim = min(alive, key=lambda r: (r.backlog, -r.index))
         if victim.pending:
             victim.draining = True
         else:

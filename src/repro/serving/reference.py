@@ -54,7 +54,6 @@ from repro.serving.events import (
     FailurePlan,
     Replica,
     SloPolicy,
-    _InFlight,
 )
 from repro.serving.policies import (DegradePolicy, FifoFlush, HedgePolicy,
                                     ReactiveScalePolicy, RetryPolicy)
@@ -79,6 +78,15 @@ class Event:
     kind: EventKind
     key: str = ""
     payload: object = None
+
+
+@dataclass(slots=True)
+class _InFlight:
+    """Engine-side bookkeeping for one dispatched batch."""
+
+    record: BatchRecord
+    requests: tuple[Request, ...]
+    alive: bool = True
 
 
 class ReferenceEventQueue:

@@ -239,7 +239,7 @@ class Telemetry:
             "t": t, "ev": "sample",
             "queues": {m: len(q) for m, q in engine._queues.items() if q},
             # string keys so a JSONL round trip reproduces the row
-            "inflight": {str(r.index): len(r.pending)
+            "inflight": {str(r.index): r.backlog
                          for r in engine._replicas if r.pending},
             "in_system": engine._in_system,
             "replicas": sum(1 for r in engine._replicas if r.up),

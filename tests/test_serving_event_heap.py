@@ -10,15 +10,21 @@ the heap bounded by the pool, the model mix and the outage plan.
 A recording dispatch policy samples the heap at every pick, the way
 ``tests/test_serving_gc.py`` samples the GC threshold.  Bit-exactness
 of the held-back order is the differential, reference and golden
-suites' job; this file pins the bound and checks that nothing held
-back outlives the run.
+suites' job; this file pins the bound, checks that nothing held
+back outlives the run, and pins how much work the engine does on the
+scaled failure-retry cell: counts show what a change removed on any
+host, however fast it is.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.serving import (
+    ClusterEngine,
+    EventKind,
     FailurePlan,
     LeastLoadedDispatch,
     RoundRobinDispatch,
@@ -66,43 +72,112 @@ def heap_bound(replicas: int, models: int, outages: int) -> int:
     return replicas + models + 2 * outages + 3 + TRANSIENT
 
 
+#: The failure-retry benchmark workload (6 replicas, shard dispatch, a
+#: 3 ms SLO, the storm's 3 outages sampled once) scaled to
+#: :data:`N` requests.  Its deadline is 3 ms, not the benchmark's 30 ms:
+#: at this length a 30 ms check never fires.
+FAILURE_RETRY = dict(
+    replicas=6, slo=SloPolicy(target=3e-3),
+    failures=FailurePlan(count=SCENARIO.faults, seed=7),
+    resilience="retry:timeout_us=3000,budget=1")
+
+#: name -> (dispatch class, simulator options, counters that must fire).
 CELLS = {
-    # the failure-retry benchmark workload, scaled down: before the
-    # heap was bounded this reached 1,911 entries, nearly one per
-    # request, because every admitted request armed a 30 ms check
-    "shard-retry": (ShardDispatch, dict(
-        replicas=6, slo=SloPolicy(target=3e-3),
-        failures=FailurePlan(count=SCENARIO.faults, seed=7),
-        resilience="retry:timeout_us=30000,budget=1")),
-    # hedging on the scenario's own outages: 168 entries before
+    # deep backlogs under outages, with every admitted request
+    # arming a deadline check
+    "shard-retry": (ShardDispatch, FAILURE_RETRY, ("retries", "cancels")),
+    # hedging on the scenario's own outages: 168 entries before.  At
+    # this length every request is answered within the delay, so no
+    # hedge launches and only the check FIFO is exercised
     "least-loaded-hedge": (LeastLoadedDispatch, dict(
-        replicas=4, resilience="hedge:delay_us=2700")),
+        replicas=4, resilience="hedge:delay_us=2700"), ()),
     # a SMART + TPU pair that steals, fails over and retries: batches
     # die behind their replica's head in all three ways
     "steal-storm-retry": (RoundRobinDispatch, dict(
         accelerators=["SMART", "TPU"],
         steal=WorkStealPolicy(tick=2e-4, max_steals=4),
         failures=FailurePlan(count=SCENARIO.faults, seed=7),
-        resilience="retry:timeout_us=3000,budget=1")),
+        resilience="retry:timeout_us=3000,budget=1"),
+        ("stolen", "redispatched", "cancels")),
 }
 
 
-@pytest.mark.parametrize("cell", sorted(CELLS))
-def test_heap_stays_within_the_bound(cell):
-    dispatch_cls, config = CELLS[cell]
+def _serve(dispatch_cls, config):
+    """Serve the scenario; return (result, dispatch recorder)."""
     dispatch = _recording(dispatch_cls)
     result = ServingSimulator(
         "SMART", policy=make_policy("timeout"), dispatch=dispatch,
         **config).run_scenario(SCENARIO, N, seed=SEED)
+    return result, dispatch
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_heap_stays_within_the_bound(cell):
+    dispatch_cls, config, counters = CELLS[cell]
+    result, dispatch = _serve(dispatch_cls, config)
     replicas = len(dispatch.engine._replicas)
     bound = heap_bound(replicas, len(SCENARIO.mix.weights),
                        SCENARIO.faults)
     assert len(dispatch.sizes) >= N // 4
     assert max(dispatch.sizes) <= bound, (max(dispatch.sizes), bound)
-    if "steal" in config:
-        assert result.stolen and result.redispatched and result.cancels
-    # every held-back entry was pushed or dropped with its batch
+    for counter in counters:
+        assert getattr(result, counter), counter
+    # every held-back entry was pushed or dropped with its batch, and
+    # every batch that died left the engine's books when it died
     engine = dispatch.engine
     assert engine._chained == {}
     assert not engine._checks
     assert not engine._events._heap
+    assert not any(replica.pending for replica in engine._replicas)
+    assert len(engine._inflight) == len(result.batches)
+
+
+def _counting_handlers(monkeypatch) -> Counter:
+    """Count every heap pop by :class:`EventKind`, plus the deadline
+    checks that pop for a request already answered and the cancels
+    that land between a replica's head and tail."""
+    counts: Counter = Counter()
+    handlers = ClusterEngine._handlers
+
+    def counting(engine):
+        def wrap(kind, handler):
+            def counted(time, payload):
+                counts[kind.name] += 1
+                if kind is EventKind.TIMEOUT and not payload[0] \
+                        and payload[1].request_id in engine._done:
+                    counts["no-op checks"] += 1
+                if kind is EventKind.CANCEL \
+                        and payload in engine._inflight:
+                    record = engine._inflight[payload][0]
+                    pending = engine._replicas[record.replica].pending
+                    if record.done > time \
+                            and pending[0] != payload != pending[-1]:
+                        counts["mid-backlog cancels"] += 1
+                handler(time, payload)
+            return None if handler is None else counted
+        return tuple(map(wrap, EventKind, handlers(engine)))
+
+    monkeypatch.setattr(ClusterEngine, "_handlers", counting)
+    return counts
+
+
+def test_failure_retry_work_is_pinned(monkeypatch):
+    # Exact on any host, unlike a timing: a change that moves one of
+    # these changed the engine's work and must say why.
+    counts = _counting_handlers(monkeypatch)
+    result, dispatch = _serve(ShardDispatch, FAILURE_RETRY)
+    engine = dispatch.engine
+    assert dict(counts) == {
+        "FLUSH": 655, "BATCH_DONE": 691, "FAIL": 3, "RECOVER": 3,
+        "DRAIN": 1, "TIMEOUT": 1_554, "CANCEL": 540,
+        "no-op checks": 16,
+        # the lockstep cells in test_serving_resilience.py rely on
+        # these: a cancel there must reach the middle of a backlog
+        "mid-backlog cancels": 526,
+    }
+    # every dispatch takes the next batch id; the ones that died
+    # (failed over, cancelled) are missing from the served batches
+    assert engine._next_batch == 1_235
+    assert engine._next_batch - len(result.batches) == 555
+    assert (result.timeouts, result.retries, result.cancels) == \
+        (962, 565, 540)

@@ -387,6 +387,20 @@ class TestAutoscaling:
                    for b in result.batches)
         assert result.peak_replicas <= policy.max_replicas
 
+    def test_scale_down_counts_live_batches_only(self):
+        """Cancelled ids left inside a backlog are no work: the replica
+        retired is the one with the fewest *live* batches, not the
+        shortest ``pending`` list."""
+        engine = _flat_engine(autoscale=self.POLICY)
+        engine._prepare(0.0)
+        busy, light = engine._replicas
+        busy.pending = [0, 1, 2]
+        light.pending = [3, 4, 5, 6]  # live head and tail, 2 cancelled
+        light.dead = 2
+        assert (busy.backlog, light.backlog) == (3, 2)
+        engine._scale_down(0.0, [busy, light])
+        assert light.draining and not busy.draining
+
     def test_p95_metric_scales(self):
         policy = ReactiveScalePolicy(min_replicas=1, max_replicas=4,
                                  metric="p95", target_p95=1e-6,

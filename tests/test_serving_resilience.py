@@ -60,6 +60,24 @@ def run_cell(scenario_name, policy_name, dispatch, resilience,
     return result, ref, trace
 
 
+def assert_lockstep(result, ref, trace):
+    """The optimised run equals the reference run, float for float."""
+    shed = frozenset(ref.shed)
+    assert result.latencies == tuple(
+        float("inf") if r.request_id in shed
+        else ref.done[r.request_id][0] - r.arrival
+        for r in trace)
+    assert result.energy_per_request == tuple(
+        0.0 if r.request_id in shed
+        else ref.done[r.request_id][1] for r in trace)
+    assert result.batches == ref.batches
+    assert result.wasted_energy == ref.wasted_energy
+    assert (result.timeouts, result.retries, result.hedges,
+            result.cancels, result.degraded) == \
+           (ref.timeouts, ref.retries, ref.hedges, ref.cancels,
+            ref.degraded)
+
+
 class TestMakeResilience:
     @pytest.mark.parametrize("spec", [None, "", "none"])
     def test_none_specs_resolve_to_none(self, spec):
@@ -145,19 +163,22 @@ class TestLockstep:
     def test_active_cells_bit_identical(self, scenario, spec, dispatch):
         result, ref, trace = run_cell(scenario, "timeout", dispatch,
                                       resilience=spec)
-        assert result.latencies == tuple(
-            float("inf") if r.request_id in frozenset(ref.shed)
-            else ref.done[r.request_id][0] - r.arrival
-            for r in trace)
-        assert result.energy_per_request == tuple(
-            0.0 if r.request_id in frozenset(ref.shed)
-            else ref.done[r.request_id][1] for r in trace)
-        assert result.batches == ref.batches
-        assert result.wasted_energy == ref.wasted_energy
-        assert (result.timeouts, result.retries, result.hedges,
-                result.cancels, result.degraded) == \
-               (ref.timeouts, ref.retries, ref.hedges, ref.cancels,
-                ref.degraded)
+        assert_lockstep(result, ref, trace)
+
+    @pytest.mark.parametrize("spec", ["retry:timeout_us=3000,budget=1",
+                                      "hedge:delay_us=2700"])
+    def test_cancels_deep_in_backlogs_bit_identical(self, spec):
+        # the failure-retry benchmark cell scaled to 2,000 requests:
+        # replica backlogs run hundreds of batches deep (the cells
+        # above stay under 100), and most cancels land between a
+        # backlog's head and tail (526 of 540 under retry, pinned in
+        # test_serving_event_heap.py)
+        result, ref, trace = run_cell(
+            "failure-storm", "timeout", "shard", resilience=spec,
+            n=2_000, seed=1, replicas=6, slo=SloPolicy(target=3e-3),
+            failures=FailurePlan(count=3, seed=7))
+        assert result.cancels
+        assert_lockstep(result, ref, trace)
 
     def test_the_cells_actually_fire(self):
         # guard against a vacuous lockstep: the tight deadlines above

@@ -12,6 +12,8 @@ The rest of the suite pins the trace itself: event/counter semantics,
 the metrics timeline, and the JSONL save/load round trip.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import ConfigError
@@ -20,6 +22,7 @@ from repro.serving import (
     LayerMemoCache,
     ReactiveScalePolicy,
     ServingSimulator,
+    SloPolicy,
     TRACE_SCHEMA,
     Telemetry,
     generate_trace,
@@ -37,9 +40,9 @@ SHARED = LayerMemoCache()
 
 def run_cell(scenario_name, policy_name="fixed",
              dispatch="round_robin", n=100, seed=5,
-             telemetry=None, **kwargs):
+             telemetry=None, replicas=2, **kwargs):
     scenario = get_scenario(scenario_name)
-    sim = ServingSimulator("SMART", replicas=2,
+    sim = ServingSimulator("SMART", replicas=replicas,
                            policy=make_policy(policy_name),
                            dispatch=dispatch, cache=SHARED,
                            telemetry=telemetry, **kwargs)
@@ -152,6 +155,34 @@ class TestTrace:
         energy = [s["energy_j"] for s in samples]
         assert energy == sorted(energy)
         assert samples[-1]["done"] <= 150
+
+    def test_timeline_counts_live_batches_only(self):
+        # the failure-retry benchmark cell scaled to 2,000 requests,
+        # where most cancels land between a backlog's head and tail:
+        # each sample's per-replica in-flight count must equal the
+        # batches the event trace shows dispatched there and not yet
+        # completed, cancelled, stolen or failed over
+        telemetry = Telemetry(tick=200e-6)
+        run_cell("failure-storm", "timeout", "shard", n=2_000, seed=1,
+                 telemetry=telemetry, replicas=6,
+                 slo=SloPolicy(target=3e-3),
+                 failures=FailurePlan(count=3, seed=7),
+                 resilience="retry:timeout_us=3000,budget=1")
+        live: dict[int, int] = {}  # batch -> replica
+        samples = 0
+        for row in telemetry.rows:
+            ev = row["ev"]
+            if ev == "flush":
+                live[row["batch"]] = row["replica"]
+            elif ev in ("batch_done", "cancel", "steal"):
+                del live[row["batch"]]
+            elif ev == "fail":
+                live = {b: r for b, r in live.items()
+                        if r != row["replica"]}
+            elif ev == "sample":
+                assert row["inflight"] == Counter(map(str, live.values()))
+                samples += 1
+        assert telemetry.counters["cancels"] and samples > 100
 
     def test_events_off_keeps_counters_and_samples(self):
         telemetry = Telemetry(events=False, tick=200e-6)
