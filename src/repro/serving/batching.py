@@ -12,9 +12,17 @@ policy decides when a queue flushes into one accelerator batch:
 
 Policies are pure decision objects; the discrete-event engine in
 :mod:`repro.serving.events` owns the queues and the clock.  A policy
-whose ``deadline`` is ever non-None drives flush-deadline events at
-their exact instants; deadline-less queues drain once at the end of
-the trace.
+answers two things:
+
+- ``max_batch``, the size rule: a queue flushes its first
+  ``max_batch`` requests the moment it holds that many (the engine
+  tests ``len(queue) >= max_batch`` itself; no policy is asked);
+- ``deadline(queue)``, the latest instant a non-empty queue may keep
+  waiting, or None for forever.  It may depend only on the queue's
+  head (its oldest request), so the engine asks again only when the
+  head changes.  A policy whose ``deadline`` is ever non-None drives
+  flush-deadline events at their exact instants; deadline-less queues
+  drain once at the end of the trace.
 """
 
 from __future__ import annotations
@@ -28,7 +36,11 @@ from repro.serving.workload import Request
 
 @dataclass(frozen=True)
 class FixedSizeBatching:
-    """Flush a model queue whenever it holds ``batch_size`` requests."""
+    """Flush a model queue whenever it holds ``batch_size`` requests.
+
+    No deadline: a queue short of ``batch_size`` waits until the
+    end-of-trace drain.
+    """
 
     batch_size: int = 8
 
@@ -43,10 +55,6 @@ class FixedSizeBatching:
         """Largest batch this policy ever emits."""
         return self.batch_size
 
-    def ready(self, queue: Sequence[Request]) -> bool:
-        """Whether the queue should flush immediately."""
-        return len(queue) >= self.batch_size
-
     def deadline(self, queue: Sequence[Request]) -> Optional[float]:
         """Latest instant the queue may keep waiting (None = forever)."""
         return None
@@ -54,7 +62,11 @@ class FixedSizeBatching:
 
 @dataclass(frozen=True)
 class TimeoutBatching:
-    """Flush at ``max_batch`` requests or after ``max_wait`` seconds."""
+    """Flush at ``max_batch`` requests or after ``max_wait`` seconds.
+
+    The deadline is the head's arrival plus ``max_wait``: it reads
+    ``queue[0]`` only, as the head-only contract requires.
+    """
 
     max_batch: int = 8
     max_wait: float = 200e-6
@@ -66,10 +78,6 @@ class TimeoutBatching:
             raise ConfigError("batching timeout must be positive")
 
     name = "timeout"
-
-    def ready(self, queue: Sequence[Request]) -> bool:
-        """Whether the queue should flush immediately."""
-        return len(queue) >= self.max_batch
 
     def deadline(self, queue: Sequence[Request]) -> Optional[float]:
         """The oldest request's arrival plus the wait budget."""

@@ -65,6 +65,17 @@ outside the dispatch inner loop, and the windowed-p95 autoscale metric
 is maintained incrementally (:class:`_LatencyWindow`) instead of
 re-sorting the window every control tick.
 
+Per request and per batch, the plain path skips calls whose answer
+is already known.  An arrival applies the size rule itself
+(``len(queue) >= max_batch``; see :mod:`repro.serving.batching`) and
+asks the batching policy for a deadline only when it changed its
+queue's head: a policy's ``deadline`` may read only the head, and
+while a queue is non-empty ``_armed`` holds that head's deadline, so
+asking again could never push a FLUSH.  A dispatch takes its insertion
+seq and builds its :class:`BatchRecord` inline, reads the rate and
+switch-charge memos without a call unless they miss, and the stock
+dispatch policies pick with plain loops instead of a keyed ``min``.
+
 The heap also holds only events that could fire next, so it stays
 about as small as the replica pool however deep the backlogs grow.
 Events that come due in an order known when they are scheduled wait
@@ -104,8 +115,9 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
-from itertools import pairwise
+from itertools import pairwise, starmap
 from math import ceil
+from operator import attrgetter, gt
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.errors import ConfigError
@@ -367,6 +379,27 @@ def _merge_outages(outages) -> tuple[Outage, ...]:
     ))
 
 
+def resilience_deadline(res: Optional[ResiliencePolicy],
+                        slo: Optional[SloPolicy]) -> Optional[float]:
+    """The deadline (s) after which ``res`` acts, under ``slo``.
+
+    None without a policy, and for ``degrade`` without a derivable
+    deadline (it can run on shed rescue alone).
+
+    Raises:
+        ConfigError: ``retry`` or ``hedge`` with neither its own
+            deadline nor an SLO target.
+    """
+    if res is None:
+        return None
+    if res.name == "degrade":
+        try:
+            return res.timeout_s(slo)
+        except ConfigError:
+            return None
+    return res.timeout_s(slo)
+
+
 # ---------------------------------------------------------------------------
 # Cluster state
 # ---------------------------------------------------------------------------
@@ -386,7 +419,8 @@ class Replica:
         draining: finishing in-flight work before retirement.
         pending: in-flight batch ids, in dispatch order, which is also
             completion order (only the first one's BATCH_DONE is on
-            the event heap).  The cluster engine leaves a batch
+            the event heap); a deque, so the head retires in O(1)
+            however deep the backlog.  The cluster engine leaves a batch
             cancelled between the head and the tail in place, dead,
             until it reaches either end, so a non-empty ``pending``
             always has a live head and a live tail but may hold
@@ -408,7 +442,7 @@ class Replica:
     up: bool = True
     failed: bool = False
     draining: bool = False
-    pending: list[int] = field(default_factory=list)
+    pending: deque[int] = field(default_factory=deque)
     dead: int = 0
     last_model: Optional[str] = None
     done_model: Optional[str] = None
@@ -499,7 +533,10 @@ class ClusterEngine:
     Args:
         replicas: one accelerator configuration per initial replica
             (mixed configurations make a heterogeneous pool).
-        policy: batching policy (``ready``/``deadline``/``max_batch``).
+        policy: batching policy: a queue flushes the moment it holds
+            ``max_batch`` requests, or at ``deadline(queue)``, which
+            may read only the queue's head (the engine asks again only
+            when the head changes; see :mod:`repro.serving.batching`).
         dispatch: one of :data:`DISPATCH_STRATEGIES`, or a
             :class:`~repro.serving.policies.DispatchPolicy` instance.
         service_fn: (accelerator, model, batch) -> batch latency (s);
@@ -645,7 +682,6 @@ class ClusterEngine:
         self._rates: dict[tuple[int, str, int], tuple[float, float]] = {}
         self._switch_rates: dict[tuple[int, str, int], float] = {}
         self._max_batch = self.policy.max_batch
-        self._ready_fn = self.policy.ready
         self._deadline_fn = self.policy.deadline
         self._pick = self._dispatch_policy.pick
         # the stock FIFO flush policy keeps the allocation-free fast
@@ -689,17 +725,7 @@ class ClusterEngine:
         self._hedges = 0
         self._cancels = 0
         self._degraded = 0
-        if res is None:
-            self._res_timeout: Optional[float] = None
-        elif self._res_kind == "degrade":
-            # degrade can run on shed rescue alone; the timeout leg is
-            # optional and only arms when a deadline is derivable
-            try:
-                self._res_timeout = res.timeout_s(self.slo)
-            except ConfigError:
-                self._res_timeout = None
-        else:
-            self._res_timeout = res.timeout_s(self.slo)
+        self._res_timeout = resilience_deadline(res, self.slo)
         # warm the per-run rate memo before the first arrival: each
         # cell lands exactly where a cold run's first dispatch would
         # put it, so warm and cold runs emit identical floats
@@ -759,9 +785,10 @@ class ClusterEngine:
         would.
         """
         if isinstance(requests, Sequence) and requests:
-            if any(a.arrival > b.arrival for a, b in pairwise(requests)):
+            arrival_of = attrgetter("arrival")
+            if any(starmap(gt, pairwise(map(arrival_of, requests)))):
                 # stable, so equal arrivals keep their trace order
-                requests = sorted(requests, key=lambda r: r.arrival)
+                requests = sorted(requests, key=arrival_of)
             # span from the *time* order, never the input order: the
             # DRAIN must land at the true last arrival or late requests
             # under a deadline-less policy would sit in their queues
@@ -876,13 +903,21 @@ class ClusterEngine:
         if queue is None:
             queue = self._queues[model] = []
         queue.append(request)
+        # a policy's deadline reads only the queue's head, and while a
+        # queue is non-empty ``_armed`` holds its head's deadline, so
+        # only an arrival that changed the head can arm a new flush
         max_batch = self._max_batch
-        ready = self._ready_fn
-        while ready(queue):
-            batch = tuple(queue[:max_batch])
-            del queue[:max_batch]
-            self._dispatch(model, batch, flush=time)
-        self._arm_flush(model)
+        length = len(queue)
+        if length < max_batch:
+            if length == 1:
+                self._arm_flush(model)  # landed in an empty queue
+        else:
+            while len(queue) >= max_batch:
+                batch = tuple(queue[:max_batch])
+                del queue[:max_batch]
+                self._dispatch(model, batch, flush=time)
+            if queue:
+                self._arm_flush(model)  # the remainder has a new head
         if self._res is not None and self._res_timeout is not None:
             # arm the per-request deadline: a TIMEOUT "check" for the
             # retry / degrade policies, a HEDGE launch for hedging
@@ -903,7 +938,8 @@ class ClusterEngine:
         batch = tuple(queue[:max_batch])
         del queue[:max_batch]
         self._dispatch(model, batch, flush=time, cause="deadline")
-        self._arm_flush(model)
+        if queue:
+            self._arm_flush(model)  # the remainder has a new head
 
     def _on_batch_done(self, time: float, batch_id: int) -> None:
         entry = self._inflight.get(batch_id)
@@ -955,7 +991,7 @@ class ClusterEngine:
         self._trace.append((time, self._n_up()))
         inflight = self._inflight
         live = [b for b in replica.pending if b in inflight]
-        replica.pending = []
+        replica.pending = deque()
         replica.dead = 0
         chained = self._chained
         for batch_id in live[1:]:
@@ -1225,13 +1261,12 @@ class ClusterEngine:
         live batch, dropping the dead ids in front of it."""
         pending = replica.pending
         inflight = self._inflight
-        drop = 1
+        pending.popleft()
         if replica.dead:
-            # the tail is live, so this stops inside the list
-            while pending[drop] not in inflight:
-                drop += 1
-            replica.dead -= drop - 1
-        del pending[:drop]
+            # the tail is live, so this stops inside the deque
+            while pending[0] not in inflight:
+                pending.popleft()
+                replica.dead -= 1
         if pending:
             head = pending[0]
             heapq.heappush(self._events._heap,
@@ -1252,7 +1287,7 @@ class ClusterEngine:
         del self._chained[batch_id]  # queued behind the head
         inflight = self._inflight
         if replica.dead:
-            # the head is live, so this stops inside the list
+            # the head is live, so this stops inside the deque
             while pending[-1] not in inflight:
                 pending.pop()
                 replica.dead -= 1
@@ -1337,15 +1372,23 @@ class ClusterEngine:
         estimate go through here, so what stealing predicts is
         exactly what dispatching charges.
         """
-        service, energy = self._rate(replica.accelerator, model, size)
+        accelerator = replica.accelerator
+        # both memos are read inline; a miss takes the full call
+        key = (id(accelerator), model, size)
+        rates = self._rates.get(key)
+        if rates is None:
+            rates = self._rate(accelerator, model, size)
         last_model = replica.last_model
-        if (last_model is not None and last_model != model
-                and self.switch_fn is not None):
-            # the array holds another model's weights: the incoming
-            # batch's deployment cannot overlap and is charged whole
-            service = service + self._switch(replica.accelerator,
-                                             model, size)
-        return service, energy
+        if (last_model is None or last_model == model
+                or self.switch_fn is None):
+            return rates
+        # the array holds another model's weights: the incoming
+        # batch's deployment cannot overlap and is charged whole
+        charge = self._switch_rates.get(key)
+        if charge is None:
+            charge = self._switch(accelerator, model, size)
+        service, energy = rates
+        return service + charge, energy
 
     def _dispatch(self, model: str, batch: tuple[Request, ...],
                   flush: float, now: Optional[float] = None,
@@ -1393,11 +1436,13 @@ class ClusterEngine:
         replica.free_at = done
         batch_id = self._next_batch
         self._next_batch = batch_id + 1
-        record = BatchRecord(model=model, size=size,
-                             replica=replica.index, flush=flush,
-                             start=start, done=done, energy=energy)
+        record = BatchRecord(model, size, replica.index, flush, start,
+                             done, energy)
         self._inflight[batch_id] = (record, batch)
-        seq = self._events.next_seq()
+        # EventQueue.next_seq, inline
+        events = self._events
+        seq = events._seq
+        events._seq = seq + 1
         pending = replica.pending
         if pending:
             # ``pending`` is sorted by completion (a batch starts at or

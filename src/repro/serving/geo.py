@@ -65,6 +65,7 @@ from repro.serving.policies import GeoDispatchPolicy, make_geo, make_resilience
 from repro.serving.sharding import (
     ShardedResult,
     ShardOutcome,
+    _check_deadline,
     _fan_out,
     _serve_partition,
     _spec,
@@ -637,7 +638,9 @@ class GeoRouter:
             private one.
 
     Raises:
-        ConfigError: from :func:`validate_geo` for malformed fleets.
+        ConfigError: from :func:`validate_geo` for malformed fleets,
+            and for a ``retry`` or ``hedge`` spec with neither its own
+            deadline nor ``slo_us``.
     """
 
     def __init__(self, regions: int | Sequence[RegionSpec], *,
@@ -657,7 +660,9 @@ class GeoRouter:
         validate_geo(self.regions, geo=geo, topology=topology,
                      storms=storms)
         make_policy(policy, batch_size=batch_size)  # fail fast
-        # fail fast on a bad spec; normalise "none"/"" to the empty spec
+        # fail fast on a bad spec, or one with no deadline; normalise
+        # "none"/"" to the empty spec
+        _check_deadline(resilience, slo_us)
         self.resilience = \
             resilience if make_resilience(resilience) is not None else ""
         self.topology = topology

@@ -110,9 +110,17 @@ class LeastLoadedDispatch(DispatchPolicy):
     name = "least_loaded"
 
     def pick(self, engine, model, size, floor, candidates):
-        return min(candidates,
-                   key=lambda r: (max(r.free_at, r.available_at),
-                                  r.index))
+        # the (free time, index) minimum: the candidates arrive in
+        # index order, so a strict ``<`` keeps the lowest index of a tie
+        best = None
+        best_at = 0.0
+        for replica in candidates:
+            at = replica.free_at
+            if at < replica.available_at:
+                at = replica.available_at
+            if best is None or at < best_at:
+                best, best_at = replica, at
+        return best
 
 
 class ShardDispatch(DispatchPolicy):
@@ -154,14 +162,17 @@ class FastestFinishDispatch(DispatchPolicy):
     name = "fastest_finish"
 
     def pick(self, engine, model, size, floor, candidates):
+        # the (finish, index) minimum, tie-broken as in
+        # LeastLoadedDispatch
         rate = engine._rate
-
-        def finish(replica):
+        best = None
+        best_done = 0.0
+        for replica in candidates:
             start = max(floor, replica.free_at, replica.available_at)
-            return (start + rate(replica.accelerator, model, size)[0],
-                    replica.index)
-
-        return min(candidates, key=finish)
+            done = start + rate(replica.accelerator, model, size)[0]
+            if best is None or done < best_done:
+                best, best_done = replica, done
+        return best
 
 
 #: Stock dispatch strategies by CLI name.

@@ -69,7 +69,7 @@ from repro.runtime.executor import (check_map_mode, parallel_map,
                                     worker_payload)
 from repro.serving.batching import make_policy
 from repro.serving.policies import make_resilience
-from repro.serving.events import FailurePlan, SloPolicy
+from repro.serving.events import FailurePlan, SloPolicy, resilience_deadline
 from repro.serving.memo import CacheStats, LayerMemoCache, MemoSnapshot
 from repro.serving.simulator import (ENGINE_COUNTERS, ServingResult,
                                      ServingSimulator, _gc_headroom,
@@ -184,6 +184,14 @@ def validate_sharding(shards: int, *, replicas: int,
                 f"scenario '{scenario.name}' injects replica faults; "
                 f"failure re-dispatch is not shard-stable"
             )
+
+
+def _check_deadline(resilience: str, slo_us: float) -> None:
+    """Raise the engine's :class:`ConfigError` for a resilience spec
+    with no deadline under ``slo_us`` when a fan-out is built, not after
+    its calibration, prewarm and every fan-out round."""
+    resilience_deadline(make_resilience(resilience),
+                        SloPolicy(target=slo_us * 1e-6) if slo_us else None)
 
 
 class LatencyDigest:
@@ -824,7 +832,9 @@ class ShardedEngine:
 
     Raises:
         ConfigError: from :func:`validate_sharding`, for any
-            combination whose sharded results would not be exact.
+            combination whose sharded results would not be exact, and
+            for a ``retry`` spec with neither ``timeout_us`` nor
+            ``slo_us``.
     """
 
     dispatch = SHARD_STABLE_DISPATCH[0]
@@ -840,6 +850,7 @@ class ShardedEngine:
                  checkpoint: Optional[str] = None,
                  memo_cache: Optional[LayerMemoCache] = None) -> None:
         validate_sharding(shards, replicas=replicas, resilience=resilience)
+        _check_deadline(resilience, slo_us)
         make_policy(policy, batch_size=batch_size)  # fail fast
         self.shards = shards
         self.accelerator = accelerator

@@ -33,7 +33,7 @@ import gc
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
-from operator import sub
+from operator import attrgetter, sub
 from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.core import make_accelerator
@@ -488,16 +488,16 @@ class ServingSimulator:
         ``failures`` overrides the simulator-level plan for this run
         (used by :meth:`run_scenario` for fault-carrying scenarios).
         """
-        requests = tuple(sorted(requests, key=lambda r: r.arrival))
+        requests = tuple(sorted(requests, key=attrgetter("arrival")))
         if not requests:
             raise ConfigError("cannot serve an empty trace")
-        # resolve every model once, up front: fails fast on unknown
-        # names and keeps name->Network resolution out of the
-        # engine's dispatch path
-        networks: dict[str, Network] = {}
-        for request in requests:
-            if request.model not in networks:
-                networks[request.model] = self.network(request.model)
+        # resolve every model once, up front, in first-occurrence
+        # order: fails fast on the first unknown name and keeps
+        # name->Network resolution out of the engine's dispatch path
+        networks: dict[str, Network] = {
+            model: self.network(model)
+            for model in dict.fromkeys(map(attrgetter("model"), requests))
+        }
         cache = self.cache
         scale = self.autoscale
         if (scale is not None and scale.needs_rate

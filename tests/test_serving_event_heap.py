@@ -12,8 +12,8 @@ A recording dispatch policy samples the heap at every pick, the way
 of the held-back order is the differential, reference and golden
 suites' job; this file pins the bound, checks that nothing held
 back outlives the run, and pins how much work the engine does on the
-scaled failure-retry cell: counts show what a change removed on any
-host, however fast it is.
+scaled failure-retry and plain-bursty cells: counts show what a change
+removed on any host, however fast it is.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.serving import (
     ServingSimulator,
     ShardDispatch,
     SloPolicy,
+    TimeoutBatching,
     WorkStealPolicy,
     get_scenario,
     make_policy,
@@ -181,3 +182,32 @@ def test_failure_retry_work_is_pinned(monkeypatch):
     assert engine._next_batch - len(result.batches) == 555
     assert (result.timeouts, result.retries, result.cancels) == \
         (962, 565, 540)
+
+
+def test_plain_bursty_work_is_pinned(monkeypatch):
+    """The plain-bursty benchmark workload (SMART, 2 replicas, timeout
+    batching, least-loaded dispatch, bursty traffic, seed 1) scaled to
+    :data:`N` requests: the engine asks the policy for a deadline only
+    when a queue's head changes, and the events it pops stay put."""
+    counts = _counting_handlers(monkeypatch)
+    calls: Counter = Counter()
+
+    class CountingTimeout(TimeoutBatching):
+        def deadline(self, queue):
+            calls["deadline"] += 1
+            return super().deadline(queue)
+
+    class CountingLeastLoaded(LeastLoadedDispatch):
+        def pick(self, engine, model, size, floor, candidates):
+            calls["pick"] += 1
+            return super().pick(engine, model, size, floor, candidates)
+
+    result = ServingSimulator(
+        "SMART", replicas=2, policy=CountingTimeout(),
+        dispatch=CountingLeastLoaded(),
+    ).run_scenario("bursty", N, seed=SEED)
+    assert dict(counts) == {"FLUSH": 638, "BATCH_DONE": 638, "DRAIN": 1}
+    # one deadline per head: 638 new heads, each asked again by its
+    # FLUSH (an engine that asked after every arrival read 2,632)
+    assert calls == {"deadline": 1_276, "pick": 638}
+    assert len(result.batches) == 638

@@ -704,6 +704,17 @@ class TestFleetAccounting:
         with pytest.raises(ConfigError, match="execution mode"):
             GeoRouter(4, topology="ring", geo="follow_sun", mode=mode)
 
+    @pytest.mark.parametrize("resilience", ["retry", "hedge"])
+    def test_constructor_rejects_a_resilience_with_no_deadline(
+            self, resilience):
+        """The engine's rule at construction: retry and hedge need a
+        deadline of their own or an SLO; degrade may run on shed
+        rescue alone."""
+        with pytest.raises(ConfigError, match=f"{resilience} needs"):
+            GeoRouter(2, resilience=resilience, mode="inline")
+        GeoRouter(2, resilience=resilience, slo_us=3000, mode="inline")
+        GeoRouter(2, resilience="degrade", mode="inline")
+
     def test_stock_palette_is_well_formed(self):
         names = [spec.name for spec in STOCK_REGIONS]
         assert len(set(names)) == len(names)

@@ -325,6 +325,17 @@ class TestShardedEngineApi:
             with pytest.raises(ConfigError, match="execution mode"):
                 ShardedEngine(2, replicas=2, mode=mode)
 
+    def test_constructor_rejects_a_retry_with_no_deadline(self):
+        """Retry needs ``timeout_us`` or an SLO, as the engine does: the
+        constructor says so, instead of every shard worker failing
+        after calibration, prewarm and three fan-out rounds."""
+        with pytest.raises(ConfigError, match="retry needs timeout_us"):
+            ShardedEngine(2, replicas=2, resilience="retry", mode="inline")
+        ShardedEngine(2, replicas=2, resilience="retry", slo_us=3000,
+                      mode="inline")
+        ShardedEngine(2, replicas=2, resilience="retry:timeout_us=300",
+                      mode="inline")
+
     def test_run_rejects_fault_scenarios_and_empty_traces(self):
         engine = ShardedEngine(2, replicas=2, mode="inline")
         with pytest.raises(ConfigError):

@@ -9,6 +9,7 @@ from repro.models import model_names
 from repro.serving import (
     ARRIVAL_SHAPES,
     BurstyProcess,
+    ClusterEngine,
     DiurnalProcess,
     FixedSizeBatching,
     ModelMix,
@@ -240,11 +241,24 @@ def _requests(arrivals, model="AlexNet"):
     return [Request(i, model, t) for i, t in enumerate(arrivals)]
 
 
+def _batches(policy, arrivals):
+    """(size, flush instant) of every batch one replica serves."""
+    engine = ClusterEngine(
+        ["replica"], policy, "round_robin",
+        service_fn=lambda acc, model, size: 1e-6,
+        energy_fn=lambda acc, model, size: 1e-9,
+    )
+    return [(b.size, b.flush)
+            for b in engine.run(_requests(arrivals)).batches]
+
+
 class TestBatchingPolicies:
-    def test_fixed_ready_at_size(self):
+    def test_fixed_flushes_at_size(self):
+        # the size rule flushes at the 4th and 8th arrivals; the last
+        # two wait for the drain at the final arrival
         policy = FixedSizeBatching(batch_size=4)
-        assert not policy.ready(_requests([0.0, 1.0, 2.0]))
-        assert policy.ready(_requests([0.0, 1.0, 2.0, 3.0]))
+        assert _batches(policy, [float(t) for t in range(10)]) == \
+            [(4, 3.0), (4, 7.0), (2, 9.0)]
         assert policy.deadline(_requests([0.0])) is None
 
     def test_timeout_deadline_tracks_oldest(self):
@@ -253,9 +267,11 @@ class TestBatchingPolicies:
         assert policy.deadline(queue) == pytest.approx(2.0 + 1e-4)
         assert policy.deadline([]) is None
 
-    def test_timeout_ready_at_max_batch(self):
+    def test_timeout_flushes_at_max_batch(self):
+        # each pair flushes at its second arrival, well inside the wait
         policy = TimeoutBatching(max_batch=2, max_wait=1e-4)
-        assert policy.ready(_requests([0.0, 1.0]))
+        assert _batches(policy, [0.0, 1e-5, 2e-5, 3e-5]) == \
+            [(2, 1e-5), (2, 3e-5)]
 
     def test_make_policy(self):
         assert make_policy("fixed", batch_size=16).batch_size == 16
