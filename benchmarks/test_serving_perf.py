@@ -32,6 +32,7 @@ the ring interconnect), so routing-scan or interconnect slowdowns
 surface in their own cell.
 """
 
+import gc
 import json
 import os
 import time
@@ -194,6 +195,11 @@ def test_bench_persisted_memo_cold_start(tmp_path):
                                      cache=cache)
         rate = scenario.load * simulator.capacity_rps(scenario)
         trace = generate_trace(scenario, rate, n_requests, seed=7)
+        # both timed runs start from a collected heap: in a full test
+        # run, one full collection over the process's unrelated objects
+        # can outlast the warm run itself, and landing in one window
+        # it would time the GC, not the memo
+        gc.collect()
         started = time.perf_counter()
         result = simulator.run(trace, scenario=scenario.name,
                                rate=rate)

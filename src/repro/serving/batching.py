@@ -14,15 +14,15 @@ Policies are pure decision objects; the discrete-event engine in
 :mod:`repro.serving.events` owns the queues and the clock.  A policy
 answers two things:
 
-- ``max_batch``, the size rule: a queue flushes its first
-  ``max_batch`` requests the moment it holds that many (the engine
-  tests ``len(queue) >= max_batch`` itself; no policy is asked);
+- ``max_batch``, the size rule: a queue flushes whole the moment it
+  holds that many requests (the engine tests the length itself; no
+  policy is asked);
 - ``deadline(queue)``, the latest instant a non-empty queue may keep
   waiting, or None for forever.  It may depend only on the queue's
-  head (its oldest request), so the engine asks again only when the
-  head changes.  A policy whose ``deadline`` is ever non-None drives
-  flush-deadline events at their exact instants; deadline-less queues
-  drain once at the end of the trace.
+  head (its oldest request), so the engine asks once per queue fill
+  and at the end-of-trace drain.  A queue whose head has a deadline
+  flushes at that exact instant; deadline-less queues drain once at
+  the end of the trace.
 """
 
 from __future__ import annotations

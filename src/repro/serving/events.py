@@ -66,13 +66,13 @@ is maintained incrementally (:class:`_LatencyWindow`) instead of
 re-sorting the window every control tick.
 
 Per request and per batch, the plain path skips calls whose answer
-is already known.  An arrival applies the size rule itself
-(``len(queue) >= max_batch``; see :mod:`repro.serving.batching`) and
-asks the batching policy for a deadline only when it changed its
-queue's head: a policy's ``deadline`` may read only the head, and
-while a queue is non-empty ``_armed`` holds that head's deadline, so
-asking again could never push a FLUSH.  A dispatch takes its insertion
-seq and builds its :class:`BatchRecord` inline, reads the rate and
+is already known.  A queue grows one arrival at a time and flushes
+whole once it holds ``max_batch`` (the engine applies the size rule
+itself; see :mod:`repro.serving.batching`).  A policy's ``deadline``
+reads only the head, so it is asked once per queue fill and
+``_armed`` keeps the answer: a FLUSH pop is live only while
+``_armed`` holds its instant.  A dispatch takes its insertion seq and
+builds its :class:`BatchRecord` inline, reads the rate and
 switch-charge memos without a call unless they miss, and the stock
 dispatch policies pick with plain loops instead of a keyed ``min``.
 
@@ -533,10 +533,10 @@ class ClusterEngine:
     Args:
         replicas: one accelerator configuration per initial replica
             (mixed configurations make a heterogeneous pool).
-        policy: batching policy: a queue flushes the moment it holds
-            ``max_batch`` requests, or at ``deadline(queue)``, which
-            may read only the queue's head (the engine asks again only
-            when the head changes; see :mod:`repro.serving.batching`).
+        policy: batching policy: a queue flushes whole the moment it
+            holds ``max_batch`` requests, or at ``deadline(queue)``,
+            which may read only the head (asked once per queue fill
+            and at the drain; see :mod:`repro.serving.batching`).
         dispatch: one of :data:`DISPATCH_STRATEGIES`, or a
             :class:`~repro.serving.policies.DispatchPolicy` instance.
         service_fn: (accelerator, model, batch) -> batch latency (s);
@@ -561,9 +561,10 @@ class ClusterEngine:
         switch_fn: (accelerator, model, batch) -> weight-deployment
             switch charge (s) paid when the replica last served a
             *different* model; None charges nothing.
-        flush: flush-ordering policy; None means the stock FIFO.
-        admission: admission policy; None derives the stock depth
-            bound from ``slo.shed_depth``.
+        flush: flush-ordering policy (FLUSH heap keys, drain order,
+            parked-batch picks); None means the stock FIFO.
+        admission: admission policy, asked for every arrival; None
+            derives the stock depth bound from ``slo.shed_depth``.
         steal: work stealing on control ticks, or None.
         telemetry: opt-in :class:`~repro.serving.telemetry.Telemetry`
             sink recording the event trace and metrics timeline.  A
@@ -684,25 +685,6 @@ class ClusterEngine:
         self._max_batch = self.policy.max_batch
         self._deadline_fn = self.policy.deadline
         self._pick = self._dispatch_policy.pick
-        # the stock FIFO flush policy keeps the allocation-free fast
-        # paths (model-name heap key, popleft, sorted drain); anything
-        # else routes through the policy's own ordering hooks
-        flush_policy = self.flush
-        stock_flush = type(flush_policy) is FifoFlush
-        self._flush_key = None if stock_flush else flush_policy.flush_key
-        self._waiting_pick = (None if stock_flush
-                              else flush_policy.pick_waiting)
-        # stock depth admission stays an int compare on the arrival
-        # hot path; custom policies — including DepthAdmission
-        # subclasses with their own admit() — take the full call
-        admission = self.admission
-        if type(admission) is DepthAdmission:
-            self._shed_depth: Optional[int] = admission.depth
-            self._admit_fn = None
-        else:
-            self._shed_depth = None
-            self._admit_fn = (admission.admit if admission is not None
-                              else None)
         tel = self.telemetry
         self._tel = tel
         # a telemetry sink that wants a timeline can drive CONTROL
@@ -879,23 +861,15 @@ class ClusterEngine:
         tel = self._tel
         if tel is not None:
             tel.arrival(time, request.model, request.request_id)
-        shed_depth = self._shed_depth
-        if shed_depth is not None and self._in_system >= shed_depth:
-            if self._res_kind == "degrade" and self._candidates():
-                self._serve_degraded(time, request, track=False)
-                return
-            self._shed.append(request.request_id)
-            if tel is not None:
-                tel.shed(time, request.model, request.request_id)
-            return
-        if self._admit_fn is not None and not self._admit_fn(
+        admission = self.admission
+        if admission is not None and not admission.admit(
                 time, request, self._in_system):
             if self._res_kind == "degrade" and self._candidates():
                 self._serve_degraded(time, request, track=False)
-                return
-            self._shed.append(request.request_id)
-            if tel is not None:
-                tel.shed(time, request.model, request.request_id)
+            else:
+                self._shed.append(request.request_id)
+                if tel is not None:
+                    tel.shed(time, request.model, request.request_id)
             return
         self._in_system += 1
         model = request.model
@@ -903,21 +877,26 @@ class ClusterEngine:
         if queue is None:
             queue = self._queues[model] = []
         queue.append(request)
-        # a policy's deadline reads only the queue's head, and while a
-        # queue is non-empty ``_armed`` holds its head's deadline, so
-        # only an arrival that changed the head can arm a new flush
-        max_batch = self._max_batch
+        # a queue grows one arrival at a time and flushes whole once it
+        # holds ``max_batch``, so it is never full at an event boundary
         length = len(queue)
-        if length < max_batch:
-            if length == 1:
-                self._arm_flush(model)  # landed in an empty queue
-        else:
-            while len(queue) >= max_batch:
-                batch = tuple(queue[:max_batch])
-                del queue[:max_batch]
-                self._dispatch(model, batch, flush=time)
-            if queue:
-                self._arm_flush(model)  # the remainder has a new head
+        if length >= self._max_batch:
+            batch = tuple(queue)
+            del queue[:]
+            self._dispatch(model, batch, flush=time)
+        elif length == 1:
+            # a new head, and a deadline reads only the head: ask once;
+            # ``_armed`` holds the answer (or nothing) while it waits
+            armed = self._armed
+            deadline = self._deadline_fn(queue)
+            if deadline is None:
+                armed.pop(model, None)
+            elif armed.get(model) != deadline:
+                # an equal entry is a flushed head's; its FLUSH, still
+                # on the heap, fires for this one
+                armed[model] = deadline
+                key = self.flush.flush_key(model, deadline)
+                self._events.push(deadline, EventKind.FLUSH, key, model)
         if self._res is not None and self._res_timeout is not None:
             # arm the per-request deadline: a TIMEOUT "check" for the
             # retry / degrade policies, a HEDGE launch for hedging
@@ -927,19 +906,18 @@ class ClusterEngine:
                 self._check(time, _TIMEOUT, (False, request, 0))
 
     def _on_flush(self, time: float, model: str) -> None:
-        # a FLUSH fires at its own deadline, so ``time`` *is* the
-        # deadline it was armed for
-        if self._armed.get(model) == time:
-            del self._armed[model]
-        queue = self._queues.get(model)
-        if not queue or self._deadline_fn(queue) != time:
-            return  # stale: the queue flushed or re-headed meanwhile
-        max_batch = self._max_batch
-        batch = tuple(queue[:max_batch])
-        del queue[:max_batch]
-        self._dispatch(model, batch, flush=time, cause="deadline")
-        if queue:
-            self._arm_flush(model)  # the remainder has a new head
+        # a FLUSH fires at the deadline it was armed for, which
+        # ``_armed`` still holds unless a size flush let a head with
+        # another deadline, or none, take the queue since
+        armed = self._armed
+        if armed.get(model) != time:
+            return  # stale
+        del armed[model]
+        queue = self._queues[model]
+        if queue:  # else a size flush emptied it and no arrival came
+            batch = tuple(queue)
+            del queue[:]
+            self._dispatch(model, batch, flush=time, cause="deadline")
 
     def _on_batch_done(self, time: float, batch_id: int) -> None:
         entry = self._inflight.get(batch_id)
@@ -1061,16 +1039,15 @@ class ClusterEngine:
         Queues under a deadline policy drain through their own FLUSH
         events at the true instants; only fixed-style policies need
         this sweep, at the last arrival, in the flush policy's model
-        order (stable sorted order for the stock FIFO).
+        order (stable sorted order for the stock FIFO).  No queue is
+        ever full here, so each leaves as one batch.
         """
-        max_batch = self._max_batch
-        for model in self.flush.drain_order(self._queues):
-            queue = self._queues[model]
-            if queue and self._deadline_fn(queue) is not None:
-                continue
-            while queue:
-                batch = tuple(queue[:max_batch])
-                del queue[:max_batch]
+        queues = self._queues
+        for model in self.flush.drain_order(queues):
+            queue = queues[model]
+            if queue and self._deadline_fn(queue) is None:
+                batch = tuple(queue)
+                del queue[:]
                 self._dispatch(model, batch, flush=time, cause="drain")
 
     # -- resilience handlers ---------------------------------------------
@@ -1240,21 +1217,6 @@ class ClusterEngine:
     # -- internals -------------------------------------------------------
     def _n_up(self) -> int:
         return sum(1 for r in self._replicas if r.up)
-
-    def _arm_flush(self, model: str) -> None:
-        """Schedule the queue's current deadline, once per deadline."""
-        queue = self._queues.get(model)
-        if not queue:
-            return
-        deadline = self._deadline_fn(queue)
-        if deadline is None or self._armed.get(model) == deadline:
-            return
-        self._armed[model] = deadline
-        flush_key = self._flush_key
-        self._events.push(deadline, EventKind.FLUSH,
-                          key=(model if flush_key is None
-                               else flush_key(model, deadline)),
-                          payload=model)
 
     def _next_head(self, replica: Replica) -> None:
         """Retire ``replica``'s head and heap the BATCH_DONE of the next
@@ -1460,14 +1422,11 @@ class ClusterEngine:
 
     def _drain_waiting(self, now: float) -> None:
         waiting = self._waiting
-        pick_waiting = self._waiting_pick
+        pick_waiting = self.flush.pick_waiting
         while waiting and self._candidates():
-            if pick_waiting is None:
-                model, batch, flush = waiting.popleft()
-            else:
-                index = pick_waiting(waiting)
-                model, batch, flush = waiting[index]
-                del waiting[index]
+            index = pick_waiting(waiting)
+            model, batch, flush = waiting[index]
+            del waiting[index]
             self._dispatch(model, batch, flush=flush, now=now,
                            cause="waiting")
 
@@ -1519,38 +1478,27 @@ class ClusterEngine:
                            now=now, to=best, cause="steal")
 
     def _scale_up(self, now: float) -> None:
-        policy = self.scale
-        for replica in self._replicas:
-            if replica.up and replica.draining:
-                replica.draining = False  # cancel a retirement instead
-                self._scale_events.append((now, "up"))
-                if self._tel is not None:
-                    self._tel.scale(now, "up", self._n_up())
-                self._drain_waiting(now)
-                return
-        for replica in self._replicas:
-            if not replica.up and not replica.failed and not replica.pending:
-                # revive a retired replica (fresh warm-up) instead of
-                # growing the pool: under oscillating load, appending
-                # a new Replica per scale cycle made the pool list —
-                # which every dispatch scans — grow without bound
-                replica.up = True
-                replica.draining = False
-                replica.free_at = now
-                replica.available_at = now + policy.warmup
-                replica.last_model = None  # power-gated while retired
-                replica.done_model = None
-                self._trace.append((now, self._n_up()))
-                self._scale_events.append((now, "up"))
-                if self._tel is not None:
-                    self._tel.scale(now, "up", self._n_up())
-                self._drain_waiting(now)
-                return
-        replica = Replica(index=len(self._replicas),
-                          accelerator=self._initial[0], free_at=now,
-                          available_at=now + policy.warmup)
-        self._replicas.append(replica)
-        self._trace.append((now, self._n_up()))
+        replicas = self._replicas
+        retiring = next((r for r in replicas if r.up and r.draining), None)
+        if retiring is not None:
+            retiring.draining = False  # cancel a retirement instead
+        else:
+            # revive a retired replica (fresh warm-up) before growing
+            # the pool: under oscillating load, appending a new Replica
+            # per scale cycle made the pool list — which every dispatch
+            # scans — grow without bound
+            replica = next((r for r in replicas if not r.up
+                            and not r.failed and not r.pending), None)
+            if replica is None:
+                replica = Replica(len(replicas), self._initial[0])
+                replicas.append(replica)
+            replica.up = True
+            replica.draining = False
+            replica.free_at = now
+            replica.available_at = now + self.scale.warmup
+            replica.last_model = None  # power-gated while retired
+            replica.done_model = None
+            self._trace.append((now, self._n_up()))
         self._scale_events.append((now, "up"))
         if self._tel is not None:
             self._tel.scale(now, "up", self._n_up())

@@ -218,6 +218,9 @@ class FlushPolicy:
     - ``pick_waiting``: which parked batch (flushed while no replica
       was up) re-dispatches first once capacity returns on a control
       event (recovery / scale-up).
+
+    The engine asks at every one of them, the stock :class:`FifoFlush`
+    included.
     """
 
     name = "?"
@@ -658,10 +661,9 @@ def make_scale(scale, autoscale: Optional[ReactiveScalePolicy] = None,
 class AdmissionPolicy:
     """Per-arrival admission decision.
 
-    The engine consults :meth:`admit` for every arrival; a rejected
-    request is shed (counted as an SLO miss, zero energy).  The stock
-    :class:`DepthAdmission` is special-cased onto the engine's
-    allocation-free arrival path; custom policies take the full call.
+    The engine consults :meth:`admit` for every arrival, the stock
+    :class:`DepthAdmission` included; a rejected request is shed
+    (counted as an SLO miss, zero energy).
     """
 
     name = "?"

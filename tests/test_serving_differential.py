@@ -2,8 +2,8 @@
 
 Hypothesis draws small serving cells over toy networks: arrival gaps
 from a handful of values (zero included, so exact ties occur), one or
-two models, fixed or timeout batching, 1-3 replicas on any stock
-dispatch, and optionally an SLO with a shed depth, queue or p95
+two models, fixed, timeout or even-head batching, 1-3 replicas on any
+stock dispatch, and optionally an SLO with a shed depth, queue or p95
 reactive scaling, a failure plan and one resilience policy: deadline
 retries, hedging or degradation.  Hedge delays and deadlines sit
 below a toy batch's service time, so duplicates really launch and a
@@ -16,7 +16,15 @@ schedule.  Every cell is served three ways, which must agree exactly:
 
 None of the three may change a request: ``Request`` is read-only by
 convention only (a slots dataclass, not a frozen one), so every drawn
-request's fields are snapshotted and compared after the runs.
+request's fields are snapshotted and compared after the runs.  Every
+run also conserves requests: each id is answered or shed, never both
+and never twice, no energy is negative, and no queue or armed flush
+deadline outlives the run.
+
+Batching draws include :class:`EvenHeadBatching`, whose deadline comes
+and goes with the head, and one fixed cell pins the case where it
+goes: a flush armed for an earlier head must not fire for a head
+without a deadline.
 
 Run with ``--hypothesis-show-statistics`` to see how often the drawn
 cells scaled, shed, re-dispatched, retried, hedged, degraded,
@@ -74,10 +82,26 @@ def traces(draw):
     return tuple(trace)
 
 
+class EvenHeadBatching(TimeoutBatching):
+    """Timeout batching that waits behind even-id heads only.
+
+    An odd-id head has no deadline, so its queue leaves by the size
+    rule or the end-of-trace drain.  The deadline reads only the head,
+    as the batching contract requires.
+    """
+
+    def deadline(self, queue):
+        if queue and queue[0].request_id % 2:
+            return None
+        return super().deadline(queue)
+
+
+_TIMEOUTS = {"max_batch": st.integers(1, 4),
+             "max_wait": st.sampled_from((1e-7, 5e-7, 2e-6))}
 BATCHING = st.one_of(
     st.builds(FixedSizeBatching, batch_size=st.integers(1, 4)),
-    st.builds(TimeoutBatching, max_batch=st.integers(1, 4),
-              max_wait=st.sampled_from((1e-7, 5e-7, 2e-6))),
+    st.builds(TimeoutBatching, **_TIMEOUTS),
+    st.builds(EvenHeadBatching, **_TIMEOUTS),
 )
 SLOS = st.none() | st.builds(
     SloPolicy, target=st.sampled_from((5e-7, 2e-6)),
@@ -131,6 +155,19 @@ def observables(run):
             run.degraded)
 
 
+def assert_conserved(engine, run, trace):
+    """Each request is answered or shed, exactly once, at no negative
+    energy, and the engine ends with every queue and armed flush gone."""
+    assert len(set(run.shed)) == len(run.shed)
+    assert run.done.keys().isdisjoint(run.shed)
+    assert run.done.keys() | set(run.shed) == \
+        {request.request_id for request in trace}
+    assert all(share >= 0 for _, share in run.done.values())
+    assert run.wasted_energy >= 0
+    assert not any(engine._queues.values())
+    assert engine._armed == {}
+
+
 @given(trace=traces(), cell=CELLS)
 @settings(max_examples=300, deadline=None)
 def test_tuple_stream_and_reference_agree(trace, cell):
@@ -143,6 +180,7 @@ def test_tuple_stream_and_reference_agree(trace, cell):
     # every completion and deadline check held off the heap was
     # pushed or dropped with its batch
     assert engine._chained == {} and not engine._checks
+    assert_conserved(engine, materialised, trace)
     streamed = sim.make_engine(NETWORKS).run(iter(trace), span=span)
     reference = run_reference(sim, trace)
     expected = observables(materialised)
@@ -160,3 +198,20 @@ def test_tuple_stream_and_reference_agree(trace, cell):
             event(label)
     if len({request.arrival for request in trace}) < len(trace):
         event("arrival ties")
+
+
+def test_a_head_without_a_deadline_disarms_its_queue():
+    """Request 0 arms a flush at 0.5 us, the size rule takes requests
+    0-2 before it fires, and odd request 3 heads the queue with no
+    deadline: the flush still on the heap is stale, so requests 3-5
+    leave together by the size rule, not 3-4 early."""
+    trace = tuple(Request(i, "toy", i * 1e-7) for i in range(40))
+    sim = ServingSimulator(ACCELERATOR, networks=NETWORKS, cache=SHARED,
+                           replicas=1, dispatch="round_robin",
+                           policy=EvenHeadBatching(max_batch=3,
+                                                   max_wait=5e-7))
+    engine = sim.make_engine(NETWORKS)
+    run = engine.run(trace)
+    assert observables(run) == observables(run_reference(sim, trace))
+    assert [batch.size for batch in run.batches[:2]] == [3, 3]
+    assert_conserved(engine, run, trace)

@@ -187,8 +187,8 @@ def test_failure_retry_work_is_pinned(monkeypatch):
 def test_plain_bursty_work_is_pinned(monkeypatch):
     """The plain-bursty benchmark workload (SMART, 2 replicas, timeout
     batching, least-loaded dispatch, bursty traffic, seed 1) scaled to
-    :data:`N` requests: the engine asks the policy for a deadline only
-    when a queue's head changes, and the events it pops stay put."""
+    :data:`N` requests: the engine asks the policy for a deadline once
+    per queue fill, and the events it pops stay put."""
     counts = _counting_handlers(monkeypatch)
     calls: Counter = Counter()
 
@@ -207,7 +207,9 @@ def test_plain_bursty_work_is_pinned(monkeypatch):
         dispatch=CountingLeastLoaded(),
     ).run_scenario("bursty", N, seed=SEED)
     assert dict(counts) == {"FLUSH": 638, "BATCH_DONE": 638, "DRAIN": 1}
-    # one deadline per head: 638 new heads, each asked again by its
-    # FLUSH (an engine that asked after every arrival read 2,632)
-    assert calls == {"deadline": 1_276, "pick": 638}
+    # one deadline per queue fill (638, when an arrival heads an empty
+    # queue) and one per non-empty queue at the DRAIN (4); a FLUSH pop
+    # reads ``_armed`` instead.  An engine that asked after every
+    # arrival read 2,632, one that asked again at every FLUSH 1,276
+    assert calls == {"deadline": 642, "pick": 638}
     assert len(result.batches) == 638

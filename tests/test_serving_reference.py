@@ -16,6 +16,8 @@ string configuration and (``test_policy_object_cells_bit_identical``)
 for explicitly constructed policy objects.
 """
 
+from itertools import pairwise
+
 import pytest
 
 from repro.serving import (
@@ -155,6 +157,26 @@ def test_p95_autoscale_cell_bit_identical():
                                   n=300, autoscale=autoscale)
     assert result.scale_events
     assert_identical(result, ref, trace)
+
+
+def test_scale_up_paths_cell_bit_identical():
+    """A scale-down threshold just under the scale-up one, with no
+    cooldown, makes one run cancel a retirement, revive a retired
+    replica and grow the pool: every scale-up path against the
+    reference."""
+    autoscale = ReactiveScalePolicy(min_replicas=1, max_replicas=4,
+                                    high_queue=12, low_queue=10,
+                                    warmup=0.0, cooldown=0.0)
+    result, ref, trace = run_cell("bursty", "timeout", "least_loaded",
+                                  n=300, autoscale=autoscale)
+    assert_identical(result, ref, trace)
+    ups = sum(action == "up" for _, action in result.scale_events)
+    added = sum(b > a for (_, a), (_, b)
+                in pairwise(result.replica_trace))
+    # a scale-up that adds no replica cancelled a retirement, and the
+    # pool can grow by two (2 -> 4), so the other additions revived
+    assert ups > added > 2
+    assert max(batch.replica for batch in result.batches) == 3
 
 
 def test_cli_reactive_scale_cell_bit_identical():

@@ -7,7 +7,9 @@ tuples, shed sets, batch records, scale trajectories — must stay
 bit-identical to the same run with telemetry off.  The neutrality
 matrix here covers the stock scenario x policy cells plus the
 control-plane features whose handlers carry telemetry hooks
-(autoscaling, SLO shedding, failure redispatch, stealing, EDF flush).
+(autoscaling, SLO shedding, failure redispatch, stealing, EDF flush,
+and the hedge, degrade and retry resilience policies, whose counters
+the sink must report exactly as the result does).
 The rest of the suite pins the trace itself: event/counter semantics,
 the metrics timeline, and the JSONL save/load round trip.
 """
@@ -36,6 +38,9 @@ from repro.serving.policies import WorkStealPolicy, make_flush
 
 #: One shared memo: layer simulations are identical across cells.
 SHARED = LayerMemoCache()
+#: Resilience counters both the sink and the result report.
+RESILIENCE_COUNTERS = ("hedges", "degraded", "retries", "cancels",
+                       "timeouts")
 
 
 def run_cell(scenario_name, policy_name="fixed",
@@ -68,6 +73,8 @@ def assert_neutral(scenario, policy="fixed", **kwargs):
             for b in traced.batches] \
         == [(b.replica, b.start, b.done, b.size, b.energy)
             for b in plain.batches]
+    for counter in RESILIENCE_COUNTERS:
+        assert telemetry.counters[counter] == getattr(traced, counter)
     return telemetry
 
 
@@ -108,6 +115,25 @@ class TestNeutrality:
 
     def test_edf_flush_cell_bit_identical(self):
         assert_neutral("hot-model", flush=make_flush("edf"))
+
+    def test_hedge_cell_bit_identical(self):
+        telemetry = assert_neutral("failure-storm",
+                                   resilience="hedge:delay_us=200")
+        assert telemetry.counters["hedges"] == 77
+
+    def test_degrade_cell_bit_identical(self):
+        telemetry = assert_neutral(
+            "overload", slo=make_slo(1500.0, shed_depth=16),
+            resilience="degrade",
+        )
+        assert telemetry.counters["degraded"] == 100
+
+    def test_retry_cell_bit_identical(self):
+        telemetry = assert_neutral(
+            "failure-storm", slo=make_slo(300.0),
+            resilience="retry:timeout_us=300,budget=1",
+        )
+        assert telemetry.counters["retries"] == 92
 
     def test_off_path_records_nothing(self):
         result = run_cell("steady", telemetry=None)
