@@ -28,12 +28,13 @@ before any region engine runs, and hands each worker only its own
 deliveries: compact columns (global request id, model, delivered
 arrival, home region) already in delivery order.  No worker generates
 a trace or replays the scan.  The parent draws each region's
-admissions as arrival and model columns, merges them, and re-sorts
-the routed requests into delivery order through a plain heap of
-``(deliver, admission sequence, ...)`` tuples with bounded buffering:
-a delivery can pop as soon as the scan's current admission time
-passes it, because every future delivery lands no earlier than its
-own (future) admission.
+admissions as arrival and model columns and hands them to the policy
+as one block (``route_block``): ``home`` and ``follow_sun`` route
+each home region's column in one pass, any other policy is asked one
+request at a time in (arrival, home, id) order.  Storms then land
+each request, and one delivery stage sorts every serving region's
+requests into (delivery, admission) order with two stable sorts over
+typed columns.
 
 The zero-drift anchor: with one region and stock policies the
 regional stream *is* the global trace (same seed, same rate, zero
@@ -45,13 +46,15 @@ latencies and energies — on every stock scenario x policy cell
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from array import array
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import repeat
+from functools import reduce
+from itertools import compress, repeat
+from operator import add, eq
 from time import perf_counter
 from typing import Optional, Sequence
 
@@ -214,17 +217,20 @@ class _RouterView:
     contract.  Everything here derives from the run *plan* (specs,
     calibrated capacities, static estimates) — never from live engine
     state — which is what lets the parent route the whole run in one
-    scan before any region engine starts.  Hop counts and delays are
-    read from tables built once per scan; pairs outside the fleet fall
-    through to the :class:`Interconnect`, which raises.
+    scan before any region engine starts.  Hop counts, delays and
+    storm detours are read from tables built once per scan; pairs
+    outside the fleet fall through to the :class:`Interconnect`, which
+    raises.
     """
 
-    __slots__ = ("regions", "slo", "_capacities", "_prices",
+    __slots__ = ("regions", "slo", "storms", "_capacities", "_prices",
                  "_energies", "_batch_lats", "_tz", "_icx", "_hops",
                  "_delays", "_amp", "_cycles", "_base_phase",
-                 "_duration", "_window", "_assigned")
+                 "_duration", "_window", "_assigned", "_edges",
+                 "_detours")
 
-    def __init__(self, spec: dict, icx: Interconnect) -> None:
+    def __init__(self, spec: dict, icx: Interconnect,
+                 outages: tuple = ()) -> None:
         regions = spec["regions"]
         self.regions = len(regions)
         self.slo = spec["slo_us"] * 1e-6 if spec["slo_us"] else None
@@ -252,6 +258,22 @@ class _RouterView:
         self._window = spec["window_s"]
         self._assigned: tuple[deque, ...] = tuple(
             deque() for _ in regions)
+        self.storms = bool(outages)
+        # the storm windows' edges cut time into segments, each with
+        # one set of dark regions; in a segment, a request ``home``
+        # sends to a dark region detours to the live region nearest
+        # ``home`` (with every region dark, nothing moves)
+        self._edges = sorted({edge for o in outages
+                              for edge in (o.at, o.until)})
+        self._detours: list[dict] = [{}]
+        for edge in self._edges:
+            live = [i for i in range(self.regions)
+                    if not _down(outages, i, edge)]
+            dark = [i for i in range(self.regions) if i not in live]
+            self._detours.append({
+                (home, i): min(live, key=lambda j: (self._hops[home, j], j))
+                for home in range(self.regions) for i in dark
+            } if live else {})
 
     def capacity(self, i: int) -> float:
         return self._capacities[i]
@@ -281,6 +303,26 @@ class _RouterView:
         return 1.0 - self._amp * math.cos(
             2.0 * math.pi * (self._cycles * frac
                              + self._base_phase + self._tz[i]))
+
+    def waves(self, times: Sequence[float]) -> list[list[float]]:
+        """``wave(i, t)`` for every t of ``times``, one list per region
+        ``i``: the same expression, evaluated a column at a time."""
+        amp = self._amp
+        if not amp:
+            return [[1.0] * len(times)] * self.regions
+        cos, two_pi = math.cos, 2.0 * math.pi
+        cycles, duration = self._cycles, self._duration
+        phases = [cycles * (t / duration) + self._base_phase
+                  for t in times]
+        return [[1.0 - amp * cos(two_pi * (phase + tz))
+                 for phase in phases] for tz in self._tz]
+
+    def land(self, t: float, home: int, serve: int) -> int:
+        """Where a request that ``home`` sends to ``serve`` at ``t``
+        lands: ``serve``, or, while a storm has it dark, the live
+        region nearest ``home`` (fewest hops, then index)."""
+        return self._detours[bisect_right(self._edges, t)].get(
+            (home, serve), serve)
 
     def window_rate(self, i: int, t: float) -> float:
         """Recent assigned request rate (req/s) for region ``i``."""
@@ -330,16 +372,15 @@ def _route_once(spec: dict, geo: GeoDispatchPolicy, outages,
                 admissions: list):
     """Route the whole run once, straight into per-region columns.
 
-    The regions' ``admissions`` (:func:`_admissions`) merge in
-    (arrival, home, request id) order, with globally unique ids from
-    the region bases; ``geo.route`` and the view's ``record`` run in
-    that order.  Each routed request is pushed as a ``(deliver,
-    admission sequence, ...)`` tuple onto a plain heap, the re-sort
-    buffer: an entry pops once the admission clock passes its delivery
-    instant (a future delivery never lands before its own, future,
-    admission), and the heap drains at the end.  So it holds only the
-    deliveries still in flight, and they pop in (delivery time,
-    admission sequence) order.
+    The policy routes the regions' ``admissions`` (:func:`_admissions`)
+    as one block (:meth:`~repro.serving.policies.GeoDispatchPolicy.
+    route_block`), then every request lands (:meth:`_RouterView.land`)
+    and is charged its interconnect delay.  A request's global id is
+    its position in the home-major concatenation of the admission
+    columns, so ids come in home blocks and each serving region's ids,
+    taken in id order, need two stable sorts: by arrival, which gives
+    admission order ((arrival, home, id)), then by delivery instant,
+    which gives delivery order with ties in admission order.
 
     With a resilience policy on, a storm reroute is modelled as a
     client *failover retry*: the request first travels to the dark
@@ -351,73 +392,80 @@ def _route_once(spec: dict, geo: GeoDispatchPolicy, outages,
     Returns ``(columns, ledgers, span)``: each region's deliveries as
     ``(request ids, model indices, delivered arrivals, home indices)``
     arrays in delivery order; each region's network ledger
-    ``[remote, rerouted, retried, delay]`` (the delay summed in
-    delivery order); and the global (first, last) delivery instant.
+    ``[remote, rerouted, retried, delay]`` (the delay added left to
+    right in delivery order); and the global (first, last) delivery
+    instant.
+
+    Raises:
+        ConfigError: for a block that routes outside the fleet.
     """
     regions = len(spec["regions"])
     view = _RouterView(spec, Interconnect(regions=regions,
-                                          topology=spec["topology"]))
-    hops, delays = view._hops, view._delays
+                                          topology=spec["topology"]),
+                       outages)
     geo.reset(view)
-    route, record = geo.route, view.record
-    res_on = bool(spec["resilience"])
-    columns = [(array("q"), array("H"), array("d"), array("H"))
-               for _ in range(regions)]
-    appends = [tuple(column.append for column in region)
-               for region in columns]
+    sent = geo.route_block([times for times, _ in admissions], view)
+    retry = bool(spec["resilience"])
     ledgers = [[0, 0, 0, 0.0] for _ in range(regions)]
-
-    def deliver(entry) -> None:
-        when, _, serve, home, rerouted, retried, delay, rid, model = entry
-        add_id, add_model, add_arrival, add_home = appends[serve]
-        add_id(rid)
-        add_model(model)
-        add_arrival(when)
-        add_home(home)
-        ledger = ledgers[serve]
-        ledger[0] += home != serve
-        ledger[1] += rerouted
-        ledger[2] += retried
-        ledger[3] += delay
-
-    streams = [zip(arrivals, repeat(home),
-                   range(base, base + len(arrivals)), models)
-               for home, ((arrivals, models), base)
-               in enumerate(zip(admissions, spec["bases"]))]
-    in_flight: list = []
-    push, pop = heapq.heappush, heapq.heappop
-    for seq, (t, home, rid, model) in enumerate(heapq.merge(*streams)):
-        while in_flight and in_flight[0][0] <= t:
-            deliver(pop(in_flight))
-        serve = route(t, home, view)
-        if not 0 <= serve < regions:
+    arrivals, models, homes, serves, delays = (
+        array("d"), array("H"), array("H"), array("H"), array("d"))
+    for home, ((times, model_ids), column) in enumerate(
+            zip(admissions, sent)):
+        if (len(column) != len(times)
+                or max(column, default=0) >= regions):
             raise ConfigError(
-                f"geo policy '{geo.name}' routed to region {serve} "
-                f"outside [0, {regions})"
+                f"geo policy '{geo.name}' did not route home region "
+                f"{home}'s {len(times)} requests into [0, {regions})"
             )
-        rerouted = False
-        retried = False
-        failed_leg = 0.0
-        if outages and _down(outages, serve, t):
-            live = [i for i in range(regions)
-                    if not _down(outages, i, t)]
-            if live:
-                if res_on:
-                    # the failed attempt's transfer is real: charge
-                    # the leg to the dark region before the retry leg
-                    failed_leg = delays[home, serve]
-                    retried = True
-                serve = min(live, key=lambda i: (hops[home, i], i))
-                rerouted = True
-        record(serve, t)
-        delay = failed_leg + delays[home, serve]
-        push(in_flight, (t + delay, seq, serve, home, rerouted, retried,
-                         delay, rid, model))
-    while in_flight:
-        deliver(pop(in_flight))
-    delivered = [arrivals for _, _, arrivals, _ in columns if arrivals]
+        legs = [view._delays[home, i] for i in range(regions)]
+        if outages:
+            column, charged = _land(view, times, home, column, legs,
+                                    ledgers, retry)
+        else:
+            charged = array("d", map(legs.__getitem__, column))
+        arrivals += times
+        models += model_ids
+        homes += array("H", [home]) * len(times)
+        serves += column
+        delays += charged
+    delivers = array("d", map(add, arrivals, delays))
+    ids = range(len(arrivals))
+    columns = []
+    for serve, ledger in enumerate(ledgers):
+        mine = list(compress(ids, map(eq, serves, repeat(serve))))
+        mine.sort(key=arrivals.__getitem__)
+        mine.sort(key=delivers.__getitem__)
+        their_homes = array("H", [homes[rid] for rid in mine])
+        ledger[0] = len(mine) - their_homes.count(serve)
+        ledger[3] = reduce(add, map(delays.__getitem__, mine), 0.0)
+        columns.append((array("q", mine),
+                        array("H", [models[rid] for rid in mine]),
+                        array("d", map(delivers.__getitem__, mine)),
+                        their_homes))
+    delivered = [when for _, _, when, _ in columns if when]
     span = (min(a[0] for a in delivered), max(a[-1] for a in delivered))
     return columns, ledgers, span
+
+
+def _land(view: _RouterView, times, home: int, sent, legs: list,
+          ledgers: list, retry: bool) -> tuple[array, array]:
+    """Land one home region's routed column under storms: the landing
+    regions and each request's charged delay.  A rerouted request is
+    tallied on its landing region's ledger; under ``retry`` its failed
+    leg to the dark region is charged before the retry leg."""
+    landed, charged = array("H"), array("d")
+    for t, serve in zip(times, sent):
+        final = view.land(t, home, serve)
+        delay = legs[final]
+        if final != serve:
+            ledger = ledgers[final]
+            ledger[1] += 1
+            if retry:
+                ledger[2] += 1
+                delay = legs[serve] + delay
+        landed.append(final)
+        charged.append(delay)
+    return landed, charged
 
 
 @dataclass(frozen=True)
@@ -717,7 +765,6 @@ class GeoRouter:
         rates = tuple(scenario.load * cap for cap in capacities)
         counts = _split_counts(n_requests, capacities)
         seeds = (seed,) if count == 1 else shard_seeds(seed, count)
-        bases = tuple(sum(counts[:i]) for i in range(count))
         # static estimates for the energy-price-aware policy: a full
         # batch's service time and per-request energy on each region's
         # backend, mix-weighted through the same memo the engine uses
@@ -744,9 +791,9 @@ class GeoRouter:
             self, scenario,
             regions=tuple((s.name, s.accelerator, s.replicas, s.price,
                            s.tz) for s in fleet),
-            topology=self.topology, geo=self.geo, rates=rates, counts=counts, seeds=seeds,
-            bases=bases, capacities=capacities, energies=energies,
-            batch_lats=batch_lats,
+            topology=self.topology, geo=self.geo, rates=rates,
+            counts=counts, seeds=seeds, capacities=capacities,
+            energies=energies, batch_lats=batch_lats,
             # a ~100-request observation window for spillover's
             # assigned-rate estimate, scaled to the offered rate
             window_s=100.0 / max(total_rate, 1e-12),

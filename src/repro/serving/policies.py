@@ -48,8 +48,11 @@ can serve many runs deterministically.
 
 from __future__ import annotations
 
+import heapq
 import zlib
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from math import ceil
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
@@ -979,6 +982,8 @@ class GeoDispatchPolicy:
     - ``router.batch_latency(i)`` — full-batch service estimate (s);
     - ``router.wave(i, t)`` — instantaneous diurnal load factor at
       region-local time (1.0 flat for non-diurnal scenarios);
+      ``router.waves(times)`` — the same factor over a column of
+      instants, one list per region;
     - ``router.hops(src, dst)`` / ``router.delay(src, dst)`` — the
       interconnect (see :mod:`repro.serving.interconnect`);
     - ``router.window_rate(i, t)`` — recent *assigned* request rate
@@ -989,6 +994,17 @@ class GeoDispatchPolicy:
     whole run in one scan, in the parent process, before any region
     engine starts, and geo runs merge exactly.  The router calls the
     very instance it was given; ``reset`` runs once per run.
+
+    The router asks for the whole run at once, through
+    :meth:`route_block`.  Its default calls ``route`` once per
+    request and records where each request lands, which is what
+    ``window_rate`` counts.  A policy that never reads
+    ``window_rate`` may override ``route_block`` to route each home
+    region's column in one pass; nothing is recorded for an override,
+    so it must not read ``window_rate``.  :class:`HomeRegionDispatch`
+    and :class:`FollowSunDispatch` do this, and a subclass of theirs
+    that overrides only ``route`` is still routed one request at a
+    time, through its own ``route``.
     """
 
     name = "?"
@@ -1001,6 +1017,39 @@ class GeoDispatchPolicy:
         by region ``home``."""
         raise NotImplementedError
 
+    def route_block(self, arrivals: Sequence[array],
+                    router) -> list[array]:
+        """The region each admission is sent to: one ``array('H')``
+        column per home region, in admission order.
+
+        ``arrivals[h]`` holds home region ``h``'s admission instants,
+        nondecreasing.  The router lands every request afterwards: a
+        storm reroutes one sent to a dark region (``router.land``).
+        This default merges the columns in (arrival, home, index)
+        order and, per request, calls ``route``, lands the request and
+        records the landing region for ``window_rate``.
+
+        Raises:
+            ConfigError: for a route outside the fleet.
+        """
+        route, record = self.route, router.record
+        land = router.land if router.storms else None
+        regions = router.regions
+        sent = [array("H") for _ in arrivals]
+        for time, home in heapq.merge(*[
+                zip(times, repeat(home))
+                for home, times in enumerate(arrivals)]):
+            serve = route(time, home, router)
+            if not 0 <= serve < regions:
+                raise ConfigError(
+                    f"geo policy '{self.name}' routed to region {serve} "
+                    f"outside [0, {regions})"
+                )
+            sent[home].append(serve)
+            record(serve if land is None else land(time, home, serve),
+                   time)
+        return sent
+
 
 class HomeRegionDispatch(GeoDispatchPolicy):
     """Serve every request where it arrived (the null geo policy)."""
@@ -1009,6 +1058,16 @@ class HomeRegionDispatch(GeoDispatchPolicy):
 
     def route(self, time, home, router):
         return home
+
+    def route_block(self, arrivals, router):
+        if type(self).route is not HomeRegionDispatch.route:
+            return super().route_block(arrivals, router)
+        return [array("H", [home]) * len(times)
+                for home, times in enumerate(arrivals)]
+
+
+#: Admissions per ``router.waves`` call in a follow-the-sun block.
+_WAVE_BLOCK = 1024
 
 
 class FollowSunDispatch(GeoDispatchPolicy):
@@ -1020,7 +1079,8 @@ class FollowSunDispatch(GeoDispatchPolicy):
     non-diurnal scenario) break toward fewer hops from home, then the
     lower region index, which degrades to home-region routing.  Hops
     are read only among exactly tied waves, so the usual unique minimum
-    costs one wave per region.
+    costs one wave per region.  A block routes each home region's
+    column from ``router.waves``, with the same tie key.
     """
 
     name = "follow_sun"
@@ -1033,6 +1093,25 @@ class FollowSunDispatch(GeoDispatchPolicy):
             return waves.index(low)
         return min((i for i, w in enumerate(waves) if w == low),
                    key=lambda i: (router.hops(home, i), i))
+
+    def route_block(self, arrivals, router):
+        if type(self).route is not FollowSunDispatch.route:
+            return super().route_block(arrivals, router)
+        hops = router.hops
+        sent = []
+        for home, times in enumerate(arrivals):
+            # regions in tie-key order, so the first minimal wave of a
+            # row is the (wave, hops, index) minimum
+            order = sorted(range(router.regions),
+                           key=lambda i: (hops(home, i), i))
+            column = array("H")
+            # a block of waves at a time keeps the float lists small
+            for lo in range(0, len(times), _WAVE_BLOCK):
+                waves = router.waves(times[lo:lo + _WAVE_BLOCK])
+                column.extend([order[row.index(min(row))] for row
+                               in zip(*[waves[i] for i in order])])
+            sent.append(column)
+        return sent
 
 
 class CheapestJouleDispatch(GeoDispatchPolicy):

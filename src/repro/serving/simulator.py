@@ -480,6 +480,7 @@ class ServingSimulator:
         return MemoSnapshot.from_cache(self.cache)
 
     # -- runs ------------------------------------------------------------
+    @_gc_headroom()
     def run(self, requests: Sequence[Request], scenario: str = "",
             rate: float = 0.0,
             failures: Optional[FailurePlan] = None) -> ServingResult:
@@ -487,6 +488,8 @@ class ServingSimulator:
 
         ``failures`` overrides the simulator-level plan for this run
         (used by :meth:`run_scenario` for fault-carrying scenarios).
+        Like every serving run, it raises the gen-0 GC threshold for
+        its duration (:func:`_gc_headroom`).
         """
         requests = tuple(sorted(requests, key=attrgetter("arrival")))
         if not requests:

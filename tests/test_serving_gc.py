@@ -1,8 +1,9 @@
 """Cyclic-GC thresholds around serving runs.
 
-Every ``run_scenario`` (plain, sharded, geo) and the partition worker
-body raise the gen-0 threshold to ``GC_GEN0_THRESHOLD`` for the run
-and hand the caller's thresholds back afterwards, errors included.
+Every ``run_scenario`` (plain, sharded, geo), a plain ``run`` and the
+partition worker body raise the gen-0 threshold to
+``GC_GEN0_THRESHOLD`` for the run and hand the caller's thresholds
+back afterwards, errors included.
 Only the entry that raised the threshold restores it, so nested and
 overlapping entries leave the caller's values intact.  (The autouse
 fixture in ``conftest.py`` also fails any test that leaves the
@@ -78,6 +79,33 @@ def test_threshold_is_raised_inside_a_plain_run_and_restored_after(caller):
     assert set(dispatch.seen) == {GC_GEN0_THRESHOLD}
     assert gc.get_threshold() == caller
     assert gc.isenabled()
+
+
+def test_threshold_is_raised_inside_a_direct_run_and_restored_after(
+        caller):
+    """``run(trace)`` takes the headroom itself, not only through
+    ``run_scenario``."""
+    dispatch = _RecordingDispatch()
+    trace = generate_trace(get_scenario("bursty"), 20_000.0, 300, SEED)
+    ServingSimulator("SMART", replicas=2, dispatch=dispatch).run(trace)
+    assert dispatch.seen
+    assert set(dispatch.seen) == {GC_GEN0_THRESHOLD}
+    assert gc.get_threshold() == caller
+    assert gc.isenabled()
+
+
+def test_thresholds_restored_after_a_direct_run_that_raises(caller):
+    class Raising(_RecordingDispatch):
+        def pick(self, *args):
+            super().pick(*args)
+            raise KeyError("boom")
+
+    dispatch = Raising()
+    trace = generate_trace(get_scenario("steady"), 20_000.0, 50, SEED)
+    with pytest.raises(KeyError, match="boom"):
+        ServingSimulator("SMART", replicas=2, dispatch=dispatch).run(trace)
+    assert dispatch.seen == [GC_GEN0_THRESHOLD]
+    assert gc.get_threshold() == caller
 
 
 def test_thresholds_restored_after_a_run_that_raises(caller):

@@ -16,6 +16,7 @@ import json
 import multiprocessing
 import os
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ from repro.serving import (
     FollowSunDispatch,
     GeoDispatchPolicy,
     GeoRouter,
+    HomeRegionDispatch,
     Interconnect,
     POLICIES,
     REQUEST_BYTES,
@@ -212,6 +214,18 @@ class _CountingFollowSun(FollowSunDispatch):
         return super().route(time, home, router)
 
 
+class _CountingHome(HomeRegionDispatch):
+    """A stock-named subclass that overrides only ``route``: it is
+    routed one request at a time, through its own ``route``."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def route(self, time, home, router):
+        self.calls += 1
+        return super().route(time, home, router)
+
+
 class _EvenRegions(GeoDispatchPolicy):
     """A custom policy under a name the registry does not know: odd
     regions hand their traffic to the even region below them."""
@@ -252,6 +266,57 @@ class TestRouteOnce:
         assert result.energy == stock.energy
         assert result.net_delay_s == stock.net_delay_s
 
+    @pytest.mark.parametrize("storms", [0, 2])
+    def test_route_only_home_subclass_is_called_once_per_request(
+            self, storms):
+        policy = _CountingHome()
+        result = GeoRouter(4, geo=policy, topology="ring", storms=storms,
+                           mode="inline") \
+            .run_scenario("diurnal", 400, seed=SEED)
+        assert policy.calls == 400
+        stock = GeoRouter(4, geo="home", topology="ring", storms=storms,
+                          mode="inline") \
+            .run_scenario("diurnal", 400, seed=SEED)
+        assert [(r.remote, r.rerouted, r.delay_s) for r in result.regions] \
+            == [(r.remote, r.rerouted, r.delay_s) for r in stock.regions]
+        assert result.energy == stock.energy
+
+    @pytest.mark.parametrize("storms", [0, 2])
+    def test_follow_sun_block_breaks_exact_ties_like_route(
+            self, storms, monkeypatch):
+        """Six stock regions repeat the palette's first timezone, so
+        regions 0 and 5 tie exactly in every wave.  The block path
+        must break those ties as ``route`` does (fewer hops from home,
+        then lower index), into the very same columns."""
+        real = geo_module._route_once
+        routed = []
+
+        def spy(*args):
+            routed.append(real(*args))
+            return routed[-1]
+
+        monkeypatch.setattr(geo_module, "_route_once", spy)
+        for policy in ("follow_sun", _CountingFollowSun()):
+            GeoRouter(6, geo=policy, topology="ring", storms=storms,
+                      mode="inline").run_scenario("diurnal", 1200, seed=SEED)
+        (block, ledgers, span), (per_request, *rest) = routed
+        assert [tuple(map(list, region)) for region in block] == \
+            [tuple(map(list, region)) for region in per_request]
+        assert [ledgers, span] == rest
+        assert block[0][0] and block[5][0]  # both tied regions serve
+
+    def test_block_override_outside_the_fleet_raises(self):
+        class Outside(GeoDispatchPolicy):
+            name = "outside"
+
+            def route_block(self, arrivals, router):
+                return [array("H", [router.regions]) * len(times)
+                        for times in arrivals]
+
+        with pytest.raises(ConfigError, match="did not route"):
+            GeoRouter(3, geo=Outside(), mode="inline") \
+                .run_scenario("steady", 30, seed=SEED)
+
     @pytest.mark.parametrize("probe", ["hops", "delay"])
     @pytest.mark.parametrize("dst", [-1, 3])
     def test_out_of_fleet_pair_raises(self, probe, dst):
@@ -280,7 +345,7 @@ class TestRouteOnce:
     @pytest.mark.parametrize("storms", ["calm", "retry"])
     @pytest.mark.parametrize("topology", ["ring", "tree"])
     @pytest.mark.parametrize(
-        "geo", ["follow_sun", "cheapest_joule", "spillover"])
+        "geo", ["home", "follow_sun", "cheapest_joule", "spillover"])
     def test_columns_match_a_sorted_reference(self, geo, topology, storms,
                                               monkeypatch):
         """The routed columns, ledgers and span equal the contract
@@ -310,6 +375,73 @@ class TestRouteOnce:
         assert span == want["span"]
 
 
+def _routing_spec(monkeypatch, regions):
+    """The routing spec of a small ``regions``-region ring run."""
+    seen = []
+    real = geo_module._route_once
+
+    def spy(*args):
+        seen.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(geo_module, "_route_once", spy)
+    GeoRouter(regions, topology="ring", mode="inline") \
+        .run_scenario("steady", 20, seed=SEED)
+    spec, = seen
+    return spec
+
+
+class TestDeliveryTie:
+    """Two deliveries into one region that tie in float leave in
+    admission order, even when the later admission comes from the
+    lower-numbered home.  Home 1 admits at ``T`` and its request
+    crosses to region 0; home 0 admits at ``T + delay(1, 0)`` and
+    serves at home.  Both land at one instant, home 1's first."""
+
+    T = 1e-3
+
+    @pytest.fixture
+    def spec(self, monkeypatch):
+        return dict(_routing_spec(monkeypatch, 2), counts=(2, 1))
+
+    def _check(self, spec, policy, outages, rerouted):
+        delay = Interconnect(2, topology="ring").delay(1, 0)
+        # ids 0 and 1 are home 0's, id 2 is home 1's
+        admissions = [
+            (array("d", [self.T / 2, self.T + delay]), array("H", [0, 1])),
+            (array("d", [self.T]), array("H", [2])),
+        ]
+        columns, ledgers, span = geo_module._route_once(
+            spec, policy, outages, admissions)
+        ids, models, delivered, homes = map(list, columns[0])
+        assert delivered == [self.T / 2, self.T + delay, self.T + delay]
+        assert ids == [0, 2, 1]
+        assert models == [0, 2, 1]
+        assert homes == [0, 1, 0]
+        assert not any(columns[1])
+        assert ledgers == [[1, rerouted, 0, delay], [0, 0, 0, 0.0]]
+        assert span == (self.T / 2, self.T + delay)
+
+    def test_storm_reroute_on_the_block_path(self, spec):
+        """``home`` routes its columns as a block; a storm darkens
+        region 1 at ``T``, so home 1's request lands on region 0."""
+        dark = (Outage(replica=1, at=0.9 * self.T, until=1.1 * self.T),)
+        self._check(spec, make_geo("home"), dark, rerouted=1)
+
+    def test_custom_policy_on_the_per_request_path(self, spec):
+        class Zero(GeoDispatchPolicy):
+            name = "zero"
+            calls = 0
+
+            def route(self, time, home, router):
+                self.calls += 1
+                return 0
+
+        policy = Zero()
+        self._check(spec, policy, (), rerouted=0)
+        assert policy.calls == 3
+
+
 def _reference_route(spec, geo, storms):
     """Route one geo run the slow, obvious way (see
     ``test_columns_match_a_sorted_reference``)."""
@@ -317,12 +449,13 @@ def _reference_route(spec, geo, storms):
     regions = len(spec["regions"])
     index = {model: k for k, model in enumerate(scenario.mix.models())}
     admissions = []
-    for home, (region, rate, n, seed, base) in enumerate(zip(
+    for home, (region, rate, n, seed) in enumerate(zip(
             spec["regions"], spec["rates"], spec["counts"],
-            spec["seeds"], spec["bases"])):
+            spec["seeds"])):
         trace = generate_trace(
             geo_module._region_scenario(scenario, region[4]), rate, n,
             seed)
+        base = sum(spec["counts"][:home])  # ids come in home blocks
         admissions += [(r.arrival, home, base + r.request_id,
                         index[r.model]) for r in trace]
     admissions.sort()
@@ -623,6 +756,35 @@ class TestRegionStorms:
         assert calm.requests == stormy.requests == 2000
         assert sum(r.rerouted for r in stormy.regions) > 0
         assert sum(r.rerouted for r in calm.regions) == 0
+
+    def test_land_matches_the_per_request_rule(self, monkeypatch):
+        """The view's detour table lands a request sent to ``serve`` by
+        ``home`` at ``t`` where the per-request rule does: a dark
+        ``serve`` moves to the live region nearest ``home`` (fewest
+        hops, then index); with every region dark nothing moves."""
+        outages = (Outage(replica=0, at=1.0, until=4.0),
+                   Outage(replica=1, at=2.0, until=5.0),
+                   Outage(replica=2, at=3.0, until=3.5),
+                   Outage(replica=3, at=3.2, until=3.4),
+                   Outage(replica=1, at=6.0, until=7.0))
+        icx = Interconnect(4, topology="ring")
+        view = geo_module._RouterView(_routing_spec(monkeypatch, 4), icx,
+                                      outages)
+        down = geo_module._down
+
+        def rule(t, home, serve):
+            if not down(outages, serve, t):
+                return serve
+            live = [i for i in range(4) if not down(outages, i, t)]
+            return min(live, key=lambda i: (icx.hops(home, i), i)) \
+                if live else serve
+
+        edges = {edge for o in outages for edge in (o.at, o.until)}
+        probes = sorted(edges | {e + d for e in edges for d in (-0.05, 0.05)})
+        assert any(all(down(outages, i, t) for i in range(4))
+                   for t in probes)  # an all-dark segment is probed
+        for t, home, serve in itertools.product(probes, range(4), range(4)):
+            assert view.land(t, home, serve) == rule(t, home, serve)
 
     def test_outage_window_validates(self):
         with pytest.raises(ConfigError):

@@ -328,6 +328,54 @@ class TestWorkStealing:
         assert stolen.latency_percentile(95) < \
             plain.latency_percentile(95)
 
+    def test_steal_of_a_victims_only_batch_rolls_it_back(
+            self, monkeypatch):
+        """A scale-up's fresh replica gets a batch it cannot start
+        before its warm-up ends; at the next tick that is the whole
+        backlog of the busiest replica, and the idle original takes
+        it.  The victim's backlog is then empty (``_pop_tail`` returns
+        False), so the engine rolls it back to idle now, with the
+        weights of its last completed batch, and no request is lost."""
+        rolled, pop_tail = [], ClusterEngine._pop_tail
+        work_steal = ClusterEngine._work_steal
+
+        def spy_pop_tail(engine, replica):
+            kept = pop_tail(engine, replica)
+            if not kept:
+                rolled.append([replica, replica.free_at])
+            return kept
+
+        def spy_work_steal(engine, now):
+            new = len(rolled)
+            work_steal(engine, now)
+            for entry in rolled[new:]:
+                victim = entry[0]
+                entry += [now, victim.free_at, victim.last_model,
+                          victim.done_model]
+
+        monkeypatch.setattr(ClusterEngine, "_pop_tail", spy_pop_tail)
+        monkeypatch.setattr(ClusterEngine, "_work_steal", spy_work_steal)
+        scale = ReactiveScalePolicy(min_replicas=1, max_replicas=2,
+                                    high_queue=1, low_queue=0,
+                                    tick=1e-7, warmup=8e-7, cooldown=0.0)
+        n = 40
+        result = ServingSimulator(
+            make_smart(), networks={"toy": TOY},
+            policy=FixedSizeBatching(batch_size=4),
+            dispatch="round_robin", autoscale=scale,
+            steal=WorkStealPolicy(max_steals=1),
+        ).run(toy_trace(n, gap=1e-7))
+        assert rolled and result.stolen >= len(rolled)
+        for victim, scheduled, now, free_at, last_model, done_model \
+                in rolled:
+            assert victim.index == 1  # the scaled-up replica
+            assert scheduled > now  # it was booked into the future
+            assert free_at == now
+            assert last_model == done_model
+        assert len(result.latencies) == n
+        assert all(l != float("inf") for l in result.latencies)
+        assert sum(b.size for b in result.batches) == n
+
     def test_never_steals_started_batches(self):
         """A stolen batch must not have started on its victim: every
         surviving batch's start respects its replica's prior done
