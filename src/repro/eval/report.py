@@ -23,6 +23,20 @@ def geomean(values: Iterable[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
+def nearest_rank(count: int, q: float) -> int:
+    """The 1-based rank of percentile ``q`` (in [0, 100]) among
+    ``count`` sorted values: ``ceil(q / 100 * count)``, at least 1.
+
+    Raises:
+        ConfigError: when ``count`` is 0 or ``q`` is outside [0, 100].
+    """
+    if not count:
+        raise ConfigError("percentile of empty sequence")
+    if not 0.0 <= q <= 100.0:
+        raise ConfigError("percentile rank must be in [0, 100]")
+    return max(1, math.ceil(q / 100.0 * count))
+
+
 def percentile(values: Iterable[float], q: float) -> float:
     """Nearest-rank percentile of ``values`` (``q`` in [0, 100]).
 
@@ -30,14 +44,7 @@ def percentile(values: Iterable[float], q: float) -> float:
         ConfigError: on empty input or ``q`` outside [0, 100].
     """
     ordered = sorted(values)
-    if not ordered:
-        raise ConfigError("percentile of empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ConfigError("percentile rank must be in [0, 100]")
-    if q == 0.0:
-        return ordered[0]
-    rank = math.ceil(q / 100.0 * len(ordered))
-    return ordered[rank - 1]
+    return ordered[nearest_rank(len(ordered), q) - 1]
 
 
 def fraction_within(values: Iterable[float], bound: float) -> float:

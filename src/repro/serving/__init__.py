@@ -15,8 +15,10 @@ For million-request scale, traces stream (:func:`stream_trace`,
 bit-identical to :func:`generate_trace` with one block of draws
 resident) and :class:`ShardedEngine` (:mod:`repro.serving.sharding`)
 fans a deterministically sharded trace across worker processes, merging
-exact counters plus a mergeable latency digest back into one
-:class:`ShardedResult`.
+exact counters plus exact percentiles back into one
+:class:`ShardedResult`: a partition ships its served latencies as one
+sorted column (a :class:`LatencyDigest`, 8 bytes per served request),
+and the parent reads percentiles across the columns.
 
 On top of the cluster sits the geo tier (:mod:`repro.serving.geo`):
 a :class:`GeoRouter` routes region-tagged traffic over a static

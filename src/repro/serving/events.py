@@ -116,11 +116,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import pairwise, starmap
-from math import ceil
 from operator import attrgetter, gt
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.errors import ConfigError
+from repro.eval.report import nearest_rank
 from repro.serving.policies import (
     DISPATCH_POLICIES,
     AdmissionPolicy,
@@ -254,11 +254,7 @@ class _LatencyWindow:
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile, matching ``report.percentile``."""
         ordered = self._sorted
-        if not ordered:
-            raise ConfigError("percentile of empty window")
-        if q == 0.0:
-            return ordered[0]
-        return ordered[ceil(q / 100.0 * len(ordered)) - 1]
+        return ordered[nearest_rank(len(ordered), q) - 1]
 
 
 # ---------------------------------------------------------------------------

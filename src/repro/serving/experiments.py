@@ -341,8 +341,9 @@ def serving_scale(scenario: str = "steady", policy: str = "timeout",
     (:class:`~repro.serving.sharding.ShardedEngine`), each shard
     streams its slice through an independent engine in its own worker
     process, and the merged row reports exact counters/energy plus
-    digest percentiles and ``agg_rps`` — simulated requests per second
-    of wall time, the scale-out headline.  Only shard-stable cells are
+    exact percentiles (each shard ships its sorted latency column, 8
+    bytes per served request) and ``agg_rps`` — simulated requests per
+    second of wall time, the scale-out headline.  Only shard-stable cells are
     legal (``shard`` dispatch, no autoscale/steal/shed/faults);
     anything else raises :class:`~repro.errors.ConfigError`.
     """

@@ -670,7 +670,9 @@ class GeoRouter:
             keep no checkpoint.
         detail: keep per-request arrays and merge a full bit-exact
             :class:`~repro.serving.simulator.ServingResult` (the
-            zero-drift proof path).
+            zero-drift proof path).  Fleet and region percentiles are
+            exact either way, read off each region's sorted latency
+            column.
         trace / trace_events: per-region telemetry, rows tagged with
             their region name.
         resilience: client resilience policy spec (``"retry"`` /
@@ -783,10 +785,11 @@ class GeoRouter:
         )
         total_rate = sum(rates)
         # warm every region backend's layer cells through the shared
-        # memo once, instead of once per worker; the regions share that
-        # memo, so the last snapshot holds every cell
-        for cal in calibrators:
-            snapshot = cal.prewarm(scenario)
+        # memo and export them once, from one simulator over the fleet
+        snapshot = ServingSimulator(
+            accelerators=[cal.accelerator for cal in calibrators],
+            policy=calibrators[0].policy, cache=self._warm_cache,
+        ).prewarm(scenario)
         spec = _spec(
             self, scenario,
             regions=tuple((s.name, s.accelerator, s.replicas, s.price,

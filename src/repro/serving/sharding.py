@@ -14,8 +14,10 @@ independent :class:`~repro.serving.events.ClusterEngine`, and ships
 back a compact :class:`ShardOutcome`; the parent merge-reduces those
 into one :class:`ShardedResult` with exact counters (the engine's
 retries, timeouts, hedges, cancels and re-dispatches included) and
-energy sums, a mergeable :class:`LatencyDigest` for percentiles, and
-per-shard telemetry rows tagged with their shard id.
+energy sums, exact percentiles (each partition ships its served
+latencies as one sorted column, 8 bytes per served request: a
+:class:`LatencyDigest`), and per-shard telemetry rows tagged with
+their shard id.
 
 Why this is exact and not merely parallel: the splitter partitions
 models by the same ``crc32(model) % replicas`` pin
@@ -59,12 +61,15 @@ import math
 import os
 import pickle
 import time
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from time import perf_counter
 from typing import Iterable, Optional, Sequence
 
 from repro.errors import ConfigError
+from repro.eval.report import nearest_rank
 from repro.runtime.executor import (check_map_mode, parallel_map,
                                     worker_payload)
 from repro.serving.batching import make_policy
@@ -195,81 +200,41 @@ def _check_deadline(resilience: str, slo_us: float) -> None:
 
 
 class LatencyDigest:
-    """A mergeable fixed-relative-resolution latency summary.
+    """Exact served latencies (s), as sorted ``array('d')`` columns.
 
-    Values land in geometric buckets of width ``1 + resolution``, so
-    any percentile read off the digest is within ``resolution/2``
-    (relative) of the exact nearest-rank value while the digest stays
-    O(distinct buckets) — a million served latencies digest into a few
-    hundred counters, which is what lets worker shards ship summaries
-    instead of per-request arrays.  Count, sum, min and max are exact.
+    A worker partition ships one column, 8 bytes per served request,
+    and a merged result keeps every partition's column as it came.
+    :meth:`percentile` selects the nearest rank
+    :func:`repro.eval.report.percentile` reads across the columns,
+    without building a merged copy, so a fan-out reads the monolithic
+    engine's percentiles bit for bit.
     """
 
-    __slots__ = ("resolution", "counts", "count", "total",
-                 "min", "max", "_scale")
+    __slots__ = ("columns", "count")
 
-    def __init__(self, resolution: float = 0.01) -> None:
-        if resolution <= 0:
-            raise ConfigError("digest resolution must be positive")
-        self.resolution = resolution
-        self.counts: dict[int, int] = {}
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self._scale = 1.0 / math.log1p(resolution)
-
-    def add(self, value: float) -> None:
-        """Record one latency (s)."""
-        idx = (math.floor(math.log(value) * self._scale)
-               if value > 0.0 else -(1 << 62))
-        counts = self.counts
-        counts[idx] = counts.get(idx, 0) + 1
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def merge(self, other: "LatencyDigest") -> None:
-        """Fold another digest (same resolution) into this one."""
-        if other.resolution != self.resolution:
-            raise ConfigError("cannot merge digests of different "
-                              "resolutions")
-        counts = self.counts
-        for idx, n in other.counts.items():
-            counts[idx] = counts.get(idx, 0) + n
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-    @property
-    def mean(self) -> float:
-        """Exact mean of the recorded values."""
-        return self.total / self.count if self.count else 0.0
+    def __init__(self, columns: Iterable[array] = ()) -> None:
+        self.columns = tuple(columns)
+        self.count = sum(map(len, self.columns))
 
     def percentile(self, q: float) -> float:
-        """Approximate nearest-rank percentile ``q`` (in [0, 100]).
+        """Nearest-rank percentile ``q`` (in [0, 100]) of every column.
 
-        Returns the geometric midpoint of the bucket holding the rank,
-        clamped to the exact observed min/max.
+        Raises:
+            ConfigError: when the digest is empty or ``q`` is outside
+                [0, 100].
         """
-        if not self.count:
-            raise ConfigError("percentile of an empty digest")
-        if not 0.0 <= q <= 100.0:
-            raise ConfigError("percentile rank must be in [0, 100]")
-        rank = max(1, math.ceil(q / 100.0 * self.count))
-        seen = 0
-        for idx in sorted(self.counts):
-            seen += self.counts[idx]
-            if seen >= rank:
-                if idx <= -(1 << 62):
-                    return 0.0
-                mid = math.exp((idx + 0.5) / self._scale)
-                return min(max(mid, self.min), self.max)
-        return self.max  # pragma: no cover - rank <= count always hits
+        rank = nearest_rank(self.count, q)
+        columns = self.columns
+
+        def at_or_below(value: float) -> int:
+            return sum(bisect_right(column, value) for column in columns)
+
+        # the answer is the least value with ``rank`` values at or
+        # below it; each column's first such value bounds it, and the
+        # column holding the answer finds it
+        return min(column[i] for column in columns
+                   if (i := bisect_left(column, rank, key=at_or_below))
+                   < len(column))
 
 
 @dataclass(frozen=True)
@@ -277,8 +242,9 @@ class ShardOutcome:
     """One worker partition's summary (a shard or a geo region),
     shipped back to the parent.
 
-    Counters, energies and busy time are exact; latency percentiles
-    travel in the mergeable ``digest``.  ``energy`` is served energy;
+    Counters, energies and busy time are exact; ``digest`` carries the
+    served latencies as one sorted column, 8 bytes per served request,
+    so percentiles stay exact too.  ``energy`` is served energy;
     the engine's own counters (:data:`~repro.serving.simulator.
     ENGINE_COUNTERS`, ``wasted_energy`` among them) keep their engine
     names.  ``result`` carries the full per-request
@@ -398,16 +364,15 @@ def _serve_partition(spec: dict, requests: Iterable[Request],
             wall_s=perf_counter() - t_start,
         )
     outcome = engine.run(chain((first,), stream), span=span)
+    # free the engine's queues and memos before the fold allocates
+    del engine
 
-    digest = LatencyDigest()
     energy = 0.0
-    slo_hits = 0
-    for request_id, (done, joules) in outcome.done.items():
-        latency = done - arrivals[request_id]
-        digest.add(latency)
+    for _, joules in outcome.done.values():
         energy += joules
-        if slo_target and latency <= slo_target:
-            slo_hits += 1
+    column = array("d", sorted([
+        done - arrivals[request_id]
+        for request_id, (done, _) in outcome.done.items()]))
     busy = sum(record.service for record in outcome.batches)
     last_done = max(record.done for record in outcome.batches)
 
@@ -427,9 +392,10 @@ def _serve_partition(spec: dict, requests: Iterable[Request],
         shard=spec["shard"], requests=len(outcome.done),
         batches=len(outcome.batches), energy=energy, busy_s=busy,
         first_arrival=min(arrivals.values()), last_done=last_done,
-        digest=digest, slo_hits=slo_hits, cache=cache.stats,
-        wall_s=perf_counter() - t_start, telemetry_rows=rows,
-        counters=counters, result=result,
+        digest=LatencyDigest((column,)),
+        slo_hits=bisect_right(column, slo_target) if slo_target else 0,
+        cache=cache.stats, wall_s=perf_counter() - t_start,
+        telemetry_rows=rows, counters=counters, result=result,
         **{key: getattr(outcome, key) for key in ENGINE_COUNTERS},
     )
 
@@ -571,9 +537,10 @@ class ShardedResult:
     Counters, energy, busy time and SLO hits are exact sums over the
     partitions, the engine's own counters (:data:`~repro.serving.
     simulator.ENGINE_COUNTERS`) included; ``energy`` is served energy
-    and ``wasted_energy`` the aborted and duplicate work.  Latency
-    percentiles read off the merged :class:`LatencyDigest` (within its
-    resolution).  ``detail`` holds the bit-exact merged
+    and ``wasted_energy`` the aborted and duplicate work.  ``digest``
+    holds every partition's sorted latency column, unmerged, and
+    latency percentiles select across them exactly, with or without
+    ``detail``.  ``detail`` holds the bit-exact merged
     :class:`ServingResult` when the run kept per-request arrays.
     ``wall_s`` times the whole ``run_scenario`` call: calibration,
     prewarm, the parent's span or routing pass, the fan-out and the
@@ -620,10 +587,8 @@ class ShardedResult:
         ``resilience`` — plus the subclass's own fields.  ``wall_s``
         runs from ``t_start`` to the end of the merge.
         """
-        digest = LatencyDigest()
         cache = CacheStats()
         for outcome in outcomes:
-            digest.merge(outcome.digest)
             cache.hits += outcome.cache.hits
             cache.misses += outcome.cache.misses
             cache.energy_hits += outcome.cache.energy_hits
@@ -639,7 +604,9 @@ class ShardedResult:
             busy_s=sum(o.busy_s for o in outcomes),
             first_arrival=min(o.first_arrival for o in outcomes),
             last_done=max(o.last_done for o in outcomes),
-            digest=digest, slo_hits=sum(o.slo_hits for o in outcomes),
+            digest=LatencyDigest(chain.from_iterable(
+                o.digest.columns for o in outcomes)),
+            slo_hits=sum(o.slo_hits for o in outcomes),
             cache=cache, outcomes=outcomes, detail=None,
             shard_retries=retried, wall_s=0.0, **engine, **run,
         )
@@ -744,10 +711,8 @@ class ShardedResult:
         return merged
 
     def latency_percentile(self, q: float) -> float:
-        """Latency percentile ``q`` (s): exact when the run kept
-        per-request detail, digest-resolution otherwise."""
-        if self.detail is not None:
-            return self.detail.latency_percentile(q)
+        """Served-request latency percentile ``q`` (s), exact with or
+        without ``detail``: read across the partitions' columns."""
         return self.digest.percentile(q)
 
     def _tail_columns(self, **extra) -> dict:
@@ -812,6 +777,9 @@ class ShardedEngine:
         detail: keep per-request arrays and merge a full bit-exact
             :class:`ServingResult` (the equivalence-test path; costs
             O(n) parent memory, leave off at million-request scale).
+            Percentiles are exact either way: without ``detail`` a
+            shard ships only its sorted latency column, 8 bytes per
+            served request.
         trace: record per-shard telemetry (shard-tagged rows on
             ``result.telemetry_rows``), its timeline sampled every
             :data:`~repro.serving.telemetry.TIMELINE_TICK`.

@@ -64,6 +64,8 @@ class TestPercentile:
 
     def test_extremes(self):
         assert percentile([5.0, 1.0], 0) == 1.0
+        # q / 100 underflows to 0.0: still rank 1, the minimum
+        assert percentile([5.0, 1.0], 5e-324) == 1.0
         assert percentile([7.0], 99) == 7.0
 
     def test_empty_rejected(self):

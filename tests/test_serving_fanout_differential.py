@@ -13,8 +13,12 @@ Hypothesis draws two kinds of cells:
   hedge or degrade resilience.  The reference is the plain engine on
   the region's pool.
 
-Per-request latencies and energies, the integer counters and SLO
-attainment must match exactly.  Wasted energy must match exactly for
+Per-request latencies and energies, the integer counters, SLO
+attainment and the latency percentiles at q = 0, 50, 95, 99 and 100
+must match exactly.  A fan-out reads its percentiles off the
+partitions' sorted latency columns, with or without ``detail``, so
+this holds the column path, not the merged detail, to the plain
+engine's ``latency_percentile``.  Wasted energy must match exactly for
 one partition and to 1e-12 relative across shards, where summing the
 shards' floats may round (sharded bursty, fixed batching at 3, 2
 replicas over 2 shards, ``retry:timeout_us=300,budget=1``, seed 0, 21
@@ -103,6 +107,8 @@ def _assert_same_run(fanned, plain):
     assert fanned.requests == len(plain.requests)
     assert fanned.batches == len(plain.batches)
     assert fanned.slo_attainment == plain.slo_attainment
+    for q in (0, 50, 95, 99, 100):
+        assert fanned.latency_percentile(q) == plain.latency_percentile(q)
 
 
 @given(cell=SHARDED_CELLS)

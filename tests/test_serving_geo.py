@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 import repro.serving.geo as geo_module
 from repro.__main__ import main
 from repro.errors import ConfigError
+from repro.eval.report import percentile
 from repro.runtime import executor as executor_module
 from repro.serving import (
     GEO_POLICIES,
@@ -139,14 +140,19 @@ GOLDEN_CELLS = [
 PROCESS_CELL = "diurnal/follow_sun/ring/retry"
 
 
+def _golden_run(cell, detail=True, **router):
+    """One golden cell's 4-region run."""
+    scenario, geo, topology, storms = cell.split("/")
+    router.setdefault("mode", "inline")
+    return GeoRouter(4, geo=geo, topology=topology, slo_us=4000.0,
+                     detail=detail, **STORM_CELLS[storms], **router) \
+        .run_scenario(scenario, GOLDEN_N, seed=SEED)
+
+
 def _golden_outcome(cell, **router):
     """The pinned summary of one golden cell: per-region integer
     ledgers, per-region and fleet float aggregates."""
-    scenario, geo, topology, storms = cell.split("/")
-    router.setdefault("mode", "inline")
-    result = GeoRouter(4, geo=geo, topology=topology, slo_us=4000.0,
-                       detail=True, **STORM_CELLS[storms], **router) \
-        .run_scenario(scenario, GOLDEN_N, seed=SEED)
+    result = _golden_run(cell, **router)
     return {
         "ledgers": [[r.offered, r.remote, r.rerouted, r.retried,
                      r.outcome.requests, r.outcome.batches,
@@ -200,6 +206,33 @@ class TestMultiRegionGolden:
     def test_process_cell(self, golden):
         self._check(_golden_outcome(PROCESS_CELL, mode="process"),
                     golden["process-cold/" + PROCESS_CELL])
+
+
+class TestExactPercentiles:
+    """A fleet run without ``detail`` reads exact percentiles off its
+    regions' sorted latency columns."""
+
+    #: Region 1 of this golden cell is offered 114 requests and serves
+    #: none of them.
+    CELL = "diurnal/cheapest_joule/ring/calm"
+
+    def test_match_the_detail_runs_served_latencies(self):
+        columns = _golden_run(self.CELL, detail=False)
+        kept = _golden_run(self.CELL)
+        assert columns.detail is None
+        idle = columns.regions[1]
+        assert (idle.offered, idle.outcome.requests) == (114, 0)
+        for q in (50, 95):
+            assert columns.latency_percentile(q) == percentile(
+                kept.detail.served_latencies, q)
+        rows = columns.region_rows()
+        for row, region in zip(rows, kept.regions):
+            part = region.outcome.result
+            for q in (50, 95):
+                assert row[f"p{q}_us"] == (
+                    percentile(part.served_latencies, q) * 1e6
+                    if part is not None else 0.0)
+        assert rows[1]["p50_us"] == rows[1]["p95_us"] == 0.0
 
 
 class _CountingFollowSun(FollowSunDispatch):

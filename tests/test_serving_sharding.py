@@ -8,16 +8,18 @@ duplicated across the shard split.  These tests hold every layer of
 the PR 7 pipeline to that contract.
 """
 
-import math
 import multiprocessing
 import os
 import random
 import time
+from array import array
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
+from repro.eval.report import percentile
 from repro.runtime import executor as executor_module
 from repro.serving import sharding as sharding_module
 from repro.serving import (
@@ -202,11 +204,9 @@ class TestShardedEquivalence:
         assert result.energy == pytest.approx(sum(
             mono.energy_per_request), rel=1e-12)
         assert result.digest.count == len(mono.latencies)
-        assert result.digest.min == min(mono.latencies)
-        assert result.digest.max == max(mono.latencies)
-        for q in (50, 95, 99):
-            assert result.latency_percentile(q) == pytest.approx(
-                mono.latency_percentile(q), rel=0.02)
+        for q in (0, 50, 95, 99, 100):
+            assert result.latency_percentile(q) == \
+                mono.latency_percentile(q)
 
     def test_slo_attainment_matches_monolithic(self):
         from repro.serving import SloPolicy
@@ -264,55 +264,46 @@ class TestValidateSharding:
             validate_sharding(shards, **kwargs)
 
 
+#: Latency runs with ties (values from a small set), empty runs among
+#: them.
+COLUMNS = st.lists(st.lists(st.sampled_from((0.0, 1e-4, 2.5e-4, 1e-3)) |
+                            st.floats(0.0, 1.0), max_size=40),
+                   max_size=5)
+
+
 class TestLatencyDigest:
-    def test_counts_and_sums_are_exact(self):
-        rng = random.Random(5)
-        values = [rng.expovariate(1000.0) for _ in range(5000)]
-        digest = LatencyDigest()
-        for v in values:
-            digest.add(v)
-        assert digest.count == 5000
-        assert digest.total == pytest.approx(sum(values))
-        assert digest.min == min(values)
-        assert digest.max == max(values)
-        assert digest.mean == pytest.approx(sum(values) / 5000)
+    """The digest's percentile over several sorted columns equals
+    :func:`repro.eval.report.percentile` over all their values."""
 
-    def test_merge_equals_single_digest(self):
-        rng = random.Random(6)
-        values = [rng.expovariate(1000.0) for _ in range(2000)]
-        whole = LatencyDigest()
-        left, right = LatencyDigest(), LatencyDigest()
-        for i, v in enumerate(values):
-            whole.add(v)
-            (left if i % 2 else right).add(v)
-        left.merge(right)
-        assert left.counts == whole.counts
-        assert left.count == whole.count
-        assert left.total == pytest.approx(whole.total)
-        assert left.min == whole.min and left.max == whole.max
+    @given(runs=COLUMNS, q=st.floats(0.0, 100.0))
+    @settings(max_examples=200, deadline=None)
+    def test_percentile_equals_report_percentile(self, runs, q):
+        digest = LatencyDigest(array("d", sorted(run)) for run in runs)
+        values = [v for run in runs for v in run]
+        assert digest.count == len(values)
+        if not values:
+            with pytest.raises(ConfigError):
+                digest.percentile(q)
+            return
+        for rank in (q, 0, 50, 95, 99, 100):
+            assert digest.percentile(rank) == percentile(values, rank)
 
-    def test_percentile_tracks_exact_nearest_rank(self):
-        rng = random.Random(7)
-        values = sorted(rng.expovariate(1000.0) for _ in range(3000))
-        digest = LatencyDigest(resolution=0.01)
-        for v in values:
-            digest.add(v)
-        for q in (1, 25, 50, 90, 99, 100):
-            exact = values[max(1, math.ceil(q / 100 * 3000)) - 1]
-            assert digest.percentile(q) == pytest.approx(exact,
-                                                         rel=0.011)
+    def test_ties_across_columns(self):
+        runs = [[1.0, 2.0, 2.0, 3.0], [], [2.0, 2.0], [0.5, 2.0, 9.0]]
+        digest = LatencyDigest(array("d", run) for run in runs)
+        values = [v for run in runs for v in run]
+        for q in range(101):
+            assert digest.percentile(q) == percentile(values, q)
 
     def test_error_paths(self):
-        digest = LatencyDigest()
         with pytest.raises(ConfigError):
-            digest.percentile(50)
-        digest.add(1.0)
+            LatencyDigest().percentile(50)
         with pytest.raises(ConfigError):
-            digest.percentile(101)
-        with pytest.raises(ConfigError):
-            digest.merge(LatencyDigest(resolution=0.5))
-        with pytest.raises(ConfigError):
-            LatencyDigest(resolution=0.0)
+            LatencyDigest((array("d"), array("d"))).percentile(50)
+        digest = LatencyDigest((array("d", [1.0]),))
+        for q in (-1, 101):
+            with pytest.raises(ConfigError):
+                digest.percentile(q)
 
 
 class TestShardedEngineApi:

@@ -186,10 +186,10 @@ class TestWarmGeo:
         assert fresh.cache.seeded == 0
         assert fresh.cache.misses > 0
 
-    def test_last_region_snapshot_holds_every_region(self, monkeypatch):
-        """The regions warm one shared memo, so the snapshot the last
-        region's prewarm exports, the one shipped, holds all their
-        cells."""
+    def test_one_snapshot_export_holds_every_region(self, monkeypatch):
+        """The parent warms every region backend through one shared
+        memo and exports it once per call; that one snapshot, the one
+        shipped, holds all their cells."""
         exported = []
         from_cache = MemoSnapshot.from_cache
 
@@ -201,10 +201,12 @@ class TestWarmGeo:
         router = GeoRouter(4, topology="ring", geo="follow_sun",
                            mode="inline")
         result = router.run_scenario("diurnal", 300, seed=SEED)
-        assert len(exported) == 4
+        assert len(exported) == 1
         # SMART, SNN and AQFP over the six-model mix at batches 1..8
-        assert len(exported[-1]) == 3 * 6 * 8
+        assert len(exported[0]) == 3 * 6 * 8
         assert result.cache.misses == 0
+        router.run_scenario("diurnal", 300, seed=SEED)
+        assert len(exported) == 2
 
 
 class TestWarmChaos:
