@@ -92,13 +92,19 @@ their predecessor fires:
   fixed delay after the never-decreasing clock, so they wait in one
   FIFO (``_checks``) with only its head on the heap.  A check whose
   request is answered before it reaches the head is dropped unheaped:
-  ``_done`` only grows, so it could only pop as a no-op.
+  ``_answered`` only grows, so it could only pop as a no-op.
 
 Flushes, outages, control ticks, backoff-delayed retries and cancels
 stay on the heap.  A dead batch costs nothing where it dies: it leaves
 ``_inflight`` at once, and one cancelled between its replica's head
 and tail stays in ``pending`` as a dead id until it reaches either
 end, so a cancel never scans a backlog.
+
+Completions are logged per batch, not per request: a BATCH_DONE
+appends its in-flight ``(record, requests)`` entry to a completion
+log, and :attr:`EngineRun.done` builds the per-request table from it
+only when read.  Only resilience keeps a per-request set,
+``_answered``, for first-copy-wins; its log entries hold the winners.
 
 None of this changes a single emitted float or the order of a single
 event: ``repro.serving.reference`` retains the straightforward
@@ -115,6 +121,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 from itertools import pairwise, starmap
 from operator import attrgetter, gt
 from typing import Callable, Iterable, Optional, Sequence
@@ -492,7 +499,10 @@ class EngineRun:
 
     Attributes:
         batches: successfully served batches, in dispatch order.
-        done: request_id -> (completion instant, energy share).
+        log: one ``(record, requests it answered first)`` entry per
+            completed batch, in completion order.  :attr:`done` is
+            built from it on first read, so a fan-out partition that
+            folds the log itself never builds that table.
         shed: request ids rejected by admission control.
         replica_trace: (time, up-replica count) at every change.
         scale_events: (time, "up"/"down") autoscale actions.
@@ -509,7 +519,7 @@ class EngineRun:
     """
 
     batches: tuple[BatchRecord, ...]
-    done: dict[int, tuple[float, float]]
+    log: Sequence[tuple[BatchRecord, Sequence[Request]]]
     shed: tuple[int, ...]
     replica_trace: tuple[tuple[float, int], ...]
     scale_events: tuple[tuple[float, str], ...]
@@ -521,6 +531,18 @@ class EngineRun:
     hedges: int = 0
     cancels: int = 0
     degraded: int = 0
+
+    @cached_property
+    def done(self) -> dict[int, tuple[float, float]]:
+        """request_id -> (completion instant, energy share), in
+        completion order: each logged request gets its batch's
+        ``done`` and ``energy / size``."""
+        done = {}
+        for record, requests in self.log:
+            outcome = (record.done, record.energy / record.size)
+            for request in requests:
+                done[request.request_id] = outcome
+        return done
 
 
 class ClusterEngine:
@@ -651,7 +673,10 @@ class ClusterEngine:
         self._checks: deque[tuple] = deque()
         self._next_batch = 0
         self._waiting: deque[tuple[str, tuple[Request, ...], float]] = deque()
-        self._done: dict[int, tuple[float, float]] = {}
+        # one (record, answered requests) entry per completed batch
+        self._log: list[tuple[BatchRecord, Sequence[Request]]] = []
+        # ids answered so far: first copy wins under resilience
+        self._answered: set[int] = set()
         self._shed: list[int] = []
         self._trace: list[tuple[float, int]] = [(t0, len(self._replicas))]
         self._scale_events: list[tuple[float, str]] = []
@@ -735,7 +760,7 @@ class ClusterEngine:
         """Collect per-run state into the immutable outcome."""
         batches = tuple(record for record, _ in self._inflight.values())
         return EngineRun(
-            batches=batches, done=self._done, shed=tuple(self._shed),
+            batches=batches, log=self._log, shed=tuple(self._shed),
             replica_trace=tuple(self._trace),
             scale_events=tuple(self._scale_events),
             redispatched=self._redispatched, wasted_energy=self._wasted,
@@ -921,24 +946,19 @@ class ClusterEngine:
             return  # died as its replica's head
         record, requests = entry
         self._in_system -= record.size
-        done = self._done
-        outcome = (record.done, record.energy / record.size)
-        window = self._window
         if self._res is not None:
             # duplicate-aware completion: first copy of a request to
             # finish wins, a losing copy's energy share is charged to
             # waste, and a still-outstanding cancellable duplicate is
             # cancelled the instant its original completes
-            self._finish_with_duplicates(time, batch_id, record,
-                                         requests, outcome)
-        elif window is None:
-            for request in requests:
-                done[request.request_id] = outcome
+            self._finish_with_duplicates(time, batch_id, entry)
         else:
-            record_done = record.done
-            for request in requests:
-                done[request.request_id] = outcome
-                window.append(record_done - request.arrival)
+            self._log.append(entry)
+            window = self._window
+            if window is not None:
+                record_done = record.done
+                for request in requests:
+                    window.append(record_done - request.arrival)
         if self._tel is not None:
             self._tel.batch_done(time, record, batch_id)
         replica = self._replicas[record.replica]
@@ -1048,27 +1068,33 @@ class ClusterEngine:
 
     # -- resilience handlers ---------------------------------------------
     def _finish_with_duplicates(self, time: float, batch_id: int,
-                                record: BatchRecord,
-                                requests: tuple[Request, ...],
-                                outcome: tuple[float, float]) -> None:
+                                entry: tuple[BatchRecord,
+                                             tuple[Request, ...]]) -> None:
         """Record completions when duplicates may exist in flight."""
-        done = self._done
+        record, requests = entry
+        answered = self._answered
         window = self._window
-        share = outcome[1]
+        share = record.energy / record.size
         record_done = record.done
+        winners = []
         for request in requests:
             rid = request.request_id
-            if rid in done:
+            if rid in answered:
                 # a faster copy already answered this request; the
                 # losing copy's service energy is real but useless
                 self._wasted += share
                 continue
-            done[rid] = outcome
+            answered.add(rid)
+            winners.append(request)
             if window is not None:
                 window.append(record_done - request.arrival)
             solo = self._solo.pop(rid, None)
             if solo is not None and solo != batch_id:
                 self._events.push(time, EventKind.CANCEL, payload=solo)
+        # logged with the requests it answered first: its own entry
+        # when it won them all
+        self._log.append(entry if len(winners) == len(requests)
+                         else (record, tuple(winners)))
 
     def _on_timeout(self, time: float, payload: tuple) -> None:
         """A retry/degrade deadline check, or a backoff-delayed retry.
@@ -1084,7 +1110,7 @@ class ClusterEngine:
         if not fire:
             self._next_check()
         rid = request.request_id
-        if rid in self._done:
+        if rid in self._answered:
             return  # completed in the meantime; nothing to do
         res = self._res
         if not fire:
@@ -1121,7 +1147,7 @@ class ClusterEngine:
         """Launch a hedged duplicate on the second-best replica."""
         self._next_check()
         rid = request.request_id
-        if rid in self._done or rid in self._solo:
+        if rid in self._answered or rid in self._solo:
             return  # answered, or already hedged
         candidates = self._candidates()
         if len(candidates) < 2:
@@ -1273,18 +1299,19 @@ class ClusterEngine:
         """Retire the check that just fired and heap the next one.
 
         Checks whose request has been answered meanwhile are dropped
-        on the way: ``_done`` only grows, so each would pop as a no-op.
+        on the way: ``_answered`` only grows, so each would pop as a
+        no-op.
         """
         checks = self._checks
         checks.popleft()
-        done = self._done
+        answered = self._answered
         while checks:
             entry = checks[0]
             payload = entry[4]
             # a HEDGE launch carries the request, a TIMEOUT check
             # (False, request, attempts)
             request = payload if entry[1] == _HEDGE else payload[1]
-            if request.request_id not in done:
+            if request.request_id not in answered:
                 heapq.heappush(self._events._heap, entry)
                 return
             checks.popleft()

@@ -242,8 +242,8 @@ class ReferenceEngine:
         batches = tuple(self._inflight[i].record
                         for i in self._batch_order
                         if self._inflight[i].alive)
-        return EngineRun(
-            batches=batches, done=self._done, shed=tuple(self._shed),
+        run = EngineRun(
+            batches=batches, log=(), shed=tuple(self._shed),
             replica_trace=tuple(self._trace),
             scale_events=tuple(self._scale_events),
             redispatched=self._redispatched, wasted_energy=self._wasted,
@@ -251,6 +251,10 @@ class ReferenceEngine:
             hedges=self._hedges, cancels=self._cancels,
             degraded=self._degraded,
         )
+        # the oracle's own per-request table, filled the plain way,
+        # stands in for one built from the optimised engine's log
+        run.done = self._done
+        return run
 
     # -- event handlers --------------------------------------------------
     def _on_arrival(self, event: Event) -> None:

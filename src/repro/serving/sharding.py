@@ -10,14 +10,15 @@ the pool initializer and is installed into the worker's fresh memo, so
 no worker simulates a layer.  Each worker streams its own slice of the
 global seeded trace (:func:`~repro.serving.workload.shard_trace`: no
 process ever materialises the full request list), serves it on an
-independent :class:`~repro.serving.events.ClusterEngine`, and ships
-back a compact :class:`ShardOutcome`; the parent merge-reduces those
-into one :class:`ShardedResult` with exact counters (the engine's
-retries, timeouts, hedges, cancels and re-dispatches included) and
-energy sums, exact percentiles (each partition ships its served
-latencies as one sorted column, 8 bytes per served request: a
-:class:`LatencyDigest`), and per-shard telemetry rows tagged with
-their shard id.
+independent :class:`~repro.serving.events.ClusterEngine`, and folds
+the engine's per-batch completion log straight into a compact
+:class:`ShardOutcome`, keeping no per-request table of its own; the
+parent merge-reduces those into one :class:`ShardedResult` with exact
+counters (the engine's retries, timeouts, hedges, cancels and
+re-dispatches included) and energy sums, exact percentiles (each
+partition ships its served latencies as one sorted column, 8 bytes
+per served request: a :class:`LatencyDigest`), and per-shard telemetry
+rows tagged with their shard id.
 
 Why this is exact and not merely parallel: the splitter partitions
 models by the same ``crc32(model) % replicas`` pin
@@ -63,7 +64,7 @@ import pickle
 import time
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from time import perf_counter
 from typing import Iterable, Optional, Sequence
@@ -251,20 +252,22 @@ class ShardOutcome:
     :class:`ServingResult` only when the run asked for ``detail`` (the
     equivalence-test path); ``telemetry_rows`` are the partition's
     trace rows, each already tagged with its ``shard`` (or ``region``)
-    and ``counters`` its telemetry counters.
+    and ``counters`` its telemetry counters.  The served fields
+    default to an idle partition's: nothing served, and a first
+    arrival and last completion the merge's ``min``/``max`` skip.
     """
 
     shard: int
-    requests: int
-    batches: int
-    energy: float
-    busy_s: float
-    first_arrival: float
-    last_done: float
-    digest: LatencyDigest
-    slo_hits: int
     cache: CacheStats
     wall_s: float
+    requests: int = 0
+    batches: int = 0
+    energy: float = 0.0
+    busy_s: float = 0.0
+    first_arrival: float = math.inf
+    last_done: float = -math.inf
+    digest: LatencyDigest = field(default_factory=LatencyDigest)
+    slo_hits: int = 0
     telemetry_rows: tuple = ()
     counters: tuple = ()
     result: Optional[ServingResult] = None
@@ -307,12 +310,17 @@ def _serve_partition(spec: dict, requests: Iterable[Request],
 
     Rebuilds the simulator from ``spec``, streams the time-ordered
     ``requests`` into an engine pinned to the *global* ``span`` (so all
-    partitions drain at the same horizon), and folds the run into a
-    :class:`ShardOutcome`.  ``tags`` label the telemetry run header;
-    the first also stamps every row.  ``wall_s`` counts from the
-    worker's ``t_start``.  The run's :class:`MemoSnapshot` arrives
-    once per worker as the pool payload (:func:`~repro.runtime.
-    executor.worker_payload`) and is installed into the fresh memo.
+    partitions drain at the same horizon), and folds its completion
+    log (:attr:`~repro.serving.events.EngineRun.log`) straight into a
+    :class:`ShardOutcome`, with no per-request table: energy is added
+    left to right in completion order, each ``done - arrival`` goes
+    into the sorted latency column, and the first streamed arrival is
+    the partition's first.  ``tags`` label the telemetry run header;
+    the first also stamps every row, an idle partition's included.
+    ``wall_s`` counts from the worker's ``t_start``.  The run's
+    :class:`MemoSnapshot` arrives once per worker as the pool payload
+    (:func:`~repro.runtime.executor.worker_payload`) and is installed
+    into the fresh memo.
     """
     scenario = spec["scenario"]
     slo_target = spec["slo_us"] * 1e-6
@@ -334,15 +342,8 @@ def _serve_partition(spec: dict, requests: Iterable[Request],
     engine = sim.make_engine(networks, failures=failures,
                              warm_cells=spec["warm_cells"])
 
-    arrivals: dict[int, float] = {}
-
-    def tee(stream):
-        for request in stream:
-            arrivals[request.request_id] = request.arrival
-            yield request
-
     kept = tuple(requests) if spec["detail"] else ()
-    stream = tee(kept if spec["detail"] else requests)
+    stream = iter(kept if spec["detail"] else requests)
 
     if telemetry is not None:
         telemetry.begin_run(
@@ -352,29 +353,42 @@ def _serve_partition(spec: dict, requests: Iterable[Request],
             **tags,
         )
 
+    # no request at all is a legal outcome: an unlucky hash fold, or a
+    # geo policy that drained this region dry — the partition's pool
+    # idles for the whole run (still reporting the snapshot cells it
+    # was shipped, and its telemetry run header)
+    served: dict = {}
     first = next(stream, None)
-    if first is None:
-        # a legal outcome: an unlucky hash fold, or a geo policy that
-        # drained this region dry — the partition's pool idles for the
-        # whole run (still reporting the snapshot cells it was shipped)
-        return ShardOutcome(
-            shard=spec["shard"], requests=0, batches=0, energy=0.0,
-            busy_s=0.0, first_arrival=math.inf, last_done=-math.inf,
-            digest=LatencyDigest(), slo_hits=0, cache=cache.stats,
-            wall_s=perf_counter() - t_start,
-        )
-    outcome = engine.run(chain((first,), stream), span=span)
-    # free the engine's queues and memos before the fold allocates
-    del engine
-
-    energy = 0.0
-    for _, joules in outcome.done.values():
-        energy += joules
-    column = array("d", sorted([
-        done - arrivals[request_id]
-        for request_id, (done, _) in outcome.done.items()]))
-    busy = sum(record.service for record in outcome.batches)
-    last_done = max(record.done for record in outcome.batches)
+    if first is not None:
+        run = engine.run(chain((first,), stream), span=span)
+        # free the engine's queues and memos before the fold allocates
+        del engine
+        energy = 0.0
+        latencies: list[float] = []
+        append = latencies.append
+        for record, answered in run.log:
+            done = record.done
+            share = record.energy / record.size
+            for request in answered:
+                energy += share
+                append(done - request.arrival)
+        latencies.sort()
+        column = array("d", latencies)
+        served = {
+            "requests": len(column), "batches": len(run.batches),
+            "energy": energy,
+            "busy_s": sum(record.service for record in run.batches),
+            "first_arrival": first.arrival,
+            "last_done": max(record.done for record in run.batches),
+            "digest": LatencyDigest((column,)),
+            "slo_hits": (bisect_right(column, slo_target)
+                         if slo_target else 0),
+            "result": (sim.make_result(kept, run, cache.stats,
+                                       scenario=scenario.name,
+                                       rate=spec["rate"])
+                       if spec["detail"] else None),
+            **{key: getattr(run, key) for key in ENGINE_COUNTERS},
+        }
 
     rows: tuple = ()
     counters: tuple = ()
@@ -384,19 +398,10 @@ def _serve_partition(spec: dict, requests: Iterable[Request],
             row[label] = value
         rows = tuple(telemetry.rows)
         counters = tuple(sorted(telemetry.counters.items()))
-
-    result = (sim.make_result(kept, outcome, cache.stats,
-                              scenario=scenario.name, rate=spec["rate"])
-              if spec["detail"] else None)
     return ShardOutcome(
-        shard=spec["shard"], requests=len(outcome.done),
-        batches=len(outcome.batches), energy=energy, busy_s=busy,
-        first_arrival=min(arrivals.values()), last_done=last_done,
-        digest=LatencyDigest((column,)),
-        slo_hits=bisect_right(column, slo_target) if slo_target else 0,
-        cache=cache.stats, wall_s=perf_counter() - t_start,
-        telemetry_rows=rows, counters=counters, result=result,
-        **{key: getattr(outcome, key) for key in ENGINE_COUNTERS},
+        shard=spec["shard"], cache=cache.stats,
+        wall_s=perf_counter() - t_start, telemetry_rows=rows,
+        counters=counters, **served,
     )
 
 

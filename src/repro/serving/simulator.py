@@ -33,7 +33,7 @@ import gc
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
-from operator import attrgetter, sub
+from operator import attrgetter, itemgetter, sub
 from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.core import make_accelerator
@@ -520,8 +520,9 @@ class ServingSimulator:
                 requests=len(requests),
             )
 
-        engine = self.make_engine(networks, failures=failures)
-        outcome = engine.run(requests)
+        # the engine, with its queues and in-flight table, is dropped
+        # as soon as it returns, before the fold allocates
+        outcome = self.make_engine(networks, failures=failures).run(requests)
         # per-run delta, so a memo shared across runs still reports
         # this trace's own hit rate
         delta = CacheStats(*map(sub, astuple(cache.stats), stats0))
@@ -537,16 +538,17 @@ class ServingSimulator:
         :meth:`run` and every fan-out partition fold their runs here,
         so their per-request arrays and counters cannot drift apart.
         """
-        shed = frozenset(outcome.shed)
-        latencies = tuple(
-            float("inf") if r.request_id in shed
-            else outcome.done[r.request_id][0] - r.arrival
-            for r in requests
-        )
-        energy = tuple(
-            0.0 if r.request_id in shed else outcome.done[r.request_id][1]
-            for r in requests
-        )
+        done = outcome.done
+        if outcome.shed:
+            # a shed request is never done, at no energy
+            done = done | dict.fromkeys(outcome.shed, (float("inf"), 0.0))
+        # one lookup per request, in C; a request neither answered nor
+        # shed raises KeyError
+        outcomes = list(map(done.__getitem__,
+                            map(attrgetter("request_id"), requests)))
+        latencies = tuple(map(sub, map(itemgetter(0), outcomes),
+                              map(attrgetter("arrival"), requests)))
+        energy = tuple(map(itemgetter(1), outcomes))
         return ServingResult(
             accelerator=self.accelerator.name, replicas=self.replicas,
             scenario=scenario, policy=self.policy.name, rate=rate,

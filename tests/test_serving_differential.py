@@ -148,11 +148,13 @@ CELLS = st.fixed_dictionaries({
 
 def observables(run):
     """Everything an engine run reports, minus work stealing (the
-    reference does not implement it and no cell draws it)."""
-    return (run.done, run.batches, run.shed, run.replica_trace,
-            run.scale_events, run.redispatched, run.wasted_energy,
-            run.timeouts, run.retries, run.hedges, run.cancels,
-            run.degraded)
+    reference does not implement it and no cell draws it).  ``done``
+    is compared as a list, so completion order must match too: a
+    partition adds its energy in that order."""
+    return (list(run.done.items()), run.batches, run.shed,
+            run.replica_trace, run.scale_events, run.redispatched,
+            run.wasted_energy, run.timeouts, run.retries, run.hedges,
+            run.cancels, run.degraded)
 
 
 def assert_conserved(engine, run, trace):

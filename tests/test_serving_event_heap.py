@@ -145,7 +145,7 @@ def _counting_handlers(monkeypatch) -> Counter:
             def counted(time, payload):
                 counts[kind.name] += 1
                 if kind is EventKind.TIMEOUT and not payload[0] \
-                        and payload[1].request_id in engine._done:
+                        and payload[1].request_id in engine._answered:
                     counts["no-op checks"] += 1
                 if kind is EventKind.CANCEL \
                         and payload in engine._inflight:
@@ -182,6 +182,11 @@ def test_failure_retry_work_is_pinned(monkeypatch):
     assert engine._next_batch - len(result.batches) == 555
     assert (result.timeouts, result.retries, result.cancels) == \
         (962, 565, 540)
+    # first copy wins: all N requests answered, each logged once, in
+    # one log entry per served batch (a losing copy's holds none)
+    assert len(engine._answered) == sum(
+        len(answered) for _, answered in engine._log) == N
+    assert len(engine._log) == len(result.batches) == 680
 
 
 def test_plain_bursty_work_is_pinned(monkeypatch):
@@ -197,9 +202,12 @@ def test_plain_bursty_work_is_pinned(monkeypatch):
             calls["deadline"] += 1
             return super().deadline(queue)
 
+    engines = set()
+
     class CountingLeastLoaded(LeastLoadedDispatch):
         def pick(self, engine, model, size, floor, candidates):
             calls["pick"] += 1
+            engines.add(engine)
             return super().pick(engine, model, size, floor, candidates)
 
     result = ServingSimulator(
@@ -213,3 +221,8 @@ def test_plain_bursty_work_is_pinned(monkeypatch):
     # arrival read 2,632, one that asked again at every FLUSH 1,276
     assert calls == {"deadline": 642, "pick": 638}
     assert len(result.batches) == 638
+    # the engine logs one completion per BATCH_DONE, not one per
+    # request, and keeps no answered ids off the resilience path
+    (engine,) = engines
+    assert len(engine._log) == 638
+    assert not engine._answered

@@ -26,8 +26,16 @@ requests reads 0.12632280770097234 against 0.12632280770097237).
 
 Every fan-out ships its prewarmed memo snapshot to the workers, so
 these cells also hold the warm path to the answer a fresh memo gives.
+
+A partition folds its engine's completion log into its outcome
+directly; fixed single-partition cells hold that fold, bit for bit, to
+the per-request fold it replaced, run over the plain engine's
+``EngineRun.done`` for the same trace.
 """
 
+from bisect import bisect_right
+
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.serving import (
@@ -40,6 +48,8 @@ from repro.serving import (
     ServingSimulator,
     ShardedEngine,
     SloPolicy,
+    generate_trace,
+    get_scenario,
     make_policy,
     validate_sharding,
 )
@@ -143,3 +153,60 @@ def test_one_region_geo_equals_plain_engine(cell, assert_counters_match):
     plain = _plain(cell, cell["accelerator"], cell["dispatch"])
     _assert_same_run(geo, plain)
     assert_counters_match(geo, plain)
+
+
+#: The fold cells: bursty traffic at a 400 us SLO, where every
+#: resilience policy below fires, served on 2 SMART replicas.
+FOLD_N = 1_000
+FOLD_SLO_US = 400.0
+
+
+def _per_request_fold(run, trace, slo_target):
+    """A partition's fold as it was before the completion log: energy
+    summed left to right over ``run.done``, latencies subtracted by
+    request id and sorted, and the first arrival the least one."""
+    arrivals = {request.request_id: request.arrival for request in trace}
+    energy = 0.0
+    for _, joules in run.done.values():
+        energy += joules
+    column = sorted(done - arrivals[request_id]
+                    for request_id, (done, _) in run.done.items())
+    return (energy, len(run.done), bisect_right(column, slo_target),
+            min(arrivals.values()), max(b.done for b in run.batches),
+            column)
+
+
+@pytest.mark.parametrize("fan_out,dispatch,resilience", [
+    ("sharded", "shard", ""),
+    ("sharded", "shard", RETRIES[0]),
+    ("geo", "round_robin", "hedge:delay_us=200"),
+    ("geo", "round_robin", "degrade:timeout_us=300"),
+])
+def test_partition_fold_equals_the_per_request_fold(fan_out, dispatch,
+                                                    resilience):
+    options = dict(policy="timeout", batch_size=8, slo_us=FOLD_SLO_US,
+                   resilience=resilience, mode="inline",
+                   memo_cache=FANOUT_MEMO)
+    engine = (ShardedEngine(1, replicas=2, **options)
+              if fan_out == "sharded" else
+              GeoRouter((RegionSpec("solo", replicas=2),),
+                        dispatch=dispatch, **options))
+    (part,) = engine.run_scenario("bursty", FOLD_N, seed=1).outcomes
+    sim = ServingSimulator(
+        "SMART", replicas=2, policy=make_policy("timeout", batch_size=8),
+        dispatch=dispatch, cache=PLAIN_MEMO,
+        slo=SloPolicy(target=FOLD_SLO_US * 1e-6),
+        resilience=resilience or None)
+    scenario = get_scenario("bursty")
+    trace = generate_trace(scenario,
+                           scenario.load * sim.capacity_rps(scenario),
+                           FOLD_N, 1)
+    run = sim.make_engine(
+        {model: sim.network(model) for model in scenario.mix.models()}
+    ).run(trace)
+    assert bool(resilience) == bool(run.retries or run.hedges
+                                    or run.degraded)
+    (column,) = part.digest.columns
+    assert (part.energy, part.requests, part.slo_hits, part.first_arrival,
+            part.last_done, list(column)) \
+        == _per_request_fold(run, trace, FOLD_SLO_US * 1e-6)

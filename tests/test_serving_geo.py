@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 import repro.serving.geo as geo_module
 from repro.__main__ import main
 from repro.errors import ConfigError
+from repro.eval.dashboard import build_report
 from repro.eval.report import percentile
 from repro.runtime import executor as executor_module
 from repro.serving import (
@@ -233,6 +234,20 @@ class TestExactPercentiles:
                     percentile(part.served_latencies, q) * 1e6
                     if part is not None else 0.0)
         assert rows[1]["p50_us"] == rows[1]["p95_us"] == 0.0
+
+    def test_the_idle_region_keeps_its_telemetry(self):
+        """Region 1 is delivered nothing, yet ships its tagged run
+        header like the others, so the dashboard draws one timeline
+        per region."""
+        result = _golden_run(self.CELL, detail=False, trace=True)
+        names = [region.region for region in result.regions]
+        assert result.regions[1].outcome.requests == 0
+        runs = [row for row in result.telemetry_rows if row["ev"] == "run"]
+        assert [row["region"] for row in runs] == names
+        assert result.counters["runs"] == len(names) == 4
+        report = build_report((), telemetry_rows=result.telemetry_rows)
+        assert sorted(entry["region"] for entry in report["timeline"]) \
+            == sorted(names)
 
 
 class _CountingFollowSun(FollowSunDispatch):

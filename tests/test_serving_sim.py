@@ -79,6 +79,17 @@ class TestEventLoop:
         first_latency = result.latencies[0]
         assert first_latency >= 3e-3  # waited for the batch to fill
 
+    def test_result_refuses_a_request_the_run_never_answered(self):
+        """``make_result`` folds the run by request id; a request the
+        run neither answered nor shed is an error, not a silent row."""
+        sim = toy_simulator()
+        trace = tuple(toy_trace(8))
+        run = sim.make_engine({"toy": TOY}).run(trace)
+        stray = Request(99, "toy", trace[-1].arrival)
+        with pytest.raises(KeyError):
+            sim.make_result(trace + (stray,), run, sim.cache.stats,
+                            scenario="", rate=0.0)
+
 
 class TestDispatch:
     def test_round_robin_alternates(self):
