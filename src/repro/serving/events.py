@@ -596,14 +596,6 @@ class ClusterEngine:
             engine never pushes a TIMEOUT / HEDGE / CANCEL event and
             every hot path is byte-identical to the pre-resilience
             engine.
-        warm_cells: (model, batch size) cells to resolve through the
-            service/energy/switch fns up front, at the end of every
-            per-run reset, so the dispatch inner loop starts with a
-            fully warm rate memo.  The fns are deterministic and the
-            cells land in the same per-run dicts a cold run would
-            fill lazily, so emitted results are bit-identical; only
-            honoured when ``memoize_rates`` is on (otherwise the warm
-            cells would be recomputed per dispatch anyway).
     """
 
     def __init__(self, replicas: Sequence[object], policy,
@@ -621,8 +613,6 @@ class ClusterEngine:
                  steal: Optional[WorkStealPolicy] = None,
                  telemetry: Optional[Telemetry] = None,
                  resilience: Optional[str | ResiliencePolicy]
-                 = None,
-                 warm_cells: Optional[Sequence[tuple[str, int]]]
                  = None) -> None:
         if not replicas:
             raise ConfigError("cluster needs at least one replica")
@@ -646,7 +636,6 @@ class ClusterEngine:
         self.resilience = make_resilience(resilience)
         self.failures = failures
         self.memoize_rates = memoize_rates
-        self.warm_cells = tuple(warm_cells) if warm_cells else ()
         self._initial = list(replicas)
 
     # -- per-run state ---------------------------------------------------
@@ -729,17 +718,6 @@ class ClusterEngine:
         self._cancels = 0
         self._degraded = 0
         self._res_timeout = resilience_deadline(res, self.slo)
-        # warm the per-run rate memo before the first arrival: each
-        # cell lands exactly where a cold run's first dispatch would
-        # put it, so warm and cold runs emit identical floats
-        if self.warm_cells and self.memoize_rates:
-            switch_fn = self.switch_fn
-            for replica in self._replicas:
-                acc = replica.accelerator
-                for model, size in self.warm_cells:
-                    self._rate(acc, model, size)
-                    if switch_fn is not None:
-                        self._switch(acc, model, size)
 
     def _handlers(self) -> tuple:
         """Event handlers indexed by :class:`EventKind` value."""

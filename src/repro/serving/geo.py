@@ -9,12 +9,12 @@ as a delivery delay — the request's effective arrival at its serving
 region is its admission instant plus the deterministic comm-time.
 Each region then runs as an independent
 :class:`~repro.serving.events.ClusterEngine` in its own worker
-process.  Region == shard, literally: the fan-out is the sharded core
-in :mod:`repro.serving.sharding` — the same warm start (the parent
-prewarms every region backend's layer cells through one shared memo
-and ships its snapshot to the workers), the same partition worker
-body, the same crash-safe driver (a raising or killed region worker is
-re-run with capped backoff), and the same exact merge of
+process.  Region == shard, literally: :class:`GeoRouter` extends the
+fan-out base (:class:`~repro.serving.sharding._FanOutEngine`, which
+owns and documents the shared configuration) — the same warm start
+(the parent prewarms every region backend's layer cells through one
+shared memo and ships its snapshot to the workers), the same partition
+worker body, the same crash-safe driver, and the same exact merge of
 :class:`~repro.serving.sharding.ShardOutcome` summaries.  A region's
 only own parts are its request source (its routed delivery columns),
 its replica-fault plan, and the network ledger and per-region SLO
@@ -59,28 +59,18 @@ from time import perf_counter
 from typing import Optional, Sequence
 
 from repro.errors import ConfigError
-from repro.runtime.executor import check_map_mode
-from repro.serving.batching import make_policy
 from repro.serving.events import FailurePlan
 from repro.serving.interconnect import Interconnect
 from repro.serving.memo import LayerMemoCache
-from repro.serving.policies import GeoDispatchPolicy, make_geo, make_resilience
+from repro.serving.policies import GeoDispatchPolicy, make_geo
 from repro.serving.sharding import (
     ShardedResult,
     ShardOutcome,
-    _check_deadline,
-    _fan_out,
+    _FanOutEngine,
     _serve_partition,
-    _spec,
-    _warm_cells,
 )
-from repro.serving.simulator import ServingSimulator, _gc_headroom
-from repro.serving.workload import (
-    Request,
-    Scenario,
-    get_scenario,
-    shard_seeds,
-)
+from repro.serving.simulator import ServingSimulator
+from repro.serving.workload import Request, Scenario, shard_seeds
 
 __all__ = [
     "GeoResult",
@@ -616,34 +606,25 @@ class GeoResult(ShardedResult):
 
     def to_row(self) -> dict:
         """The aggregate row ``repro serve-sim --geo N`` prints."""
-        return {
-            "scenario": self.scenario,
-            "policy": self.policy,
-            "geo": self.geo,
-            "regions": len(self.regions),
-            "requests": self.requests,
-            "rate_rps": self.rate,
-            "p50_us": self.latency_percentile(50) * 1e6,
-            "p95_us": self.latency_percentile(95) * 1e6,
-            "p99_us": self.latency_percentile(99) * 1e6,
-            "throughput_rps": self.throughput_rps,
-            "agg_rps": self.simulated_rps,
-            "energy_per_req_uj": (self.energy / self.requests * 1e6
-                                  if self.requests else 0.0),
-            "usd_per_req": (self.cost_usd / self.requests
-                            if self.requests else 0.0),
-            "net_delay_us": (self.net_delay_s / self.requests * 1e6
+        return self._row(
+            {"geo": self.geo, "regions": len(self.regions)},
+            {"usd_per_req": (self.cost_usd / self.requests
                              if self.requests else 0.0),
-            "remote_frac": self.remote_frac,
-            "cache_hit_rate": self.cache.hit_rate,
+             "net_delay_us": (self.net_delay_s / self.requests * 1e6
+                              if self.requests else 0.0),
+             "remote_frac": self.remote_frac},
             # cross-region failover retries, under a resilience policy
-            **self._tail_columns(**({"retried": self.retried}
-                                    if self.resilience else {})),
-        }
+            **({"retried": self.retried} if self.resilience else {}))
 
 
-class GeoRouter:
+class GeoRouter(_FanOutEngine):
     """Fan one logical serving run out across geo regions.
+
+    The arguments not listed here are the shared configuration
+    (:class:`~repro.serving.sharding._FanOutEngine`), identical across
+    regions so cells stay comparable; geo runs keep no checkpoint.
+    Under a resilience policy a storm reroute also charges the failed
+    network leg as a cross-region failover retry.
 
     Args:
         regions: a region count (drawn from :data:`STOCK_REGIONS`) or
@@ -658,40 +639,13 @@ class GeoRouter:
             the regions instead of replicas, seeded by the run's seed;
             arrivals for a dark region reroute to the nearest healthy
             one.
-        policy / batch_size / dispatch / slo_us: each region engine's
-            batching, replica dispatch and SLO — identical across
-            regions so cells stay comparable.
-        mode / max_workers: the :func:`~repro.runtime.executor.
-            parallel_map` pool (one worker per region); ``mode`` is one
-            of :data:`~repro.runtime.executor.MAP_MODES`.  A region
-            worker that raises or dies is re-run by the sharded
-            fan-out loop with the budget every fan-out shares (2
-            retries, capped exponential backoff from 0.05 s); geo runs
-            keep no checkpoint.
-        detail: keep per-request arrays and merge a full bit-exact
-            :class:`~repro.serving.simulator.ServingResult` (the
-            zero-drift proof path).  Fleet and region percentiles are
-            exact either way, read off each region's sorted latency
-            column.
-        trace / trace_events: per-region telemetry, rows tagged with
-            their region name.
-        resilience: client resilience policy spec (``"retry"`` /
-            ``"hedge"`` / ``"degrade"``, with ``name:key=value``
-            options) applied inside every region engine; a storm
-            reroute then also charges the failed network leg as a
-            cross-region failover retry.
-        memo_cache: the shared parent-side
-            :class:`~repro.serving.memo.LayerMemoCache` to calibrate
-            and prewarm through across runs (the ``--persist-memo``
-            path), or one with a :class:`~repro.serving.memo.
-            MemoSnapshot` installed to seed it; default a fresh
-            private one.
 
     Raises:
-        ConfigError: from :func:`validate_geo` for malformed fleets,
-            and for a ``retry`` or ``hedge`` spec with neither its own
-            deadline nor ``slo_us``.
+        ConfigError: from :func:`validate_geo` for malformed fleets.
     """
+
+    _worker = (__name__, "_serve_geo_region")
+    _result = GeoResult
 
     def __init__(self, regions: int | Sequence[RegionSpec], *,
                  topology: str = "mesh",
@@ -709,59 +663,29 @@ class GeoRouter:
         self.regions: tuple[RegionSpec, ...] = tuple(regions)
         validate_geo(self.regions, geo=geo, topology=topology,
                      storms=storms)
-        make_policy(policy, batch_size=batch_size)  # fail fast
-        # fail fast on a bad spec, or one with no deadline; normalise
-        # "none"/"" to the empty spec
-        _check_deadline(resilience, slo_us)
-        self.resilience = \
-            resilience if make_resilience(resilience) is not None else ""
+        super().__init__(
+            (spec.accelerator for spec in self.regions), policy=policy,
+            batch_size=batch_size, dispatch=dispatch, slo_us=slo_us,
+            mode=mode, max_workers=max_workers, detail=detail,
+            trace=trace, trace_events=trace_events,
+            resilience=resilience, memo_cache=memo_cache)
         self.topology = topology
         # route with the instance itself: a custom policy (or a
         # subclass reusing a stock name) is what the scan must call
         self._geo = make_geo(geo)
         self.geo = self._geo.name
         self.storms = storms
-        self.policy = policy
-        self.batch_size = batch_size
-        self.dispatch = dispatch
-        self.slo_us = slo_us
-        self.mode = check_map_mode(mode)
-        self.max_workers = max_workers
-        self.detail = detail
-        self.trace = trace
-        self.trace_events = trace_events
-        self._warm_cache = (memo_cache if memo_cache is not None
-                            else LayerMemoCache())
 
-    @_gc_headroom()
-    def run_scenario(self, scenario: Scenario | str, n_requests: int,
-                     seed: int = 0) -> GeoResult:
-        """Calibrate and prewarm regions, route every request once, fan
-        the regions out, and merge.  ``wall_s`` times all of it."""
-        t_start = perf_counter()
-        if isinstance(scenario, str):
-            scenario = get_scenario(scenario)
-        if n_requests < 1:
-            raise ConfigError("trace needs at least one request")
+    def _run(self, scenario: Scenario, n_requests: int, seed: int,
+             t_start: float) -> GeoResult:
         fleet = self.regions
         count = len(fleet)
-        # per-region calibration: each region's own accelerator and
-        # pool set its capacity, exactly as the monolithic path would
-        # calibrate that region alone — the single-region zero-drift
-        # anchor depends on this equality
-        calibrators = [
-            ServingSimulator(
-                accelerator=spec.accelerator, replicas=spec.replicas,
-                policy=make_policy(self.policy,
-                                   batch_size=self.batch_size),
-                dispatch=self.dispatch,
-                # one shared memo across the fleet: the structural
-                # keying separates backends, and everything it
-                # accumulates feeds the broadcast snapshot
-                cache=self._warm_cache,
-            )
-            for spec in fleet
-        ]
+        # each region's own accelerator and pool set its capacity, as
+        # the monolithic path would calibrate that region alone (the
+        # single-region zero-drift anchor depends on this equality);
+        # the one shared memo keys backends apart structurally
+        calibrators = [self._calibrator(spec.accelerator, spec.replicas)
+                       for spec in fleet]
         capacities = tuple(cal.capacity_rps(scenario)
                            for cal in calibrators)
         rates = tuple(scenario.load * cap for cap in capacities)
@@ -790,8 +714,8 @@ class GeoRouter:
             accelerators=[cal.accelerator for cal in calibrators],
             policy=calibrators[0].policy, cache=self._warm_cache,
         ).prewarm(scenario)
-        spec = _spec(
-            self, scenario,
+        spec = self._spec(
+            scenario,
             regions=tuple((s.name, s.accelerator, s.replicas, s.price,
                            s.tz) for s in fleet),
             topology=self.topology, geo=self.geo, rates=rates,
@@ -800,7 +724,6 @@ class GeoRouter:
             # a ~100-request observation window for spillover's
             # assigned-rate estimate, scaled to the offered rate
             window_s=100.0 / max(total_rate, 1e-12),
-            warm_cells=_warm_cells(scenario, batch),
         )
         admissions = _admissions(spec)
         outages: tuple = ()
@@ -810,14 +733,12 @@ class GeoRouter:
                 max(arrivals[-1] for arrivals, _ in admissions), count)
         columns, ledgers, spec["span"] = _route_once(
             spec, self._geo, outages, admissions)
-        outcomes, reruns = _fan_out(
-            (__name__, "_serve_geo_region"),
+        outcomes, reruns = self._fan_out(
             [dict(spec, shard=i, accelerator=s.accelerator,
                   replicas=s.replicas, rate=rates[i],
                   deliveries=columns[i])
              for i, s in enumerate(fleet)],
-            mode=self.mode, max_workers=self.max_workers,
-            snapshot=snapshot)
+            snapshot)
         regions = tuple(
             RegionOutcome(
                 region=s.name, index=i, accelerator=s.accelerator,
@@ -827,13 +748,10 @@ class GeoRouter:
                 retried=retried, delay_s=delay, outcome=outcome)
             for i, (s, (remote, rerouted, retried, delay), outcome)
             in enumerate(zip(fleet, ledgers, outcomes)))
-        return GeoResult.merge(
-            outcomes, t_start=t_start, retried=reruns,
-            scenario=scenario.name, policy=self.policy,
-            dispatch=self.dispatch,
+        return self._merge(
+            outcomes, reruns, t_start, scenario,
             accelerator=(fleet[0].accelerator if count == 1
                          else f"geo[{count}]"),
             replicas=sum(s.replicas for s in fleet), rate=total_rate,
-            slo_target=self.slo_us * 1e-6, resilience=self.resilience,
             geo=self.geo, topology=self.topology, storms=self.storms,
             regions=regions)

@@ -45,12 +45,16 @@ shard-stable (their backoff jitter is a pure hash of seed, request id
 and attempt, and retried singletons re-dispatch to the model's home
 replica), so ``resilience="retry"`` shards exactly.
 
-This is also the fan-out core the geo tier runs on (region == shard):
-one partition worker body (:func:`_serve_partition`) fed by a shard's
-trace slice or a geo region's routed deliveries; one crash-safe driver
-(:func:`_fan_out`) that re-runs crashed workers with capped backoff
-and can checkpoint completed outcomes, so an interrupted run resumes
-with only the missing partitions; and one exact merge into
+This is also the fan-out core the geo tier runs on (region == shard).
+One base, :class:`_FanOutEngine`, owns the configuration
+:class:`ShardedEngine` and :class:`~repro.serving.geo.GeoRouter`
+share and everything that reads it: the fail-fast checks, the
+calibrating simulator, the partition spec, and one crash-safe driver
+that re-runs crashed workers with capped backoff and can checkpoint
+completed outcomes, so an interrupted run resumes with only the
+missing partitions.  Every partition runs one worker body
+(:func:`_serve_partition`), fed by a shard's trace slice or a geo
+region's routed deliveries, and one exact merge reduces them into
 :class:`ShardedResult`, which :class:`~repro.serving.geo.GeoResult`
 extends.
 """
@@ -69,12 +73,13 @@ from itertools import chain
 from time import perf_counter
 from typing import Iterable, Optional, Sequence
 
+from repro.core import make_accelerator
 from repro.errors import ConfigError
 from repro.eval.report import nearest_rank
 from repro.runtime.executor import (check_map_mode, parallel_map,
                                     worker_payload)
 from repro.serving.batching import make_policy
-from repro.serving.policies import make_resilience
+from repro.serving.policies import make_dispatch, make_resilience
 from repro.serving.events import FailurePlan, SloPolicy, resilience_deadline
 from repro.serving.memo import CacheStats, LayerMemoCache, MemoSnapshot
 from repro.serving.simulator import (ENGINE_COUNTERS, ServingResult,
@@ -109,7 +114,8 @@ SHARD_STABLE_DISPATCH = ("shard",)
 SHARD_STABLE_RESILIENCE = ("retry",)
 
 #: Worker-crash retry budget and base backoff (s) of every fan-out,
-#: sharded and geo alike; :func:`_fan_out` reads them at call time.
+#: sharded and geo alike; :meth:`_FanOutEngine._fan_out` reads them
+#: at call time.
 _SHARD_RETRIES = 2
 _RETRY_BACKOFF_S = 0.05
 
@@ -190,14 +196,6 @@ def validate_sharding(shards: int, *, replicas: int,
                 f"scenario '{scenario.name}' injects replica faults; "
                 f"failure re-dispatch is not shard-stable"
             )
-
-
-def _check_deadline(resilience: str, slo_us: float) -> None:
-    """Raise the engine's :class:`ConfigError` for a resilience spec
-    with no deadline under ``slo_us`` when a fan-out is built, not after
-    its calibration, prewarm and every fan-out round."""
-    resilience_deadline(make_resilience(resilience),
-                        SloPolicy(target=slo_us * 1e-6) if slo_us else None)
 
 
 class LatencyDigest:
@@ -281,25 +279,6 @@ class ShardOutcome:
     degraded: int = 0
 
 
-def _spec(engine, scenario: Scenario, **extra) -> dict:
-    """The partition spec both fan-out engines share, plus ``extra``:
-    the :class:`Scenario` object itself (a custom one needs no registry
-    round-trip in the worker) and ``engine``'s batching, SLO,
-    resilience and detail/telemetry switches."""
-    return {"scenario": scenario, "policy": engine.policy,
-            "batch_size": engine.batch_size, "dispatch": engine.dispatch,
-            "slo_us": engine.slo_us, "resilience": engine.resilience,
-            "detail": engine.detail, "trace": engine.trace,
-            "trace_events": engine.trace_events, **extra}
-
-
-def _warm_cells(scenario: Scenario, max_batch: int) -> tuple:
-    """Every (model, batch) cell a warm worker resolves at run start."""
-    return tuple((model, batch)
-                 for model in sorted(scenario.mix.models())
-                 for batch in range(1, max_batch + 1))
-
-
 @_gc_headroom()
 def _serve_partition(spec: dict, requests: Iterable[Request],
                      span: tuple[float, float], tags: dict,
@@ -339,8 +318,7 @@ def _serve_partition(spec: dict, requests: Iterable[Request],
         resilience=spec["resilience"] or None,
     )
     networks = {m: sim.network(m) for m in scenario.mix.models()}
-    engine = sim.make_engine(networks, failures=failures,
-                             warm_cells=spec["warm_cells"])
+    engine = sim.make_engine(networks, failures=failures)
 
     kept = tuple(requests) if spec["detail"] else ()
     stream = iter(kept if spec["detail"] else requests)
@@ -481,58 +459,6 @@ def _save_checkpoint(path: Optional[str], fingerprint: str,
         pickle.dump({"fingerprint": fingerprint,
                      "outcomes": dict(done)}, handle)
     os.replace(tmp, path)
-
-
-def _fan_out(worker: tuple[str, str], specs: Sequence[dict], *,
-             mode: str, max_workers: Optional[int],
-             snapshot: MemoSnapshot,
-             checkpoint: Optional[str] = None,
-             ) -> tuple[tuple[ShardOutcome, ...], int]:
-    """The one crash-safe driver: serve every partition spec, each
-    worker warmed once with ``snapshot`` as its pool payload.
-
-    Failed partitions are re-run with capped exponential backoff from
-    :data:`_RETRY_BACKOFF_S`, for at most :data:`_SHARD_RETRIES` more
-    rounds; with a ``checkpoint``, completed outcomes land there after
-    every round and a rerun of the same configuration serves only the
-    missing ones.  Returns the outcomes in spec order and the number
-    of partition re-runs.
-    """
-    retries, backoff_s = _SHARD_RETRIES, _RETRY_BACKOFF_S
-    # only a checkpoint needs the fingerprint: a geo spec carries its
-    # delivery columns, far too big to repr on every call
-    fingerprint = _spec_fingerprint(specs[0]) if checkpoint else ""
-    done = _load_checkpoint(checkpoint, fingerprint)
-    retried = 0
-    attempt = 0
-    while True:
-        pending = [s for s in specs if s["shard"] not in done]
-        if not pending:
-            break
-        if attempt:
-            time.sleep(min(backoff_s * 2 ** (attempt - 1),
-                           _BACKOFF_CAP_S))
-        stats: dict = {}
-        batch = parallel_map(_serve_safe, [(worker, s) for s in pending],
-                             mode=mode, max_workers=max_workers,
-                             stats=stats, payload=snapshot)
-        retried += stats.get("retried", 0)
-        failures = []
-        for item in batch:
-            if isinstance(item, ShardOutcome):
-                done[item.shard] = item
-            else:
-                failures.append(item)
-        _save_checkpoint(checkpoint, fingerprint, done)
-        if not failures:
-            break
-        attempt += 1
-        if attempt > retries:
-            raise RuntimeError(
-                f"shard {failures[0].shard} still failing after "
-                f"{retries} retries: {failures[0].error}")
-        retried += len(failures)
-    return tuple(done[s["shard"]] for s in specs), retried
 
 
 @dataclass
@@ -720,27 +646,16 @@ class ShardedResult:
         without ``detail``: read across the partitions' columns."""
         return self.digest.percentile(q)
 
-    def _tail_columns(self, **extra) -> dict:
-        """The columns every fan-out row ends with, each only when
-        active: SLO attainment, the engine counters, ``extra``,
-        partition re-runs and the warm fleet's counters."""
-        row = {"slo_attain": self.slo_attainment} if self.slo_target else {}
-        row.update(counter_columns(self), **extra)
-        if self.shard_retries:
-            row["shard_retries"] = self.shard_retries
-        if self.cache.seeded:
-            # warm-fleet effectiveness: snapshot cells shipped across
-            # all partitions and how many turned into warm promotions
-            row["memo_seeded"] = self.cache.seeded
-            row["warm_hits"] = self.cache.seed_hits
-        return row
-
-    def to_row(self) -> dict:
-        """The reporting row ``repro serve-sim --shards N`` prints."""
-        return {
+    def _row(self, label: dict, costs: dict, **extra) -> dict:
+        """One fan-out reporting row: the shared columns, with the
+        engine's ``label`` columns after the policy and its ``costs``
+        after the energy; then, each only when active, SLO attainment,
+        the engine counters, ``extra``, partition re-runs and the warm
+        fleet's counters."""
+        row = {
             "scenario": self.scenario,
             "policy": self.policy,
-            "shards": self.shards,
+            **label,
             "requests": self.requests,
             "rate_rps": self.rate,
             "p50_us": self.latency_percentile(50) * 1e6,
@@ -750,29 +665,46 @@ class ShardedResult:
             "agg_rps": self.simulated_rps,
             "energy_per_req_uj": (self.energy / self.requests * 1e6
                                   if self.requests else 0.0),
-            "mean_batch": self.mean_batch,
-            "utilization": self.utilization,
+            **costs,
             "cache_hit_rate": self.cache.hit_rate,
-            **self._tail_columns(),
         }
+        if self.slo_target:
+            row["slo_attain"] = self.slo_attainment
+        row.update(counter_columns(self), **extra)
+        if self.shard_retries:
+            row["shard_retries"] = self.shard_retries
+        if self.cache.seeded:
+            # warm-fleet effectiveness: snapshot cells shipped across
+            # all partitions, and how many of them the runs looked up
+            row["memo_seeded"] = self.cache.seeded
+            row["warm_hits"] = self.cache.seed_hits
+        return row
+
+    def to_row(self) -> dict:
+        """The reporting row ``repro serve-sim --shards N`` prints."""
+        return self._row({"shards": self.shards},
+                         {"mean_batch": self.mean_batch,
+                          "utilization": self.utilization})
 
 
-class ShardedEngine:
-    """Fan one logical serving run out across worker processes.
+class _FanOutEngine:
+    """The configuration both fan-out engines share, and what reads it.
 
-    Every shard routes with the one shard-stable dispatch, ``shard``.
-    A crashed or raising worker shard is re-run with the budget every
-    fan-out shares (2 retries, capped exponential backoff from
-    0.05 s).
+    :class:`ShardedEngine` and :class:`~repro.serving.geo.GeoRouter`
+    differ only in how ``_run`` cuts a run into partitions.  Both
+    calibrate and prewarm through the parent's warm memo, serve their
+    partition specs with one crash-safe driver (a crashed or raising
+    partition is re-run up to 2 times, with capped exponential backoff
+    from 0.05 s) and merge the outcomes into their result type.
 
     Args:
-        shards: worker shard count (each one independent
-            :class:`~repro.serving.events.ClusterEngine` over the full
-            replica pool, fed only its models' traffic).
-        accelerator: replica configuration scheme name.
-        replicas: cluster width; must be >= ``shards``.
-        policy: batching policy name (``fixed``/``timeout``).
+        accelerators: every replica configuration scheme the
+            partitions run (each is built once here, to check it).
+        policy: batching policy name (``fixed``/``timeout``) of every
+            partition engine, with ``batch_size``.
         batch_size: batching policy batch size.
+        dispatch: replica dispatch of every partition engine, one of
+            :data:`~repro.serving.events.DISPATCH_STRATEGIES`.
         slo_us: per-request latency SLO (us); 0 disables.
         mode: executor mode, one of :data:`~repro.runtime.executor.
             MAP_MODES` (``process``/``thread``/``inline``) — the
@@ -783,20 +715,17 @@ class ShardedEngine:
             :class:`ServingResult` (the equivalence-test path; costs
             O(n) parent memory, leave off at million-request scale).
             Percentiles are exact either way: without ``detail`` a
-            shard ships only its sorted latency column, 8 bytes per
-            served request.
-        trace: record per-shard telemetry (shard-tagged rows on
-            ``result.telemetry_rows``), its timeline sampled every
-            :data:`~repro.serving.telemetry.TIMELINE_TICK`.
+            partition ships only its sorted latency column, 8 bytes
+            per served request.
+        trace: record per-partition telemetry (rows tagged with their
+            shard or region on ``result.telemetry_rows``), its
+            timeline sampled every :data:`~repro.serving.telemetry.
+            TIMELINE_TICK`.
         trace_events: include per-request event rows in the trace
             (off keeps only timeline samples — the scale default).
-        resilience: client resilience spec string; only shard-stable
-            policies (:data:`SHARD_STABLE_RESILIENCE`) are accepted.
-        checkpoint: optional path; completed :class:`ShardOutcome`
-            pickles land there after every fan-out round, and a rerun
-            with the same configuration resumes from them, serving
-            only the missing shards.  A checkpoint written by a
-            different configuration is ignored and overwritten.
+        resilience: client resilience spec string (``"retry"`` /
+            ``"hedge"`` / ``"degrade"``, with ``name:key=value``
+            options) applied inside every partition engine.
         memo_cache: the parent-side :class:`LayerMemoCache` to
             calibrate and prewarm through; pass a shared instance to
             accumulate warm totals across runs (the ``--persist-memo``
@@ -804,13 +733,170 @@ class ShardedEngine:
             seed it, default a fresh private one.
 
     Raises:
-        ConfigError: from :func:`validate_sharding`, for any
-            combination whose sharded results would not be exact, and
-            for a ``retry`` spec with neither ``timeout_us`` nor
-            ``slo_us``.
+        ConfigError: for an unknown batching policy, replica dispatch,
+            accelerator scheme, resilience spec or execution mode, and
+            for a ``retry`` or ``hedge`` spec with neither its own
+            deadline nor ``slo_us``.
     """
 
-    dispatch = SHARD_STABLE_DISPATCH[0]
+    #: The partition worker body, as :func:`_serve_safe` looks it up.
+    _worker: tuple[str, str]
+    #: The result type :meth:`_merge` builds.
+    _result: type
+    #: Where completed outcomes are checkpointed; geo runs keep none.
+    checkpoint: Optional[str] = None
+
+    def __init__(self, accelerators: Iterable[str], *, policy: str,
+                 batch_size: int, dispatch: str, slo_us: float,
+                 mode: str, max_workers: Optional[int], detail: bool,
+                 trace: bool, trace_events: bool, resilience: str,
+                 memo_cache: Optional[LayerMemoCache]) -> None:
+        # fail here, not in the first run's calibration or workers
+        make_policy(policy, batch_size=batch_size)
+        make_dispatch(dispatch)
+        for scheme in dict.fromkeys(accelerators):
+            make_accelerator(scheme)
+        res = make_resilience(resilience)
+        resilience_deadline(res, SloPolicy(target=slo_us * 1e-6)
+                            if slo_us else None)
+        self.policy = policy
+        self.batch_size = batch_size
+        self.dispatch = dispatch
+        self.slo_us = slo_us
+        self.mode = check_map_mode(mode)
+        self.max_workers = max_workers
+        self.detail = detail
+        self.trace = trace
+        self.trace_events = trace_events
+        # normalise "none"/"" to the empty spec so rows stay clean
+        self.resilience = resilience if res is not None else ""
+        self._warm_cache = (memo_cache if memo_cache is not None
+                            else LayerMemoCache())
+
+    @_gc_headroom()
+    def run_scenario(self, scenario: Scenario | str, n_requests: int,
+                     seed: int = 0) -> ShardedResult:
+        """Calibrate, prewarm, partition, fan out and merge one
+        scenario run (the partitioning is the engine's ``_run``).
+        ``wall_s`` times all of it."""
+        t_start = perf_counter()
+        if isinstance(scenario, str):
+            scenario = get_scenario(scenario)
+        if n_requests < 1:
+            raise ConfigError("trace needs at least one request")
+        return self._run(scenario, n_requests, seed, t_start)
+
+    def _calibrator(self, accelerator: str,
+                    replicas: int) -> ServingSimulator:
+        """A partition's simulator over the parent's warm memo: it
+        calibrates the offered rate exactly as the monolithic path
+        does, so fan-out and monolithic runs serve the same trace, and
+        every cell it resolves feeds the broadcast snapshot."""
+        return ServingSimulator(
+            accelerator=accelerator, replicas=replicas,
+            policy=make_policy(self.policy, batch_size=self.batch_size),
+            dispatch=self.dispatch, cache=self._warm_cache)
+
+    def _spec(self, scenario: Scenario, **extra) -> dict:
+        """The partition spec :func:`_serve_partition` reads: the
+        :class:`Scenario` object itself (a custom one needs no registry
+        round-trip in the worker), the engine's batching, SLO,
+        resilience and detail/telemetry switches, and ``extra``."""
+        return {"scenario": scenario, "policy": self.policy,
+                "batch_size": self.batch_size, "dispatch": self.dispatch,
+                "slo_us": self.slo_us, "resilience": self.resilience,
+                "detail": self.detail, "trace": self.trace,
+                "trace_events": self.trace_events, **extra}
+
+    def _fan_out(self, specs: Sequence[dict], snapshot: MemoSnapshot
+                 ) -> tuple[tuple[ShardOutcome, ...], int]:
+        """The one crash-safe driver: serve every partition spec on
+        the engine's pool, each worker warmed once with ``snapshot`` as
+        its pool payload.
+
+        Failed partitions are re-run with capped exponential backoff
+        from :data:`_RETRY_BACKOFF_S`, for at most
+        :data:`_SHARD_RETRIES` more rounds; with a ``checkpoint``,
+        completed outcomes land there after every round and a rerun of
+        the same configuration serves only the missing ones.  Returns
+        the outcomes in spec order and the partition re-run count.
+        """
+        retries, backoff_s = _SHARD_RETRIES, _RETRY_BACKOFF_S
+        checkpoint = self.checkpoint
+        # only a checkpoint needs the fingerprint: a geo spec carries
+        # its delivery columns, far too big to repr on every call
+        fingerprint = _spec_fingerprint(specs[0]) if checkpoint else ""
+        done = _load_checkpoint(checkpoint, fingerprint)
+        retried = 0
+        attempt = 0
+        while True:
+            pending = [s for s in specs if s["shard"] not in done]
+            if not pending:
+                break
+            if attempt:
+                time.sleep(min(backoff_s * 2 ** (attempt - 1),
+                               _BACKOFF_CAP_S))
+            stats: dict = {}
+            batch = parallel_map(
+                _serve_safe, [(self._worker, s) for s in pending],
+                mode=self.mode, max_workers=self.max_workers,
+                stats=stats, payload=snapshot)
+            retried += stats.get("retried", 0)
+            failures = []
+            for item in batch:
+                if isinstance(item, ShardOutcome):
+                    done[item.shard] = item
+                else:
+                    failures.append(item)
+            _save_checkpoint(checkpoint, fingerprint, done)
+            if not failures:
+                break
+            attempt += 1
+            if attempt > retries:
+                raise RuntimeError(
+                    f"shard {failures[0].shard} still failing after "
+                    f"{retries} retries: {failures[0].error}")
+            retried += len(failures)
+        return tuple(done[s["shard"]] for s in specs), retried
+
+    def _merge(self, outcomes: tuple[ShardOutcome, ...], retried: int,
+               t_start: float, scenario: Scenario,
+               **run) -> ShardedResult:
+        """:meth:`ShardedResult.merge` into the engine's result type,
+        naming the run by the engine's configuration plus ``run``."""
+        return self._result.merge(
+            outcomes, t_start=t_start, retried=retried,
+            scenario=scenario.name, policy=self.policy,
+            dispatch=self.dispatch, slo_target=self.slo_us * 1e-6,
+            resilience=self.resilience, **run)
+
+
+class ShardedEngine(_FanOutEngine):
+    """Fan one logical serving run out across worker processes.
+
+    Every shard routes with the one shard-stable dispatch, ``shard``,
+    and accepts only :data:`SHARD_STABLE_RESILIENCE`; the arguments not
+    listed here are the shared configuration (:class:`_FanOutEngine`).
+
+    Args:
+        shards: worker shard count (each one independent
+            :class:`~repro.serving.events.ClusterEngine` over the full
+            replica pool, fed only its models' traffic).
+        accelerator: replica configuration scheme name.
+        replicas: cluster width; must be >= ``shards``.
+        checkpoint: optional path; completed :class:`ShardOutcome`
+            pickles land there after every fan-out round, and a rerun
+            with the same configuration resumes from them, serving
+            only the missing shards.  A checkpoint written by a
+            different configuration is ignored and overwritten.
+
+    Raises:
+        ConfigError: from :func:`validate_sharding`, for any
+            combination whose sharded results would not be exact.
+    """
+
+    _worker = (__name__, "_serve_shard")
+    _result = ShardedResult
 
     def __init__(self, shards: int, accelerator: str = "SMART",
                  replicas: int = 2, policy: str = "timeout",
@@ -823,68 +909,35 @@ class ShardedEngine:
                  checkpoint: Optional[str] = None,
                  memo_cache: Optional[LayerMemoCache] = None) -> None:
         validate_sharding(shards, replicas=replicas, resilience=resilience)
-        _check_deadline(resilience, slo_us)
-        make_policy(policy, batch_size=batch_size)  # fail fast
+        super().__init__(
+            (accelerator,), policy=policy, batch_size=batch_size,
+            dispatch=SHARD_STABLE_DISPATCH[0], slo_us=slo_us, mode=mode,
+            max_workers=max_workers, detail=detail, trace=trace,
+            trace_events=trace_events, resilience=resilience,
+            memo_cache=memo_cache)
         self.shards = shards
         self.accelerator = accelerator
         self.replicas = replicas
-        self.policy = policy
-        self.batch_size = batch_size
-        self.slo_us = slo_us
-        self.mode = check_map_mode(mode)
-        self.max_workers = max_workers
-        self.detail = detail
-        self.trace = trace
-        self.trace_events = trace_events
-        # normalise "none"/"" to the empty spec so rows stay clean
-        self.resilience = \
-            resilience if make_resilience(resilience) is not None else ""
         self.checkpoint = checkpoint
-        self._warm_cache = (memo_cache if memo_cache is not None
-                            else LayerMemoCache())
 
-    @_gc_headroom()
-    def run_scenario(self, scenario: Scenario | str, n_requests: int,
-                     seed: int = 0) -> ShardedResult:
-        """Calibrate, prewarm, shard, fan out, and merge one scenario
-        run.  ``wall_s`` times all of it."""
-        t_start = perf_counter()
-        if isinstance(scenario, str):
-            scenario = get_scenario(scenario)
+    def _run(self, scenario: Scenario, n_requests: int, seed: int,
+             t_start: float) -> ShardedResult:
         validate_sharding(self.shards, replicas=self.replicas,
                           resilience=self.resilience,
                           scenarios=(scenario,))
-        if n_requests < 1:
-            raise ConfigError("trace needs at least one request")
-        # calibrate the offered rate exactly as the monolithic path
-        # does, so sharded and monolithic runs serve the same trace;
-        # the calibrator runs over the parent's warm cache, so its
-        # cells feed straight into the broadcast snapshot
-        calibrator = ServingSimulator(
-            accelerator=self.accelerator, replicas=self.replicas,
-            policy=make_policy(self.policy, batch_size=self.batch_size),
-            dispatch=self.dispatch,
-            cache=self._warm_cache,
-        )
+        calibrator = self._calibrator(self.accelerator, self.replicas)
         rate = scenario.load * calibrator.capacity_rps(scenario)
         # one parent-side pass resolves every layer cell and the
         # global trace span; workers then skip both
         snapshot = calibrator.prewarm(scenario)
-        spec = _spec(self, scenario, rate=rate, n=n_requests, seed=seed,
-                     shards=self.shards, replicas=self.replicas,
-                     accelerator=self.accelerator,
-                     span=trace_span(scenario, rate, n_requests, seed),
-                     warm_cells=_warm_cells(scenario,
-                                            calibrator.policy.max_batch))
-        outcomes, retried = _fan_out(
-            (__name__, "_serve_shard"),
+        spec = self._spec(scenario, rate=rate, n=n_requests, seed=seed,
+                          shards=self.shards, replicas=self.replicas,
+                          accelerator=self.accelerator,
+                          span=trace_span(scenario, rate, n_requests,
+                                          seed))
+        outcomes, retried = self._fan_out(
             [dict(spec, shard=shard) for shard in range(self.shards)],
-            mode=self.mode, max_workers=self.max_workers,
-            snapshot=snapshot, checkpoint=self.checkpoint)
-        return ShardedResult.merge(
-            outcomes, t_start=t_start, retried=retried,
-            scenario=scenario.name, policy=self.policy,
-            dispatch=self.dispatch,
-            accelerator=self.accelerator, replicas=self.replicas,
-            rate=rate, slo_target=self.slo_us * 1e-6,
-            resilience=self.resilience)
+            snapshot)
+        return self._merge(outcomes, retried, t_start, scenario,
+                           accelerator=self.accelerator,
+                           replicas=self.replicas, rate=rate)

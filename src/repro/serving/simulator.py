@@ -568,18 +568,15 @@ class ServingSimulator:
         )
 
     def make_engine(self, networks: Mapping[str, Network],
-                    failures: Optional[FailurePlan] = None,
-                    warm_cells: Optional[Sequence[tuple[str, int]]]
-                    = None) -> ClusterEngine:
+                    failures: Optional[FailurePlan] = None
+                    ) -> ClusterEngine:
         """The configured :class:`ClusterEngine` over resolved models.
 
         ``networks`` maps every model name the trace may carry to its
         :class:`Network` — callers resolve names up front so the
         engine's dispatch path never does.  Shared by :meth:`run` and
         the sharded runner (each shard builds its own engine in its
-        worker process).  ``warm_cells`` (model, batch) are handed
-        to the engine to resolve at run start — see
-        :class:`~repro.serving.events.ClusterEngine`.
+        worker process).
         """
         cache = self.cache
         return ClusterEngine(
@@ -598,7 +595,6 @@ class ServingSimulator:
             # with the memo disabled the run is the uncached reference
             # path: every dispatch must reach the fns (and count)
             memoize_rates=cache.enabled,
-            warm_cells=warm_cells,
         )
 
     def _mix_capacity_rps(self, requests: Sequence[Request]) -> float:

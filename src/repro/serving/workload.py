@@ -46,7 +46,7 @@ import zlib
 from bisect import bisect
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice
 from typing import Iterable, Iterator
 
 from repro.errors import ConfigError
@@ -512,8 +512,7 @@ def get_scenario(name: str) -> Scenario:
 
 
 def generate_trace(scenario: Scenario, rate: float, n: int,
-                   seed: int = 0, *,
-                   region: str = "") -> tuple[Request, ...]:
+                   seed: int = 0) -> tuple[Request, ...]:
     """A deterministic request trace for one scenario.
 
     Args:
@@ -521,23 +520,20 @@ def generate_trace(scenario: Scenario, rate: float, n: int,
         rate: absolute arrival rate (requests/s).
         n: trace length.
         seed: RNG seed; the same seed reproduces the same trace.
-        region: home-region tag stamped on every request ("" for
-            single-region runs; arrival draws are unaffected).
     """
     if n < 1:
         raise ConfigError("trace needs at least one request")
     rng = _random.Random(seed)
     times = scenario.process(rate).generate(n, rng)
     models = scenario.mix.draw(rng, n)
-    return tuple(map(Request, range(n), models, times, repeat(region)))
+    return tuple(map(Request, range(n), models, times))
 
 
 # ---------------------------------------------------------------------------
 # Streaming + sharding
 # ---------------------------------------------------------------------------
 def stream_trace(scenario: Scenario, rate: float, n: int,
-                 seed: int = 0, *,
-                 region: str = "") -> Iterator[Request]:
+                 seed: int = 0) -> Iterator[Request]:
     """The :func:`generate_trace` trace as a stream, one block resident.
 
     Yields the exact same :class:`Request` objects, in the same order:
@@ -559,11 +555,10 @@ def stream_trace(scenario: Scenario, rate: float, n: int,
     burn_draws(process, n, rng_models)
     draw = scenario.mix.draw
     times = process.times(n, _random.Random(seed))
-    tags = repeat(region)
     for ids in _blocks(n):
         k = len(ids)
         yield from map(Request, ids, draw(rng_models, k),
-                       islice(times, k), tags)
+                       islice(times, k))
 
 
 def _span(times: Iterator[float]) -> tuple[float, float]:
@@ -635,7 +630,7 @@ class TraceShard:
 
     def __init__(self, scenario: Scenario, rate: float, n: int,
                  seed: int, *, shards: int, shard: int,
-                 replicas: int, region: str = "",
+                 replicas: int,
                  span: tuple[float, float] | None = None) -> None:
         if n < 1:
             raise ConfigError("trace needs at least one request")
@@ -653,7 +648,6 @@ class TraceShard:
         self.shards = shards
         self.shard = shard
         self.replicas = replicas
-        self.region = region
         self._consumed = False
         # Burn the model RNG through the time draws (as stream_trace
         # does).  Without a parent-supplied span the burn is a real
@@ -682,7 +676,6 @@ class TraceShard:
         owned = {model: shard_key(model, self.replicas,
                                   self.shards) == self.shard
                  for model in self.scenario.mix.models()}
-        tags = repeat(self.region)
         for ids in _blocks(self.n):
             k = len(ids)
             models = draw(rng_models, k)
@@ -692,24 +685,20 @@ class TraceShard:
             keep = list(map(owned.__getitem__, models))
             yield from map(Request, compress(ids, keep),
                            compress(models, keep),
-                           compress(arrivals, keep), tags)
+                           compress(arrivals, keep))
 
 
 def shard_trace(scenario: Scenario, rate: float, n: int, seed: int = 0,
                 *, shards: int, shard: int,
-                replicas: int, region: str = "",
+                replicas: int,
                 span: tuple[float, float] | None = None) -> TraceShard:
     """One shard's streamed slice of the global seeded trace.
 
     See :class:`TraceShard`; this is the deterministic shard-splitter
     — no full trace is materialised in any process, and every request
     of ``generate_trace(scenario, rate, n, seed)`` is yielded by
-    exactly one of the ``shards`` slices.  A ``region`` tag is carried
-    through to the yielded requests unchanged, so region-tagged
-    streams shard without losing their home label; a parent-computed
-    ``span`` (:func:`trace_span`) spares the worker its own arrival
-    pass.
+    exactly one of the ``shards`` slices; a parent-computed ``span``
+    (:func:`trace_span`) spares the worker its own arrival pass.
     """
     return TraceShard(scenario, rate, n, seed, shards=shards,
-                      shard=shard, replicas=replicas, region=region,
-                      span=span)
+                      shard=shard, replicas=replicas, span=span)

@@ -385,7 +385,7 @@ class TestServeSimPaths:
          ["=== serve-sim: SMART x2 (shard), 200 requests/scenario across "
           "2 shard worker(s), slo 900us ==="],
          ["scale-out: 200 requests simulated in " + WALL,
-          re.escape("warm fleet: 96 snapshot cells shipped, 96 warm hits "
+          re.escape("warm fleet: 96 snapshot cells shipped, 24 warm hits "
                     "across shard workers")]),
         (["diurnal", "--geo", "2", "--geo-storms", "1", "--slo", "4000",
           "--requests", "200", "--policy", "timeout"],
@@ -393,7 +393,7 @@ class TestServeSimPaths:
           "slo 4000us, 1 region storm(s) ===",
           "regions: us-east, eu-west"],
          ["geo scale-out: 200 requests simulated in " + WALL,
-          re.escape("warm fleet: 192 snapshot cells shipped, 96 warm hits "
+          re.escape("warm fleet: 192 snapshot cells shipped, 30 warm hits "
                     "across region workers")]),
     ], ids=["plain", "sharded", "geo"])
     def test_header_and_summary_lines(self, argv, head, tail, capsys):

@@ -30,7 +30,7 @@ from repro.serving import (
 )
 from repro.serving import geo as geo_module
 from repro.serving import sharding as sharding_module
-from repro.serving.sharding import _serve_partition, _spec
+from repro.serving.sharding import _serve_partition
 from repro.serving.simulator import GC_GEN0_THRESHOLD, _gc_headroom
 from repro.serving.workload import generate_trace, get_scenario
 
@@ -140,8 +140,8 @@ def test_partition_worker_raises_the_threshold_itself(caller):
     """A process-pool worker starts at its own (default) thresholds, so
     the worker body must raise the threshold without the parent."""
     scenario = get_scenario("steady")
-    spec = _spec(ShardedEngine(2, replicas=2), scenario, rate=20_000.0,
-                 shard=0, replicas=2, accelerator="SMART", warm_cells=None)
+    spec = ShardedEngine(2, replicas=2)._spec(
+        scenario, rate=20_000.0, shard=0, replicas=2, accelerator="SMART")
     seen: list[int] = []
     trace = generate_trace(scenario, 20_000.0, 50, SEED)
 

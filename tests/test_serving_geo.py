@@ -43,6 +43,7 @@ from repro.serving import (
     SCENARIOS,
     STOCK_REGIONS,
     ServingSimulator,
+    ShardedEngine,
     SloPolicy,
     default_regions,
     generate_trace,
@@ -913,6 +914,21 @@ class TestFleetAccounting:
         before any calibration, prewarm or routing."""
         with pytest.raises(ConfigError, match="execution mode"):
             GeoRouter(4, topology="ring", geo="follow_sun", mode=mode)
+
+    @pytest.mark.parametrize("build,fragment", [
+        (lambda: GeoRouter(2, dispatch="bogus"), "unknown dispatch 'bogus'"),
+        (lambda: GeoRouter([RegionSpec("a", accelerator="NOPE")]),
+         "unknown scheme 'NOPE'"),
+        (lambda: ShardedEngine(2, accelerator="NOPE"),
+         "unknown scheme 'NOPE'"),
+    ], ids=["geo-dispatch", "geo-accelerator", "sharded-accelerator"])
+    def test_constructor_rejects_an_unknown_dispatch_or_scheme(
+            self, build, fragment):
+        """Both fan-out engines check each partition engine's replica
+        dispatch and accelerator scheme when built, not in the first
+        run's calibration."""
+        with pytest.raises(ConfigError, match=fragment):
+            build()
 
     @pytest.mark.parametrize("resilience", ["retry", "hedge"])
     def test_constructor_rejects_a_resilience_with_no_deadline(

@@ -312,6 +312,8 @@ class TestShardedEngineApi:
             ShardedEngine(3, replicas=2)
         with pytest.raises(ConfigError):
             ShardedEngine(2, replicas=2, policy="adaptive")
+        with pytest.raises(ConfigError, match="unknown scheme 'NOPE'"):
+            ShardedEngine(2, replicas=2, accelerator="NOPE")
         for mode in ("serial", "auto"):
             with pytest.raises(ConfigError, match="execution mode"):
                 ShardedEngine(2, replicas=2, mode=mode)

@@ -33,6 +33,7 @@ from repro.serving import (
     get_scenario,
     make_policy,
     prewarm_cache,
+    shard_key,
     trace_span,
 )
 
@@ -147,6 +148,21 @@ class TestWarmSharded:
         row = result.to_row()
         assert row["memo_seeded"] > 0
         assert row["warm_hits"] > 0
+
+    def test_warm_hits_count_only_the_cells_a_run_used(self):
+        """A partition promotes a shipped cell the first time its run
+        looks it up, so its warm hits are the distinct (model, size)
+        cells among its own batches, not every cell it was shipped."""
+        result = ShardedEngine(2, replicas=2, policy="timeout",
+                               batch_size=8, detail=True, mode="inline") \
+            .run_scenario("steady", 20_000, seed=1)
+        used: list[set] = [set() for _ in result.outcomes]
+        for batch in result.detail.batches:
+            used[shard_key(batch.model, 2, 2)].add((batch.model,
+                                                    batch.size))
+        assert [o.cache.seed_hits for o in result.outcomes] \
+            == [len(cells) for cells in used]
+        assert result.cache.seed_hits < result.cache.seeded
 
 
 class TestWarmGeo:

@@ -105,9 +105,8 @@ class TestArrivalProcesses:
 
 
 class TestRegionsAndPhases:
-    """The geo tier's workload hooks: timezone-shifted waves and
-    region-tagged streams must keep the streaming parity and
-    shard-split exactness contracts."""
+    """The geo tier's workload hook: timezone-shifted waves must keep
+    the streaming parity contract."""
 
     @pytest.mark.parametrize("phase", [0.25, 0.375, 0.875])
     def test_tz_shifted_diurnal_streams_bit_identical(self, phase):
@@ -137,36 +136,6 @@ class TestRegionsAndPhases:
             for k in range(3)
         ]
         assert counts[0] > counts[1]
-
-    def test_region_tag_rides_the_trace(self):
-        from repro.serving import stream_trace
-
-        scenario = get_scenario("bursty")
-        plain = tuple(stream_trace(scenario, 20000.0, 300, seed=9))
-        tagged = tuple(stream_trace(scenario, 20000.0, 300, seed=9,
-                                    region="eu-west"))
-        assert all(r.region == "eu-west" for r in tagged)
-        # the tag never perturbs arrivals or model draws
-        assert [(r.request_id, r.arrival, r.model) for r in tagged] \
-            == [(r.request_id, r.arrival, r.model) for r in plain]
-
-    @pytest.mark.parametrize("shards", [2, 3, 5])
-    def test_region_tagged_stream_shards_without_loss(self, shards):
-        from repro.serving import shard_trace, stream_trace
-
-        scenario = get_scenario("diurnal")
-        full = tuple(stream_trace(scenario, 20000.0, 600, seed=9,
-                                  region="ap-south"))
-        seen: list = []
-        for shard in range(shards):
-            seen.extend(shard_trace(scenario, 20000.0, 600, seed=9,
-                                    shards=shards, shard=shard,
-                                    replicas=shards,
-                                    region="ap-south"))
-        assert len(seen) == len(full)  # nothing lost or duplicated
-        by_id = sorted(seen, key=lambda r: r.request_id)
-        assert tuple(by_id) == full
-        assert all(r.region == "ap-south" for r in seen)
 
 
 class TestModelMix:
