@@ -75,6 +75,9 @@ reads only the head, so it is asked once per queue fill and
 builds its :class:`BatchRecord` inline, reads the rate and
 switch-charge memos without a call unless they miss, and the stock
 dispatch policies pick with plain loops instead of a keyed ``min``.
+The live replicas they pick from are engine state (``_live``), rebuilt
+at each pool transition (an outage, a recovery, a scale action), not
+per batch.
 
 The heap also holds only events that could fire next, so it stays
 about as small as the replica pool however deep the backlogs grow.
@@ -95,16 +98,21 @@ their predecessor fires:
   ``_answered`` only grows, so it could only pop as a no-op.
 
 Flushes, outages, control ticks, backoff-delayed retries and cancels
-stay on the heap.  A dead batch costs nothing where it dies: it leaves
-``_inflight`` at once, and one cancelled between its replica's head
-and tail stays in ``pending`` as a dead id until it reaches either
-end, so a cancel never scans a backlog.
+stay on the heap.  ``_inflight`` holds live batches only: a batch
+leaves it at its BATCH_DONE, or the moment it dies, and one cancelled
+between its replica's head and tail stays in ``pending`` as a dead id
+until it reaches either end, so a cancel never scans a backlog.  The
+served batches' records are kept apart, in a list indexed by batch id
+(``None`` once a batch dies), so :attr:`EngineRun.batches` needs no
+finished requests.
 
-Completions are logged per batch, not per request: a BATCH_DONE
-appends its in-flight ``(record, requests)`` entry to a completion
-log, and :attr:`EngineRun.done` builds the per-request table from it
-only when read.  Only resilience keeps a per-request set,
-``_answered``, for first-copy-wins; its log entries hold the winners.
+Completions leave per batch, not per request: a BATCH_DONE hands its
+``(record, requests)`` entry to the run's ``fold``, or appends it to
+the completion log when there is none, and :attr:`EngineRun.done`
+builds the per-request table from that log only when read.  A folded
+run therefore keeps no request it has answered.  Only resilience
+keeps a per-request set, ``_answered``, for first-copy-wins; its
+entries hold the winners.
 
 None of this changes a single emitted float or the order of a single
 event: ``repro.serving.reference`` retains the straightforward
@@ -501,8 +509,9 @@ class EngineRun:
         batches: successfully served batches, in dispatch order.
         log: one ``(record, requests it answered first)`` entry per
             completed batch, in completion order.  :attr:`done` is
-            built from it on first read, so a fan-out partition that
-            folds the log itself never builds that table.
+            built from it on first read.  A run given a ``fold``
+            (:meth:`ClusterEngine.run`) hands the entries to it
+            instead, so its ``log``, and therefore ``done``, are empty.
         shed: request ids rejected by admission control.
         replica_trace: (time, up-replica count) at every change.
         scale_events: (time, "up"/"down") autoscale actions.
@@ -645,13 +654,19 @@ class ClusterEngine:
             Replica(index=i, accelerator=acc)
             for i, acc in enumerate(self._initial)
         ]
+        # the replicas a batch may go to (up and not draining): a new
+        # list at every pool transition, never one changed in place
+        self._live = list(self._replicas)
         self._queues: dict[str, list[Request]] = {}
         self._armed: dict[str, float] = {}
-        # live batches, by increasing batch id: a batch leaves when it
-        # dies (failed over, cancelled or stolen), so at the end of the
-        # run the values are the served batches in dispatch order
+        # live batches only: a batch leaves at its BATCH_DONE, or when
+        # it dies (failed over, cancelled or stolen)
         self._inflight: dict[int, tuple[BatchRecord,
                                         tuple[Request, ...]]] = {}
+        # every dispatched batch's record, indexed by batch id; None
+        # once it dies, so the rest are the served batches in dispatch
+        # order
+        self._served: list[Optional[BatchRecord]] = []
         # insertion seqs of the BATCH_DONEs of batches queued behind
         # their replica's head, by batch id; each entry is rebuilt
         # and heaped when its batch becomes the head, and dropped if
@@ -662,7 +677,8 @@ class ClusterEngine:
         self._checks: deque[tuple] = deque()
         self._next_batch = 0
         self._waiting: deque[tuple[str, tuple[Request, ...], float]] = deque()
-        # one (record, answered requests) entry per completed batch
+        # one (record, answered requests) entry per completed batch,
+        # unless the run folds them
         self._log: list[tuple[BatchRecord, Sequence[Request]]] = []
         # ids answered so far: first copy wins under resilience
         self._answered: set[int] = set()
@@ -736,7 +752,7 @@ class ClusterEngine:
 
     def _finish(self) -> EngineRun:
         """Collect per-run state into the immutable outcome."""
-        batches = tuple(record for record, _ in self._inflight.values())
+        batches = tuple(filter(None, self._served))
         return EngineRun(
             batches=batches, log=self._log, shed=tuple(self._shed),
             replica_trace=tuple(self._trace),
@@ -749,7 +765,9 @@ class ClusterEngine:
 
     # -- run -------------------------------------------------------------
     def run(self, requests: Iterable[Request],
-            span: Optional[tuple[float, float]] = None) -> EngineRun:
+            span: Optional[tuple[float, float]] = None,
+            fold: Optional[Callable[[tuple], object]] = None
+            ) -> EngineRun:
         """Serve a trace and return the raw outcome.
 
         ``requests`` is either a materialised sequence (sorted here if
@@ -764,6 +782,12 @@ class ClusterEngine:
         is seen.  A sharded run passes the *global* trace span, so
         every shard drains at the same instant the monolithic engine
         would.
+
+        ``fold``, when given, is called with each completed batch's
+        ``(record, requests it answered first)`` entry, in completion
+        order, the moment the batch completes; the run then logs
+        nothing (:attr:`EngineRun.log` stays empty) and, once a batch
+        is folded, holds none of its requests.
         """
         if isinstance(requests, Sequence) and requests:
             arrival_of = attrgetter("arrival")
@@ -792,6 +816,8 @@ class ClusterEngine:
                               "span's start")
         t0, t_cap = span
         self._prepare(t0)
+        # where each completed batch's entry goes
+        self._complete = self._log.append if fold is None else fold
 
         # Arrivals stay in the (time-ordered) source and are merge-
         # scanned against the heap, which only ever holds the sparse
@@ -863,7 +889,7 @@ class ClusterEngine:
         admission = self.admission
         if admission is not None and not admission.admit(
                 time, request, self._in_system):
-            if self._res_kind == "degrade" and self._candidates():
+            if self._res_kind == "degrade" and self._live:
                 self._serve_degraded(time, request, track=False)
             else:
                 self._shed.append(request.request_id)
@@ -919,7 +945,7 @@ class ClusterEngine:
             self._dispatch(model, batch, flush=time, cause="deadline")
 
     def _on_batch_done(self, time: float, batch_id: int) -> None:
-        entry = self._inflight.get(batch_id)
+        entry = self._inflight.pop(batch_id, None)
         if entry is None:
             return  # died as its replica's head
         record, requests = entry
@@ -931,7 +957,7 @@ class ClusterEngine:
             # cancelled the instant its original completes
             self._finish_with_duplicates(time, batch_id, entry)
         else:
-            self._log.append(entry)
+            self._complete(entry)
             window = self._window
             if window is not None:
                 record_done = record.done
@@ -949,6 +975,7 @@ class ClusterEngine:
         # always its replica's head
         self._next_head(replica)
         if replica.draining and not replica.pending:
+            # retired; a draining replica already left ``_live``
             replica.draining = False
             replica.up = False
             self._trace.append((time, self._n_up()))
@@ -960,6 +987,7 @@ class ClusterEngine:
         replica.up = False
         replica.failed = True
         replica.draining = False
+        self._repool()
         self._trace.append((time, self._n_up()))
         inflight = self._inflight
         live = [b for b in replica.pending if b in inflight]
@@ -968,6 +996,9 @@ class ClusterEngine:
         chained = self._chained
         for batch_id in live[1:]:
             del chained[batch_id]  # queued behind the head, never heaped
+        served = self._served
+        for batch_id in live:
+            served[batch_id] = None
         victims = [inflight.pop(batch_id) for batch_id in live]
         for record, _ in victims:
             if record.start < time and record.service > 0:
@@ -994,6 +1025,7 @@ class ClusterEngine:
         replica.available_at = time
         replica.last_model = None  # the power cycle cleared the array
         replica.done_model = None
+        self._repool()
         self._trace.append((time, self._n_up()))
         if self._tel is not None:
             self._tel.recover(time, index)
@@ -1007,8 +1039,7 @@ class ClusterEngine:
         scale = self.scale
         queued = self._in_system  # queued + in-flight: the real backlog
         if scale is not None:
-            alive = [r for r in self._replicas
-                     if r.up and not r.draining]
+            alive = self._live
             arrivals, self._tick_arrivals = self._tick_arrivals, 0
             action = scale.decide(time, queued, len(alive),
                                   self._window, arrivals,
@@ -1069,10 +1100,10 @@ class ClusterEngine:
             solo = self._solo.pop(rid, None)
             if solo is not None and solo != batch_id:
                 self._events.push(time, EventKind.CANCEL, payload=solo)
-        # logged with the requests it answered first: its own entry
+        # completed with the requests it answered first: its own entry
         # when it won them all
-        self._log.append(entry if len(winners) == len(requests)
-                         else (record, tuple(winners)))
+        self._complete(entry if len(winners) == len(requests)
+                       else (record, tuple(winners)))
 
     def _on_timeout(self, time: float, payload: tuple) -> None:
         """A retry/degrade deadline check, or a backoff-delayed retry.
@@ -1096,7 +1127,7 @@ class ClusterEngine:
             if self._tel is not None:
                 self._tel.timeout(time, request.model, rid)
             if self._res_kind == "degrade":
-                if rid not in self._solo and self._candidates():
+                if rid not in self._solo and self._live:
                     self._serve_degraded(time, request, track=True)
                 return
             if attempts >= res.budget:
@@ -1127,7 +1158,7 @@ class ClusterEngine:
         rid = request.request_id
         if rid in self._answered or rid in self._solo:
             return  # answered, or already hedged
-        candidates = self._candidates()
+        candidates = self._live
         if len(candidates) < 2:
             # a hedge to the only live replica would queue behind the
             # very batch it is trying to outrun — pure added load (the
@@ -1160,16 +1191,14 @@ class ClusterEngine:
         mid-schedule cancellation leaves the gap in place, and the
         dead id in ``pending`` until it reaches the head or the tail.
         """
-        inflight = self._inflight
-        entry = inflight.get(batch_id)
+        entry = self._inflight.pop(batch_id, None)
         if entry is None:
-            return  # already dead
-        record = entry[0]
-        if record.done <= time:
-            return  # completed at this very instant; BATCH_DONE
-                    # (lower kind) already ran and recorded it
+            # already dead, or completed: also at this very instant,
+            # since BATCH_DONE (a lower kind) runs first and removes it
+            return
         # still in flight, so still in its replica's ``pending``
-        del inflight[batch_id]
+        self._served[batch_id] = None
+        record = entry[0]
         self._cancels += 1
         self._in_system -= record.size
         if record.start < time and record.service > 0:
@@ -1312,8 +1341,11 @@ class ClusterEngine:
                 self._rates[key] = rates
         return rates
 
-    def _candidates(self) -> list[Replica]:
-        return [r for r in self._replicas if r.up and not r.draining]
+    def _repool(self) -> None:
+        """Rebind ``_live`` after a pool transition: to a new list,
+        since a caller may still hold the old one (``_on_control``'s
+        ``alive``)."""
+        self._live = [r for r in self._replicas if r.up and not r.draining]
 
     def _switch(self, accelerator, model: str, size: int) -> float:
         """Memoised weight-deployment switch charge (s)."""
@@ -1370,7 +1402,7 @@ class ClusterEngine:
         degraded-serving path.  Returns the batch id, or None when the
         batch was parked (no live replica).
         """
-        candidates = [r for r in self._replicas if r.up and not r.draining]
+        candidates = self._live
         if not candidates:
             self._waiting.append((model, batch, flush))
             if self._tel is not None:
@@ -1402,6 +1434,7 @@ class ClusterEngine:
         record = BatchRecord(model, size, replica.index, flush, start,
                              done, energy)
         self._inflight[batch_id] = (record, batch)
+        self._served.append(record)
         # EventQueue.next_seq, inline
         events = self._events
         seq = events._seq
@@ -1424,7 +1457,7 @@ class ClusterEngine:
     def _drain_waiting(self, now: float) -> None:
         waiting = self._waiting
         pick_waiting = self.flush.pick_waiting
-        while waiting and self._candidates():
+        while waiting and self._live:
             index = pick_waiting(waiting)
             model, batch, flush = waiting[index]
             del waiting[index]
@@ -1444,7 +1477,7 @@ class ClusterEngine:
         """
         policy = self.steal
         for _ in range(policy.max_steals):
-            candidates = self._candidates()
+            candidates = self._live
             if len(candidates) < 2:
                 return
             victim = max(candidates, key=lambda r: (r.free_at, r.index))
@@ -1468,6 +1501,7 @@ class ClusterEngine:
             if best is None:
                 return
             del self._inflight[batch_id]
+            self._served[batch_id] = None
             if not self._pop_tail(victim):
                 victim.free_at = now
                 victim.last_model = victim.done_model
@@ -1483,6 +1517,7 @@ class ClusterEngine:
         retiring = next((r for r in replicas if r.up and r.draining), None)
         if retiring is not None:
             retiring.draining = False  # cancel a retirement instead
+            self._repool()
         else:
             # revive a retired replica (fresh warm-up) before growing
             # the pool: under oscillating load, appending a new Replica
@@ -1499,6 +1534,7 @@ class ClusterEngine:
             replica.available_at = now + self.scale.warmup
             replica.last_model = None  # power-gated while retired
             replica.done_model = None
+            self._repool()
             self._trace.append((now, self._n_up()))
         self._scale_events.append((now, "up"))
         if self._tel is not None:
@@ -1513,6 +1549,7 @@ class ClusterEngine:
         else:
             victim.up = False
             self._trace.append((now, self._n_up()))
+        self._repool()
         self._scale_events.append((now, "down"))
         if self._tel is not None:
             self._tel.scale(now, "down", self._n_up())

@@ -86,7 +86,9 @@ class DispatchPolicy:
     def pick(self, engine, model: str, size: int, floor: float,
              candidates: Sequence["Replica"]) -> "Replica":
         """Choose the replica to serve a batch that can start at
-        ``floor``; ``candidates`` is non-empty and ordered by index."""
+        ``floor``; ``candidates`` is non-empty, ordered by index, and
+        the engine's own list of live replicas: read it, never change
+        it."""
         raise NotImplementedError
 
 

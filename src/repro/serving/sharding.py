@@ -11,14 +11,14 @@ no worker simulates a layer.  Each worker streams its own slice of the
 global seeded trace (:func:`~repro.serving.workload.shard_trace`: no
 process ever materialises the full request list), serves it on an
 independent :class:`~repro.serving.events.ClusterEngine`, and folds
-the engine's per-batch completion log straight into a compact
-:class:`ShardOutcome`, keeping no per-request table of its own; the
-parent merge-reduces those into one :class:`ShardedResult` with exact
-counters (the engine's retries, timeouts, hedges, cancels and
-re-dispatches included) and energy sums, exact percentiles (each
-partition ships its served latencies as one sorted column, 8 bytes
-per served request: a :class:`LatencyDigest`), and per-shard telemetry
-rows tagged with their shard id.
+each batch into a compact :class:`ShardOutcome` the moment the engine
+completes it, so it keeps neither the requests it has served nor a
+per-request table; the parent merge-reduces those into one
+:class:`ShardedResult` with exact counters (the engine's retries,
+timeouts, hedges, cancels and re-dispatches included) and energy sums,
+exact percentiles (each partition ships its served latencies as one
+sorted column, 8 bytes per served request: a :class:`LatencyDigest`),
+and per-shard telemetry rows tagged with their shard id.
 
 Why this is exact and not merely parallel: the splitter partitions
 models by the same ``crc32(model) % replicas`` pin
@@ -289,12 +289,16 @@ def _serve_partition(spec: dict, requests: Iterable[Request],
 
     Rebuilds the simulator from ``spec``, streams the time-ordered
     ``requests`` into an engine pinned to the *global* ``span`` (so all
-    partitions drain at the same horizon), and folds its completion
-    log (:attr:`~repro.serving.events.EngineRun.log`) straight into a
-    :class:`ShardOutcome`, with no per-request table: energy is added
-    left to right in completion order, each ``done - arrival`` goes
-    into the sorted latency column, and the first streamed arrival is
-    the partition's first.  ``tags`` label the telemetry run header;
+    partitions drain at the same horizon), and folds each completed
+    batch into a :class:`ShardOutcome` as it completes (the engine's
+    ``fold``): energy is added left to right in completion order, and
+    each ``done - arrival`` is appended to an ``array('d')``, sorted
+    into the latency column after the run.  So a worker keeps 8 bytes
+    per served request, not the request, and no per-request table.  A
+    ``detail`` run keeps the completion log for
+    :meth:`~repro.serving.simulator.ServingSimulator.make_result` and
+    runs the same fold over it.  The first streamed arrival is the
+    partition's first.  ``tags`` label the telemetry run header;
     the first also stamps every row, an idle partition's included.
     ``wall_s`` counts from the worker's ``t_start``.  The run's
     :class:`MemoSnapshot` arrives once per worker as the pool payload
@@ -338,20 +342,31 @@ def _serve_partition(spec: dict, requests: Iterable[Request],
     served: dict = {}
     first = next(stream, None)
     if first is not None:
-        run = engine.run(chain((first,), stream), span=span)
-        # free the engine's queues and memos before the fold allocates
-        del engine
         energy = 0.0
-        latencies: list[float] = []
+        latencies = array("d")
         append = latencies.append
-        for record, answered in run.log:
+
+        def fold(entry: tuple) -> None:
+            # a closure, not an object with __call__: it runs once per
+            # served batch, and the call is cheaper
+            nonlocal energy
+            record, answered = entry
             done = record.done
             share = record.energy / record.size
             for request in answered:
                 energy += share
                 append(done - request.arrival)
-        latencies.sort()
-        column = array("d", latencies)
+
+        # make_result reads the log, so a detail run keeps it and
+        # folds it here; any other run folds as its batches complete
+        # and logs nothing
+        run = engine.run(chain((first,), stream), span=span,
+                         fold=None if spec["detail"] else fold)
+        for entry in run.log:
+            fold(entry)
+        # free the engine's queues and memos before the sort allocates
+        del engine
+        column = array("d", sorted(latencies))
         served = {
             "requests": len(column), "batches": len(run.batches),
             "energy": energy,

@@ -33,7 +33,7 @@ import gc
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
-from operator import attrgetter, itemgetter, sub
+from operator import attrgetter, eq, sub
 from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.core import make_accelerator
@@ -537,23 +537,41 @@ class ServingSimulator:
 
         :meth:`run` and every fan-out partition fold their runs here,
         so their per-request arrays and counters cannot drift apart.
+        The completion log is scattered straight into position-indexed
+        columns, with no per-request table.
+
+        Raises:
+            KeyError: a request the run neither answered nor shed.
         """
-        done = outcome.done
-        if outcome.shed:
+        n = len(requests)
+        request_id = attrgetter("request_id")
+        # a run_scenario trace numbers its requests by position, so an
+        # id is its own slot (None); any other trace looks its ids up
+        slot = (None if all(map(eq, map(request_id, requests), range(n)))
+                else dict(zip(map(request_id, requests), range(n))))
+        latencies = [0.0] * n
+        energy = [0.0] * n
+        answered = 0
+        for record, batch in outcome.log:
+            done = record.done
+            share = record.energy / record.size
+            answered += len(batch)
+            for request in batch:
+                rid = request.request_id
+                i = rid if slot is None else slot[rid]
+                latencies[i] = done - request.arrival
+                energy[i] = share
+        for rid in outcome.shed:
             # a shed request is never done, at no energy
-            done = done | dict.fromkeys(outcome.shed, (float("inf"), 0.0))
-        # one lookup per request, in C; a request neither answered nor
-        # shed raises KeyError
-        outcomes = list(map(done.__getitem__,
-                            map(attrgetter("request_id"), requests)))
-        latencies = tuple(map(sub, map(itemgetter(0), outcomes),
-                              map(attrgetter("arrival"), requests)))
-        energy = tuple(map(itemgetter(1), outcomes))
+            latencies[rid if slot is None else slot[rid]] = float("inf")
+        if answered + len(outcome.shed) != n:
+            raise KeyError(f"{n - answered - len(outcome.shed)} of {n} "
+                           f"requests were neither answered nor shed")
         return ServingResult(
             accelerator=self.accelerator.name, replicas=self.replicas,
             scenario=scenario, policy=self.policy.name, rate=rate,
-            requests=requests, latencies=latencies,
-            energy_per_request=energy, batches=outcome.batches,
+            requests=requests, latencies=tuple(latencies),
+            energy_per_request=tuple(energy), batches=outcome.batches,
             cache=cache, slo_target=self.slo.target if self.slo else 0.0,
             shed=outcome.shed, replica_trace=outcome.replica_trace,
             scale_events=outcome.scale_events,

@@ -159,7 +159,8 @@ def observables(run):
 
 def assert_conserved(engine, run, trace):
     """Each request is answered or shed, exactly once, at no negative
-    energy, and the engine ends with every queue and armed flush gone."""
+    energy, and the engine ends with every queue, armed flush and
+    in-flight batch gone."""
     assert len(set(run.shed)) == len(run.shed)
     assert run.done.keys().isdisjoint(run.shed)
     assert run.done.keys() | set(run.shed) == \
@@ -168,6 +169,7 @@ def assert_conserved(engine, run, trace):
     assert run.wasted_energy >= 0
     assert not any(engine._queues.values())
     assert engine._armed == {}
+    assert not engine._inflight
 
 
 @given(trace=traces(), cell=CELLS)

@@ -5,6 +5,7 @@ could not express, plus autoscaling, failure injection with batch
 re-dispatch, admission control and heterogeneous replica pools.
 """
 
+import gc
 import heapq
 
 import pytest
@@ -22,8 +23,10 @@ from repro.serving import (
     ServingSimulator,
     SloPolicy,
     TimeoutBatching,
+    get_scenario,
+    make_policy,
 )
-from repro.serving.workload import Request
+from repro.serving.workload import Request, stream_trace, trace_span
 from repro.systolic.layers import ConvLayer, Network
 
 TOY = Network("toy", (
@@ -234,6 +237,59 @@ def _flat_engine(**kwargs):
         service_fn=lambda acc, model, size: 3e-6,
         energy_fn=lambda acc, model, size: 1e-9, **kwargs,
     )
+
+
+class TestCompletionFold:
+    """``ClusterEngine.run(..., fold=)`` hands every completed batch to
+    the fold as it completes, and then keeps none of its requests."""
+
+    N = 3_000
+    #: name -> (scenario, simulator options); the second is the
+    #: failure-retry workload's configuration at a 3 ms deadline, so
+    #: its retries really fire at this length.
+    CELLS = {
+        "plain": ("bursty", dict(replicas=2, dispatch="least_loaded")),
+        "retry": ("failure-storm", dict(
+            replicas=6, dispatch="shard", slo=SloPolicy(target=3e-3),
+            failures=FailurePlan(count=3, seed=7),
+            resilience="retry:timeout_us=3000,budget=1")),
+    }
+
+    @staticmethod
+    def live_requests() -> int:
+        """Reachable :class:`Request` objects (slots, no weakref:
+        counted through the collector, once garbage is collected)."""
+        gc.collect()
+        return sum(type(obj) is Request for obj in gc.get_objects())
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_a_folded_run_keeps_no_request(self, cell):
+        # other tests' module-level traces stay alive throughout
+        before = self.live_requests()
+        name, options = self.CELLS[cell]
+        sim = ServingSimulator("SMART", policy=make_policy("timeout"),
+                               **options)
+        scenario = get_scenario(name)
+        rate = scenario.load * sim.capacity_rps(scenario)
+        networks = {m: sim.network(m) for m in scenario.mix.models()}
+        span = trace_span(scenario, rate, self.N, 1)
+        logged = sim.make_engine(networks).run(
+            stream_trace(scenario, rate, self.N, 1), span=span)
+        # the fold keeps ids, never a request
+        folded = []
+        engine = sim.make_engine(networks)
+        run = engine.run(
+            stream_trace(scenario, rate, self.N, 1), span=span,
+            fold=lambda entry: folded.append(
+                (entry[0], [r.request_id for r in entry[1]])))
+        assert folded == [(record, [r.request_id for r in answered])
+                          for record, answered in logged.log]
+        assert run.log == [] and run.done == {}
+        assert run.batches == logged.batches
+        assert bool(run.retries) == (cell == "retry")
+        del logged
+        # ``engine`` and ``run`` are still referenced here
+        assert self.live_requests() == before
 
 
 class TestRunInputContract:

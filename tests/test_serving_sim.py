@@ -8,6 +8,7 @@ from repro.serving import (
     FixedSizeBatching,
     LayerMemoCache,
     ServingSimulator,
+    SloPolicy,
     TimeoutBatching,
     generate_trace,
     get_scenario,
@@ -89,6 +90,25 @@ class TestEventLoop:
         with pytest.raises(KeyError):
             sim.make_result(trace + (stray,), run, sim.cache.stats,
                             scenario="", rate=0.0)
+
+    @pytest.mark.parametrize("slo", [None, SloPolicy(target=2e-4,
+                                                     shed_depth=8)],
+                             ids=["plain", "shedding"])
+    def test_result_columns_do_not_depend_on_the_id_numbering(self, slo):
+        """Ids 0..n-1 are their own slots; any other numbering is
+        looked up, and fills the same columns.  No resilience: retry
+        jitter hashes the ids."""
+        sim = toy_simulator(replicas=1, slo=slo)
+        trace = toy_trace(40, gap=2e-8)
+        offset = [Request(r.request_id + 1000, r.model, r.arrival)
+                  for r in trace]
+        positional, looked_up = sim.run(trace), sim.run(offset)
+        assert looked_up.latencies == positional.latencies
+        assert looked_up.energy_per_request == \
+            positional.energy_per_request
+        assert looked_up.shed == tuple(rid + 1000
+                                       for rid in positional.shed)
+        assert bool(positional.shed) == (slo is not None)
 
 
 class TestDispatch:
