@@ -75,9 +75,9 @@ reads only the head, so it is asked once per queue fill and
 builds its :class:`BatchRecord` inline, reads the rate and
 switch-charge memos without a call unless they miss, and the stock
 dispatch policies pick with plain loops instead of a keyed ``min``.
-The live replicas they pick from are engine state (``_live``), rebuilt
-at each pool transition (an outage, a recovery, a scale action), not
-per batch.
+The live replicas they pick from are engine state (``_live``, a
+tuple), rebuilt at each pool transition (an outage, a recovery, a
+scale action), not per batch.
 
 The heap also holds only events that could fire next, so it stays
 about as small as the replica pool however deep the backlogs grow.
@@ -654,9 +654,10 @@ class ClusterEngine:
             Replica(index=i, accelerator=acc)
             for i, acc in enumerate(self._initial)
         ]
-        # the replicas a batch may go to (up and not draining): a new
-        # list at every pool transition, never one changed in place
-        self._live = list(self._replicas)
+        # the replicas a batch may go to (up and not draining), rebuilt
+        # at every pool transition; a tuple, since a dispatch policy
+        # and ``_on_control`` read it and none may change it
+        self._live: tuple[Replica, ...] = tuple(self._replicas)
         self._queues: dict[str, list[Request]] = {}
         self._armed: dict[str, float] = {}
         # live batches only: a batch leaves at its BATCH_DONE, or when
@@ -1342,10 +1343,10 @@ class ClusterEngine:
         return rates
 
     def _repool(self) -> None:
-        """Rebind ``_live`` after a pool transition: to a new list,
-        since a caller may still hold the old one (``_on_control``'s
-        ``alive``)."""
-        self._live = [r for r in self._replicas if r.up and not r.draining]
+        """Rebuild ``_live`` after a write to a replica's ``up`` or
+        ``draining``."""
+        self._live = tuple([r for r in self._replicas
+                            if r.up and not r.draining])
 
     def _switch(self, accelerator, model: str, size: int) -> float:
         """Memoised weight-deployment switch charge (s)."""

@@ -86,9 +86,8 @@ class DispatchPolicy:
     def pick(self, engine, model: str, size: int, floor: float,
              candidates: Sequence["Replica"]) -> "Replica":
         """Choose the replica to serve a batch that can start at
-        ``floor``; ``candidates`` is non-empty, ordered by index, and
-        the engine's own list of live replicas: read it, never change
-        it."""
+        ``floor``; ``candidates`` is the engine's non-empty tuple of
+        live replicas, ordered by index."""
         raise NotImplementedError
 
 

@@ -537,18 +537,25 @@ class ServingSimulator:
 
         :meth:`run` and every fan-out partition fold their runs here,
         so their per-request arrays and counters cannot drift apart.
-        The completion log is scattered straight into position-indexed
-        columns, with no per-request table.
+        The completion log is scattered into position-indexed columns;
+        when the ids are the positions, as in every ``run_scenario``
+        trace, with no per-request table.
 
         Raises:
             KeyError: a request the run neither answered nor shed.
+            ConfigError: a request id that appears more than once.
         """
         n = len(requests)
         request_id = attrgetter("request_id")
         # a run_scenario trace numbers its requests by position, so an
-        # id is its own slot (None); any other trace looks its ids up
+        # id is its own slot (None); any other trace looks its ids up,
+        # in a dict that would keep only the last of a repeated id
         slot = (None if all(map(eq, map(request_id, requests), range(n)))
                 else dict(zip(map(request_id, requests), range(n))))
+        if slot is not None and len(slot) != n:
+            repeated = Counter(map(request_id, requests)).most_common(1)
+            raise ConfigError(f"request id {repeated[0][0]} appears more "
+                              f"than once in the trace")
         latencies = [0.0] * n
         energy = [0.0] * n
         answered = 0

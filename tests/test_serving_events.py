@@ -18,6 +18,7 @@ from repro.serving import (
     FailurePlan,
     FixedSizeBatching,
     LayerMemoCache,
+    LeastLoadedDispatch,
     Outage,
     ReactiveScalePolicy,
     ServingSimulator,
@@ -478,6 +479,63 @@ class TestAutoscaling:
             ReactiveScalePolicy(high_queue=4, low_queue=6)
         with pytest.raises(ConfigError):
             ReactiveScalePolicy(tick=0.0)
+
+
+class TestLivePool:
+    """The replicas a dispatch policy picks from are the engine's live
+    pool: rebuilt at every outage, recovery and scale action, and read
+    only."""
+
+    @staticmethod
+    def scaling():
+        """Blocks of 20 slow and 20 fast arrivals on a pool of 1 to 3:
+        every scale branch fires (retire at once or by draining;
+        cancel a retirement, revive a retired replica, or append)."""
+        policy = ReactiveScalePolicy(min_replicas=1, max_replicas=3,
+                                     high_queue=8, low_queue=6,
+                                     tick=1e-7, warmup=5e-7,
+                                     cooldown=1e-7)
+        arrivals, t = [], 0.0
+        for i in range(400):
+            t += 2e-8 if (i // 20) % 2 else 2e-7
+            arrivals.append(t)
+        return dict(autoscale=policy), arrivals
+
+    @staticmethod
+    def outage():
+        """Replica 0 fails under a deep backlog and recovers while
+        arrivals still come."""
+        outage = Outage(replica=0, at=2e-6, until=4e-6)
+        return (dict(failures=FailurePlan(outages=(outage,))),
+                [(i + 1) * 2e-8 for i in range(400)])
+
+    @pytest.mark.parametrize("cell", ["scaling", "outage"])
+    def test_candidates_follow_every_pool_transition(self, cell):
+        pools = []
+
+        class Checking(LeastLoadedDispatch):
+            def pick(self, engine, model, size, floor, candidates):
+                assert type(candidates) is tuple
+                assert candidates == tuple(
+                    r for r in engine._replicas
+                    if r.up and not r.draining)
+                pools.append(tuple(r.index for r in candidates))
+                return super().pick(engine, model, size, floor,
+                                    candidates)
+
+        options, arrivals = getattr(self, cell)()
+        sim = toy_simulator(replicas=2, dispatch=Checking(),
+                            policy=TimeoutBatching(max_batch=4,
+                                                   max_wait=1e-6),
+                            **options)
+        sim.run([Request(i, "toy", t) for i, t in enumerate(arrivals)])
+        if cell == "scaling":
+            assert {(0,), (0, 1, 2)} <= set(pools)
+        else:
+            # both, then the survivor alone, then both again
+            changes = [pool for k, pool in enumerate(pools)
+                       if k == 0 or pool != pools[k - 1]]
+            assert changes == [(0, 1), (1,), (0, 1)]
 
 
 class TestFailureInjection:

@@ -110,6 +110,14 @@ class TestEventLoop:
                                        for rid in positional.shed)
         assert bool(positional.shed) == (slo is not None)
 
+    def test_a_repeated_request_id_is_refused(self):
+        """Two requests under one id would leave one of them without
+        a latency or an energy; the result refuses the trace."""
+        trace = toy_trace(8)
+        trace[5] = Request(2, "toy", trace[5].arrival)
+        with pytest.raises(ConfigError, match="request id 2 "):
+            toy_simulator().run(trace)
+
 
 class TestDispatch:
     def test_round_robin_alternates(self):
